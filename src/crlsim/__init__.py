@@ -4,13 +4,13 @@ against priority, with an all-to-cloud offloading baseline."""
 from .model import (
     Task,
     SourceNode,
+    SourcePool,
     DeviceAccount,
     WeightsConfig,
     compute_matching_priority,
     compute_settlement_amount,
 )
 from .matching import (
-    PreferenceMatrix,
     Assignment,
     MatchResult,
     sort_tasks_by_priority,
@@ -36,11 +36,11 @@ from .metrics import (
 __all__ = [
     "Task",
     "SourceNode",
+    "SourcePool",
     "DeviceAccount",
     "WeightsConfig",
     "compute_matching_priority",
     "compute_settlement_amount",
-    "PreferenceMatrix",
     "Assignment",
     "MatchResult",
     "sort_tasks_by_priority",

@@ -3,28 +3,12 @@ greedy source assignment, and deferral / big-task classification."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from .model import Task, SourceNode, WeightsConfig, compute_matching_priority
+import numpy as np
+
+from .model import Task, SourceNode, SourcePool, WeightsConfig, compute_matching_priority
 from .settlement import PriorityLedger
-
-
-@dataclass(frozen=True)
-class PreferenceMatrix:
-    """m x n grid of per-pair preference values with identity maps.
-
-    values[j][i] is cycles_per_second_j / cycles_required_i when source j can
-    finish task i within both its idle window and the task deadline, else 0.
-    Columns are ordered by descending matching priority.
-    """
-
-    values: list[list[float]]
-    row_ids: list[int]
-    col_ids: list[int]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.row_ids), len(self.col_ids)
 
 
 @dataclass(frozen=True)
@@ -40,7 +24,6 @@ class MatchResult:
 
     assignments: list[Assignment]
     unmatched_task_ids: list[int]
-    remaining_idle: dict[int, float] = field(default_factory=dict)
 
 
 def sort_tasks_by_priority(tasks, ledger: PriorityLedger, weights: WeightsConfig) -> list[Task]:
@@ -59,65 +42,55 @@ def feasible(source: SourceNode, task: Task) -> bool:
     )
 
 
-def build_prefer_matrix(sources: list[SourceNode], ordered_tasks: list[Task]) -> PreferenceMatrix:
-    """Build the m x n preference matrix over priority-sorted tasks.
+def build_prefer_matrix(sources, ordered_tasks: list[Task]) -> np.ndarray:
+    """Build the m x n preference matrix over the pool and priority-sorted tasks.
 
-    Empty sources or tasks yield a degenerate matrix that matches nothing.
+    Row j is the pool's j-th source (ascending source_id), column i the i-th
+    task.  A cell holds cycles_per_second / cycles_required where the source
+    can finish the task within both its idle window and the task deadline
+    (the test of ``feasible``), else 0.  ``sources`` is a SourcePool or
+    SourceNodes.  Empty sources or tasks yield a degenerate matrix that
+    matches nothing.
     """
-    values = [
-        [src.cycles_per_second / t.cycles_required if feasible(src, t) else 0.0 for t in ordered_tasks]
-        for src in sources
-    ]
-    return PreferenceMatrix(
-        values=values,
-        row_ids=[s.source_id for s in sources],
-        col_ids=[t.task_id for t in ordered_tasks],
-    )
+    pool = SourcePool.of(sources)
+    # Built task-major, one contiguous row per task as greedy_match scans it,
+    # and returned as the m x n transpose of that.
+    cycles = np.array([t.cycles_required for t in ordered_tasks], dtype=np.float64)[:, None]
+    deadline = np.array([t.deadline_s for t in ordered_tasks], dtype=np.float64)[:, None]
+    ok = cycles / pool.rate <= deadline
+    ok &= cycles <= pool.rate * pool.idle
+    return np.divide(pool.rate, cycles, out=np.zeros(ok.shape), where=ok).T
 
 
-def greedy_match(matrix: PreferenceMatrix, sources: list[SourceNode], ordered_tasks: list[Task]) -> MatchResult:
+def greedy_match(matrix: np.ndarray, sources, ordered_tasks: list[Task]) -> MatchResult:
     """Assign each task, in priority order, its best still-free source.
 
-    A chosen source is unavailable for later columns this round; the matrix
-    itself is never mutated.  Ties on preference value go to the lowest
-    source_id.  Tasks whose column holds no positive value over the free
-    sources are unmatched.
+    Each column takes the row of its largest positive value, and that row is
+    zeroed for the later columns, so a source serves at most one task per
+    round; ``matrix`` itself is never mutated.  ``argmax`` returns the first
+    maximum, so ties on preference value go to the lowest source_id.  Tasks
+    whose column holds no positive value over the free sources are unmatched.
     """
-    source_by_id = {s.source_id: s for s in sources}
-    taken: set[int] = set()
+    pool = SourcePool.of(sources)
+    if not len(pool):
+        return MatchResult(assignments=[], unmatched_task_ids=[t.task_id for t in ordered_tasks])
+    free = matrix.T.copy()  # one row per task
     assignments: list[Assignment] = []
     unmatched: list[int] = []
-
     for col, task in enumerate(ordered_tasks):
-        best_row = -1
-        best_val = 0.0
-        for row, source_id in enumerate(matrix.row_ids):
-            if source_id in taken:
-                continue
-            val = matrix.values[row][col]
-            if val > best_val:
-                best_val = val
-                best_row = row
-            elif val == best_val and val > 0.0 and best_row >= 0 and source_id < matrix.row_ids[best_row]:
-                best_row = row
-        if best_row < 0:
+        row = int(free[col].argmax())
+        if free[col, row] <= 0.0:
             unmatched.append(task.task_id)
             continue
-        chosen_id = matrix.row_ids[best_row]
-        chosen = source_by_id[chosen_id]
-        taken.add(chosen_id)
+        free[col + 1:, row] = 0.0
         assignments.append(
             Assignment(
                 task_id=task.task_id,
-                source_id=chosen_id,
-                busy_seconds=task.cycles_required / chosen.cycles_per_second,
+                source_id=int(pool.ids[row]),
+                busy_seconds=task.cycles_required / float(pool.rate[row]),
             )
         )
-
-    remaining = {
-        a.source_id: source_by_id[a.source_id].idle_seconds - a.busy_seconds for a in assignments
-    }
-    return MatchResult(assignments=assignments, unmatched_task_ids=unmatched, remaining_idle=remaining)
+    return MatchResult(assignments=assignments, unmatched_task_ids=unmatched)
 
 
 def classify_unmatched(
@@ -146,9 +119,13 @@ def classify_unmatched(
 
 
 def full_round(
-    tasks, sources: list[SourceNode], ledger: PriorityLedger, weights: WeightsConfig
-) -> tuple[list[Task], PreferenceMatrix, MatchResult]:
-    """Convenience pipeline: sort, build the matrix, match greedily."""
+    tasks, sources, ledger: PriorityLedger, weights: WeightsConfig
+) -> tuple[list[Task], np.ndarray, MatchResult]:
+    """Convenience pipeline: sort, build the matrix, match greedily.
+
+    ``sources`` is a SourcePool or SourceNodes in any order.
+    """
+    pool = SourcePool.of(sources)
     ordered = sort_tasks_by_priority(tasks, ledger, weights)
-    matrix = build_prefer_matrix(sources, ordered)
-    return ordered, matrix, greedy_match(matrix, sources, ordered)
+    matrix = build_prefer_matrix(pool, ordered)
+    return ordered, matrix, greedy_match(matrix, pool, ordered)

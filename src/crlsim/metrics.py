@@ -6,6 +6,7 @@ import csv
 import json
 from dataclasses import dataclass, field, asdict
 
+from .model import SourcePool
 from .settlement import SettlementRecord
 
 CSV_COLUMNS = [
@@ -77,8 +78,14 @@ class ComparisonSummary:
 
 
 def idle_capacity(pool) -> float:
-    """Total deliverable cycles left in the unassigned source pool."""
-    return sum(s.cycles_per_second * s.idle_seconds for s in pool)
+    """Total deliverable cycles left in the unassigned source pool.
+
+    ``pool`` is a SourcePool or SourceNodes.  The products are added left to
+    right in ascending source_id order by the builtin ``sum``; ``np.sum``
+    adds pairwise and would change the last bits of the reports.
+    """
+    pool = SourcePool.of(pool)
+    return sum((pool.rate * pool.idle).tolist())
 
 
 def _render(value) -> str:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,75 @@ class SourceNode:
     def capacity(self) -> float:
         """Total cycles this source can still deliver."""
         return self.cycles_per_second * self.idle_seconds
+
+
+@dataclass(eq=False)  # the generated __eq__ would compare arrays elementwise and raise
+class SourcePool:
+    """The idle-source pool as four parallel columns in ascending source_id order.
+
+    Row j is one source: ``ids[j]``, ``owners[j]``, ``idle[j]`` (seconds it
+    still offers) and ``rate[j]`` (cycles per second).  Because ids ascend,
+    the first maximum of any per-row quantity belongs to the lowest source_id.
+    """
+
+    ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    owners: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    idle: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.float64))
+    rate: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.float64))
+
+    @classmethod
+    def of(cls, sources) -> SourcePool:
+        """``sources`` itself if it is a pool, else a pool of its SourceNodes sorted by id."""
+        if isinstance(sources, cls):
+            return sources
+        nodes = sorted(sources, key=lambda s: s.source_id)
+        return cls(
+            ids=np.array([s.source_id for s in nodes], dtype=np.int64),
+            owners=np.array([s.owner_id for s in nodes], dtype=np.int64),
+            idle=np.array([s.idle_seconds for s in nodes], dtype=np.float64),
+            rate=np.array([s.cycles_per_second for s in nodes], dtype=np.float64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def node(self, row: int) -> SourceNode:
+        """Row ``row`` as a SourceNode of plain Python numbers."""
+        return SourceNode(
+            source_id=int(self.ids[row]),
+            owner_id=int(self.owners[row]),
+            idle_seconds=float(self.idle[row]),
+            cycles_per_second=float(self.rate[row]),
+        )
+
+    def rows(self, source_ids) -> np.ndarray:
+        """Row indices of pooled sources, by id."""
+        return np.searchsorted(self.ids, source_ids)
+
+    def extend(self, sources) -> None:
+        """Append newly arrived sources, whose ids exceed every pooled id."""
+        new = SourcePool.of(sources)
+        self.ids = np.concatenate((self.ids, new.ids))
+        self.owners = np.concatenate((self.owners, new.owners))
+        self.idle = np.concatenate((self.idle, new.idle))
+        self.rate = np.concatenate((self.rate, new.rate))
+
+    def age(self, seconds: float) -> None:
+        """Let ``seconds`` of idle time pass; sources left with none leave the pool."""
+        self.idle = self.idle - seconds
+        self._keep(self.idle > 0)
+
+    def consume(self, rows, busy_seconds) -> None:
+        """Subtract leased seconds from ``rows``; of those, drop the ones left with none."""
+        rows = np.asarray(rows, dtype=np.intp)
+        self.idle[rows] -= np.asarray(busy_seconds, dtype=np.float64)
+        keep = np.ones(len(self), dtype=bool)
+        keep[rows] = self.idle[rows] > 0
+        self._keep(keep)
+
+    def _keep(self, mask: np.ndarray) -> None:
+        self.ids, self.owners = self.ids[mask], self.owners[mask]
+        self.idle, self.rate = self.idle[mask], self.rate[mask]
 
 
 @dataclass(frozen=True)

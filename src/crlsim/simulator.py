@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .model import Task, SourceNode, WeightsConfig
+from .model import Task, SourceNode, SourcePool, WeightsConfig
 from .matching import full_round, classify_unmatched
 from .settlement import PriorityLedger, SettlementRecord, apply_settlement
 from .metrics import SimReport, StepSample, AssignmentRecord, idle_capacity
@@ -72,8 +72,7 @@ class SimState:
     rng: np.random.Generator
     step: int = 0
     pending: list[Task] = field(default_factory=list)
-    pool: list[SourceNode] = field(default_factory=list)
-    busy_until: dict[int, float] = field(default_factory=dict)
+    pool: SourcePool = field(default_factory=SourcePool)
     ledger: PriorityLedger = field(default_factory=PriorityLedger)
     samples: list[StepSample] = field(default_factory=list)
     settlement_records: list[SettlementRecord] = field(default_factory=list)
@@ -139,13 +138,7 @@ def _age_state(state: SimState) -> list[Task]:
         aged = replace(task, deadline_s=task.deadline_s - dt)
         (expired if aged.deadline_s <= 0 else survivors).append(aged)
     state.pending = survivors
-
-    pool: list[SourceNode] = []
-    for src in state.pool:
-        remaining = src.idle_seconds - dt
-        if remaining > 0:
-            pool.append(replace(src, idle_seconds=remaining))
-    state.pool = pool
+    state.pool.age(dt)
     return expired
 
 
@@ -189,15 +182,13 @@ def step_crl(state: SimState, config: SimConfig) -> SimState:
 
     ordered, _, result = full_round(state.pending, state.pool, state.ledger, config.weights)
     task_by_id = {t.task_id: t for t in ordered}
-    source_by_id = {s.source_id: s for s in state.pool}
+    rows = state.pool.rows([a.source_id for a in result.assignments])
+    chosen = [state.pool.node(row) for row in rows]
 
-    records = apply_settlement(result, ordered, state.pool, state.ledger, config.weights, step=state.step)
+    records = apply_settlement(result, ordered, chosen, state.ledger, config.weights, step=state.step)
     state.settlement_records.extend(records)
 
-    now = state.step * config.step_seconds
-    consumed: dict[int, float] = {}
-    for a in result.assignments:
-        src = source_by_id[a.source_id]
+    for a, src in zip(result.assignments, chosen):
         task = task_by_id[a.task_id]
         state.assignment_records.append(
             AssignmentRecord(
@@ -211,19 +202,8 @@ def step_crl(state: SimState, config: SimConfig) -> SimState:
                 source_cycles_per_second=src.cycles_per_second,
             )
         )
-        consumed[a.source_id] = a.busy_seconds
-        state.busy_until[a.source_id] = now + a.busy_seconds
     state.matched_tasks += len(result.assignments)
-
-    pool: list[SourceNode] = []
-    for src in state.pool:
-        if src.source_id in consumed:
-            remaining = src.idle_seconds - consumed[src.source_id]
-            if remaining > 0:
-                pool.append(replace(src, idle_seconds=remaining))
-        else:
-            pool.append(src)
-    state.pool = pool
+    state.pool.consume(rows, [a.busy_seconds for a in result.assignments])
 
     unmatched_tasks = [task_by_id[tid] for tid in result.unmatched_task_ids]
     deferred, big = classify_unmatched(unmatched_tasks, config.weights, config.step_seconds)

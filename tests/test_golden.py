@@ -1,0 +1,96 @@
+"""Golden reports: sha256 digests of the CSV and JSON reports for seed 1.
+
+A fixed seed gives byte-identical reports, so a change that leaves these
+digests alone preserves behaviour.  A change that moves one is a behaviour
+change: re-pin the digest and log old -> new in CHANGES.md.  The ``crl``,
+``cloud`` and ``lease-heavy`` digests equal the benchmark records in
+``perfbench/baseline/``.  The reports carry builtin float ``sum`` results,
+which CPython 3.12 made compensated, so the digests hold for CPython <= 3.11.
+"""
+
+import hashlib
+import io
+
+import pytest
+
+from crlsim.metrics import emit_report
+from crlsim.model import WeightsConfig
+from crlsim.simulator import SimConfig, WorkloadConfig, run
+
+CASES = {
+    "crl": SimConfig(rng_seed=1, policy="crl"),
+    "cloud": SimConfig(rng_seed=1, policy="cloud"),
+    "lease-heavy": SimConfig(
+        rng_seed=1, policy="crl", workload=WorkloadConfig(task_arrival_rate=30.0, rate_range=(50.0, 400.0))
+    ),
+    **{f"w{w}": SimConfig(rng_seed=1, policy="crl", weights=WeightsConfig(max_rounds_w=w)) for w in (1, 2, 3, 5)},
+    "source-rate-x4": SimConfig(rng_seed=1, policy="crl", workload=WorkloadConfig(source_arrival_rate=120.0)),
+}
+
+# name -> (csv sha256, json sha256, (arrived, matched, migrated, pending))
+GOLDEN = {
+    "crl": (
+        "6d6787803d3a6de5cb3db51bb5f75f8e4c750a8a23fbe5a72c05e2c478d4a6f6",
+        "74158b4282ae62e9f77c3c14153d85f1246cabd4d4851d62f84de5aa610ae1e6",
+        (1968, 494, 1456, 18),
+    ),
+    "cloud": (
+        "d5f7dfb225961640e3b8e719859ab3f1549cfbde9f91b9ca05d30c95dd8c6c68",
+        "379719a7597131115a79abad97eb2bcbfa94539dc319eea6d6754ebc86cc09b6",
+        (1968, 0, 1968, 0),
+    ),
+    "lease-heavy": (
+        "9f2499f3af9b6c0280a335eab1d7677c9a13f4ba9d68dc0f12d4bfb20d49b865",
+        "1faeefa4033df7cde2b6b33bc92c6b1cf59b140f87462eeda1e877bbc28835ae",
+        (6010, 5921, 87, 2),
+    ),
+    "w1": (
+        "65493a37b7e3ecd88682d8d50861ef2504cdb3c93492e8c1fed913aa235273fd",
+        "6f8f3ea70642c5a67017b6e906e5f3aac56e53d200defc9e4430a6a37f732cdc",
+        (1968, 494, 1474, 0),
+    ),
+    "w2": (
+        "7ffa43b8fa0fecaf086e1e3580f425acb0a0d3b7f53006ee74d56262cab18b55",
+        "2443dde1b2faa1340322cbfa7385650529551bebe9cfff159c7bd44dda2eac51",
+        (1968, 494, 1465, 9),
+    ),
+    # W = 3 is the default, so it reproduces "crl"
+    "w3": (
+        "6d6787803d3a6de5cb3db51bb5f75f8e4c750a8a23fbe5a72c05e2c478d4a6f6",
+        "74158b4282ae62e9f77c3c14153d85f1246cabd4d4851d62f84de5aa610ae1e6",
+        (1968, 494, 1456, 18),
+    ),
+    "w5": (
+        "61a0f6faae1cb1ea38b2243db88b1092bb588359d002b97ae471db470c3c1eed",
+        "2dc347d08e550485f3e5c62955837ee02d9b0ad1787a445c19b6c36b9f7b8711",
+        (1968, 494, 1448, 26),
+    ),
+    "source-rate-x4": (
+        "b3a906bfc69eae47ccca40ca313e5020934c82ed3ed987caa09d691e9f3e08f9",
+        "e13b5a513f167e3811a7636bc071bab9e96e75f7cb2b0b508afaba7c8ae3f3df",
+        (1950, 486, 1450, 14),
+    ),
+}
+
+
+def digest(report, fmt):
+    buffer = io.StringIO()
+    emit_report(report, fmt, buffer)
+    return hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_reports_match_golden_digests(name):
+    report = run(CASES[name])
+    csv_sha, json_sha, counts = GOLDEN[name]
+    assert (report.arrived_tasks, report.matched_tasks, report.migrated_tasks, report.pending_tasks) == counts
+    assert digest(report, "csv") == csv_sha
+    assert digest(report, "json") == json_sha
+
+
+def test_file_emission_matches_buffer(tmp_path):
+    report = run(SimConfig(steps=20, rng_seed=1))
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"r.{fmt}"
+        emit_report(report, fmt, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest(report, fmt)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from crlsim.model import Task, SourceNode, WeightsConfig, compute_matching_priority
@@ -40,6 +41,31 @@ def random_instance(rng, max_n=5, max_m=5):
         for j in range(m)
     ]
     balances = {d: rng.uniform(-5, 5) for d in range(4)}
+    return tasks, sources, balances
+
+
+def tied_instance(rng, max_n=40, max_m=200):
+    """Up to max_m sources x max_n tasks built to force ties.
+
+    Rates, cycles and values come from short lists, so equal preference values
+    and equal priorities recur; about one source in ten has no idle time.
+    Source ids ascend with gaps.
+    """
+    n = rng.randint(0, max_n)
+    m = rng.randint(0, max_m)
+    rates = [rng.uniform(1, 50) for _ in range(4)]
+    cycles = [rng.uniform(1, 100) for _ in range(4)]
+    tasks = [
+        task(i, cycles=rng.choice(cycles), value=rng.choice((1.0, 2.0, rng.uniform(0, 10))),
+             deadline=rng.uniform(1, 100), owner=rng.randint(0, 3))
+        for i in range(n)
+    ]
+    sources = [
+        source(sid, cal=rng.choice(rates), idle=0.0 if rng.random() < 0.1 else rng.uniform(0, 100),
+               owner=10 + rng.randint(0, 3))
+        for sid in sorted(rng.sample(range(4 * max_m), m))
+    ]
+    balances = {d: rng.choice((0.0, rng.uniform(-5, 5))) for d in range(4)}
     return tasks, sources, balances
 
 
@@ -111,12 +137,12 @@ class TestFeasible:
 class TestPreferMatrix:
     def test_single_feasible_cell(self):
         m = build_prefer_matrix([source(0, cal=50, idle=10)], [task(0, cycles=100, deadline=5)])
-        assert m.values == [[0.5]]
-        assert m.row_ids == [0] and m.col_ids == [0]
+        assert m.tolist() == [[0.5]]
+        assert m.shape == (1, 1)
 
     def test_single_infeasible_cell(self):
         m = build_prefer_matrix([source(0, cal=10, idle=1)], [task(0, cycles=100, deadline=100)])
-        assert m.values == [[0.0]]
+        assert m.tolist() == [[0.0]]
 
     def test_empty_inputs(self):
         assert build_prefer_matrix([], []).shape == (0, 0)
@@ -133,7 +159,7 @@ class TestPreferMatrix:
                     ok = (t.cycles_required <= s.cycles_per_second * s.idle_seconds
                           and t.cycles_required / s.cycles_per_second <= t.deadline_s)
                     expected = s.cycles_per_second / t.cycles_required if ok else 0.0
-                    assert m.values[j][i] == expected
+                    assert m[j, i] == expected
 
 
 class TestGreedyMatch:
@@ -142,7 +168,7 @@ class TestGreedyMatch:
         tasks = [task(1, cycles=100, value=2), task(2, cycles=200, value=1)]
         sources = [source(1, cal=50), source(2, cal=100)]
         m = build_prefer_matrix(sources, tasks)
-        assert m.values == [[0.5, 0.25], [1.0, 0.5]]
+        assert m.tolist() == [[0.5, 0.25], [1.0, 0.5]]
         result = greedy_match(m, sources, tasks)
         assert [(a.task_id, a.source_id) for a in result.assignments] == [(1, 2), (2, 1)]
         assert result.unmatched_task_ids == []
@@ -205,6 +231,32 @@ class TestGreedyMatch:
             expected_assign, expected_unmatched = oracle_round(tasks, sources, balances, W)
             assert {a.task_id: a.source_id for a in result.assignments} == expected_assign
             assert result.unmatched_task_ids == expected_unmatched
+
+    def test_full_round_equals_oracle_on_large_tied_instances(self):
+        rng = random.Random(2024)
+        tied_columns = 0
+        for k in range(150):
+            tasks, sources, balances = tied_instance(rng)
+            if k % 10 == 0:
+                sources = []
+            elif k % 10 == 1:
+                tasks = []
+            shuffled = rng.sample(sources, len(sources))
+            ordered, matrix, result = full_round(tasks, shuffled, PriorityLedger(balances), W)
+            expected_assign, expected_unmatched = oracle_round(tasks, sources, balances, W)
+            assert {a.task_id: a.source_id for a in result.assignments} == expected_assign
+            assert result.unmatched_task_ids == expected_unmatched
+
+            src = {s.source_id: s for s in sources}
+            tsk = {t.task_id: t for t in tasks}
+            for a in result.assignments:
+                assert a.busy_seconds == tsk[a.task_id].cycles_required / src[a.source_id].cycles_per_second
+            # greedy_match leaves the matrix as built
+            assert np.array_equal(matrix, build_prefer_matrix(sources, ordered))
+            for col in matrix.T:
+                best = col.max(initial=0.0)
+                tied_columns += best > 0 and np.count_nonzero(col == best) > 1
+        assert tied_columns > 0
 
 
 class TestClassifyUnmatched:

@@ -1,8 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
-from crlsim.model import SourceNode
+from crlsim.model import SourceNode, SourcePool
 from crlsim.metrics import (
     SimReport,
     StepSample,
@@ -33,15 +34,20 @@ class TestIdleCapacity:
 
     def test_matches_naive_fold(self):
         rng = random.Random(12)
-        pool = [
+        nodes = [
             SourceNode(source_id=i, owner_id=0, idle_seconds=rng.uniform(0, 100),
                        cycles_per_second=rng.uniform(1, 50))
-            for i in range(50)
+            for i in range(2500)
         ]
         total = 0.0
-        for s in pool:
+        for s in nodes:
             total += s.cycles_per_second * s.idle_seconds
-        assert idle_capacity(pool) == pytest.approx(total, rel=1e-12)
+        pool = SourcePool.of(nodes)
+        # the reports pin every bit, so the fold order is part of the contract
+        assert idle_capacity(pool) == total
+        assert idle_capacity(nodes) == total
+        # pairwise summation gives a different last bit on this pool
+        assert float(np.sum(pool.rate * pool.idle)) != total
 
 
 class TestEmit:

@@ -5,6 +5,7 @@ import pytest
 from crlsim.model import (
     Task,
     SourceNode,
+    SourcePool,
     WeightsConfig,
     compute_matching_priority,
     compute_settlement_amount,
@@ -45,6 +46,45 @@ class TestSourceInvariants:
     def test_capacity(self):
         s = SourceNode(source_id=0, owner_id=0, idle_seconds=5.0, cycles_per_second=10.0)
         assert s.capacity == 50.0
+
+
+def make_pool(*idle):
+    return SourcePool.of(
+        SourceNode(source_id=i, owner_id=10 + i, idle_seconds=e, cycles_per_second=2.0)
+        for i, e in enumerate(idle)
+    )
+
+
+class TestSourcePool:
+    def test_of_sorts_by_id_and_nodes_round_trip(self):
+        nodes = [SourceNode(source_id=sid, owner_id=sid + 1, idle_seconds=1.5 * sid, cycles_per_second=2.0)
+                 for sid in (7, 2, 5)]
+        pool = SourcePool.of(nodes)
+        assert pool.ids.tolist() == [2, 5, 7]
+        assert [pool.node(j) for j in range(len(pool))] == sorted(nodes, key=lambda s: s.source_id)
+        assert type(pool.node(0).idle_seconds) is float and type(pool.node(0).owner_id) is int
+        assert SourcePool.of(pool) is pool
+        assert len(SourcePool()) == 0 and len(SourcePool.of([])) == 0
+
+    def test_age_drops_sources_left_with_no_time(self):
+        pool = make_pool(0.5, 1.0, 3.0)
+        pool.age(1.0)
+        assert pool.ids.tolist() == [2]
+        assert pool.idle.tolist() == [2.0]
+
+    def test_consume_drops_only_exhausted_chosen_rows(self):
+        pool = make_pool(0.0, 4.0, 5.0, 6.0)
+        pool.consume(pool.rows([1, 3]), [4.0, 1.5])
+        # source 0 has no time but was not leased, so it stays until aging
+        assert pool.ids.tolist() == [0, 2, 3]
+        assert pool.idle.tolist() == [0.0, 5.0, 4.5]
+        assert pool.owners.tolist() == [10, 12, 13]
+
+    def test_extend_appends_in_id_order(self):
+        pool = make_pool(1.0)
+        pool.extend([SourceNode(source_id=4, owner_id=0, idle_seconds=2.0, cycles_per_second=3.0)])
+        assert pool.ids.tolist() == [0, 4]
+        assert pool.rate.tolist() == [2.0, 3.0]
 
 
 class TestWeightsInvariants:

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from crlsim.model import Task, SourceNode, WeightsConfig
+from crlsim.model import Task, SourceNode, SourcePool, WeightsConfig
 from crlsim.simulator import (
     SimConfig,
     WorkloadConfig,
@@ -96,7 +96,7 @@ class TestStepCrl:
         config = SimConfig(workload=QUIET, weights=WeightsConfig(max_rounds_w=1))
         state = make_state(config)
         state.pending = [Task(task_id=0, owner_id=1, deadline_s=50.0, cycles_required=100.0, value=10.0)]
-        state.pool = [SourceNode(source_id=0, owner_id=2, idle_seconds=50.0, cycles_per_second=10.0)]
+        state.pool = SourcePool.of([SourceNode(source_id=0, owner_id=2, idle_seconds=50.0, cycles_per_second=10.0)])
         step_crl(state, config)
         assert state.matched_tasks == 1
         assert state.migrated_tasks == 0
@@ -106,7 +106,7 @@ class TestStepCrl:
         assert state.ledger.balance_of(2) == pytest.approx(expected_b)
         assert state.ledger.balance_of(1) == pytest.approx(-expected_b)
         # 100 cycles at 10/s consumes 10 of the 49 idle seconds left after aging
-        assert state.pool[0].idle_seconds == pytest.approx(39.0)
+        assert state.pool.node(0).idle_seconds == pytest.approx(39.0)
 
     def test_no_sources_w1_escalates_immediately(self):
         config = SimConfig(workload=QUIET, weights=WeightsConfig(max_rounds_w=1))
