@@ -5,7 +5,7 @@ from .model import (
     Task,
     SourceNode,
     SourcePool,
-    DeviceAccount,
+    TaskQueue,
     WeightsConfig,
     compute_matching_priority,
     compute_settlement_amount,
@@ -20,7 +20,7 @@ from .matching import (
     classify_unmatched,
     full_round,
 )
-from .settlement import PriorityLedger, SettlementRecord, apply_settlement, balance_of
+from .settlement import PriorityLedger, SettlementRecord, apply_settlement
 from .simulator import SimConfig, WorkloadConfig, SimState, generate_arrivals, step_crl, step_cloud, run
 from .metrics import (
     SimReport,
@@ -37,7 +37,7 @@ __all__ = [
     "Task",
     "SourceNode",
     "SourcePool",
-    "DeviceAccount",
+    "TaskQueue",
     "WeightsConfig",
     "compute_matching_priority",
     "compute_settlement_amount",
@@ -52,7 +52,6 @@ __all__ = [
     "PriorityLedger",
     "SettlementRecord",
     "apply_settlement",
-    "balance_of",
     "SimConfig",
     "WorkloadConfig",
     "SimState",

@@ -6,6 +6,8 @@ import csv
 import json
 from dataclasses import dataclass, field, asdict
 
+import numpy as np
+
 from .model import SourcePool
 from .settlement import SettlementRecord
 
@@ -81,11 +83,14 @@ def idle_capacity(pool) -> float:
     """Total deliverable cycles left in the unassigned source pool.
 
     ``pool`` is a SourcePool or SourceNodes.  The products are added left to
-    right in ascending source_id order by the builtin ``sum``; ``np.sum``
-    adds pairwise and would change the last bits of the reports.
+    right in ascending source_id order by ``np.cumsum``, as the builtin
+    ``sum`` of CPython <= 3.11 adds them; ``np.sum`` adds pairwise and would
+    change the last bits of the reports.  An empty pool gives the int 0.
     """
     pool = SourcePool.of(pool)
-    return sum((pool.rate * pool.idle).tolist())
+    if not len(pool):
+        return 0
+    return float(np.cumsum(pool.rate * pool.idle)[-1])
 
 
 def _render(value) -> str:

@@ -54,6 +54,10 @@ class SourceNode:
         return self.cycles_per_second * self.idle_seconds
 
 
+def _column(dtype):
+    return field(default_factory=lambda: np.empty(0, dtype=dtype))
+
+
 @dataclass(eq=False)  # the generated __eq__ would compare arrays elementwise and raise
 class SourcePool:
     """The idle-source pool as four parallel columns in ascending source_id order.
@@ -63,10 +67,10 @@ class SourcePool:
     the first maximum of any per-row quantity belongs to the lowest source_id.
     """
 
-    ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    owners: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    idle: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.float64))
-    rate: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.float64))
+    ids: np.ndarray = _column(np.int64)
+    owners: np.ndarray = _column(np.int64)
+    idle: np.ndarray = _column(np.float64)
+    rate: np.ndarray = _column(np.float64)
 
     @classmethod
     def of(cls, sources) -> SourcePool:
@@ -114,21 +118,87 @@ class SourcePool:
         """Subtract leased seconds from ``rows``; of those, drop the ones left with none."""
         rows = np.asarray(rows, dtype=np.intp)
         self.idle[rows] -= np.asarray(busy_seconds, dtype=np.float64)
-        keep = np.ones(len(self), dtype=bool)
-        keep[rows] = self.idle[rows] > 0
-        self._keep(keep)
+        spent = rows[self.idle[rows] <= 0]
+        if len(spent):
+            keep = np.ones(len(self), dtype=bool)
+            keep[spent] = False
+            self._keep(keep)
 
     def _keep(self, mask: np.ndarray) -> None:
         self.ids, self.owners = self.ids[mask], self.owners[mask]
         self.idle, self.rate = self.idle[mask], self.rate[mask]
 
 
-@dataclass(frozen=True)
-class DeviceAccount:
-    """Snapshot of one device's priority balance."""
+@dataclass(eq=False)  # as for SourcePool
+class TaskQueue:
+    """The pending tasks as seven parallel columns, one row per task, in queue order.
 
-    device_id: int
-    priority_balance: float
+    The columns follow the fields of ``Task``: ``ids``, ``owners``,
+    ``deadline`` (seconds left), ``cycles``, ``value``, ``arrival`` (step) and
+    ``deferred`` (rounds already failed).  Row order matters: escalated tasks
+    add to the cumulative migration sums in that order.  Columns are replaced,
+    never written in place, so queues taken from one another may share them.
+    """
+
+    ids: np.ndarray = _column(np.int64)
+    owners: np.ndarray = _column(np.int64)
+    deadline: np.ndarray = _column(np.float64)
+    cycles: np.ndarray = _column(np.float64)
+    value: np.ndarray = _column(np.float64)
+    arrival: np.ndarray = _column(np.int64)
+    deferred: np.ndarray = _column(np.int64)
+
+    @classmethod
+    def of(cls, tasks) -> TaskQueue:
+        """``tasks`` itself if it is a queue, else a queue of its Tasks in the given order."""
+        if isinstance(tasks, cls):
+            return tasks
+        tasks = list(tasks)
+        return cls(
+            ids=np.array([t.task_id for t in tasks], dtype=np.int64),
+            owners=np.array([t.owner_id for t in tasks], dtype=np.int64),
+            deadline=np.array([t.deadline_s for t in tasks], dtype=np.float64),
+            cycles=np.array([t.cycles_required for t in tasks], dtype=np.float64),
+            value=np.array([t.value for t in tasks], dtype=np.float64),
+            arrival=np.array([t.arrival_step for t in tasks], dtype=np.int64),
+            deferred=np.array([t.rounds_deferred for t in tasks], dtype=np.int64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def task(self, row: int) -> Task:
+        """Row ``row`` as a Task of plain Python numbers."""
+        return Task(*(column[row].item() for column in self._columns()))
+
+    def tasks(self) -> list[Task]:
+        """Every row as a Task of plain Python numbers, in row order."""
+        return [Task(*row) for row in zip(*(column.tolist() for column in self._columns()))]
+
+    def take(self, rows) -> TaskQueue:
+        """A new queue of ``rows``, a row mask or row indices, in that order."""
+        return TaskQueue(*(column[rows] for column in self._columns()))
+
+    def extend(self, tasks) -> None:
+        """Append tasks after the current rows."""
+        self._assign([np.concatenate(pair) for pair in zip(self._columns(), TaskQueue.of(tasks)._columns())])
+
+    def age(self, seconds: float) -> TaskQueue:
+        """Let ``seconds`` pass; tasks whose deadline ran out leave the queue and are returned."""
+        self.deadline = self.deadline - seconds
+        expired = self.deadline <= 0
+        if not expired.any():
+            return TaskQueue()
+        gone = self.take(expired)
+        self._assign(self.take(~expired)._columns())
+        return gone
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        """The columns in the order of Task's fields, so that a row unpacks into Task(*row)."""
+        return self.ids, self.owners, self.deadline, self.cycles, self.value, self.arrival, self.deferred
+
+    def _assign(self, columns) -> None:
+        self.ids, self.owners, self.deadline, self.cycles, self.value, self.arrival, self.deferred = columns
 
 
 @dataclass(frozen=True)
@@ -168,8 +238,6 @@ def compute_matching_priority(task: Task, owner_priority: float, weights: Weight
     Combines the task's value per required cycle with the accumulated balance
     of its owner: gamma_t * (value / cycles) + gamma_p * balance.
     """
-    if task.cycles_required <= 0:
-        raise ValueError(f"task {task.task_id}: cycles_required must be > 0")
     return weights.gamma_t * (task.value / task.cycles_required) + weights.gamma_p * owner_priority
 
 

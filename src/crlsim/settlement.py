@@ -49,11 +49,6 @@ class PriorityLedger:
         self.batch_seq += 1
 
 
-def balance_of(ledger: PriorityLedger, device_id: int) -> float:
-    """Current balance, 0 for devices never seen."""
-    return ledger.balance_of(device_id)
-
-
 def apply_settlement(
     matches,
     tasks,

@@ -3,11 +3,12 @@ plus the all-to-cloud baseline policy."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Task, SourceNode, SourcePool, WeightsConfig
+from .model import Task, SourceNode, SourcePool, TaskQueue, WeightsConfig
 from .matching import full_round, classify_unmatched
 from .settlement import PriorityLedger, SettlementRecord, apply_settlement
 from .metrics import SimReport, StepSample, AssignmentRecord, idle_capacity
@@ -71,7 +72,7 @@ class SimState:
     config: SimConfig
     rng: np.random.Generator
     step: int = 0
-    pending: list[Task] = field(default_factory=list)
+    pending: TaskQueue = field(default_factory=TaskQueue)
     pool: SourcePool = field(default_factory=SourcePool)
     ledger: PriorityLedger = field(default_factory=PriorityLedger)
     samples: list[StepSample] = field(default_factory=list)
@@ -92,14 +93,41 @@ def generate_arrivals(
     step: int,
     next_task_id: int = 0,
     next_source_id: int = 0,
-) -> tuple[list[Task], list[SourceNode]]:
+) -> tuple[TaskQueue, SourcePool]:
     """Draw one step's Poisson task and source arrivals.
 
     Identifiers continue from the supplied counters, so a fixed seed yields an
     identical arrival sequence regardless of how the arrivals get handled.
+    ``_draw_objects`` defines the random stream; on a PCG64 generator
+    ``_replay_pcg64`` reproduces it bit for bit, generator state included,
+    from one block of raw words.
     """
     n_tasks = int(rng.poisson(workload.task_arrival_rate))
     n_sources = int(rng.poisson(workload.source_arrival_rate))
+    drawn = _replay_pcg64(workload, rng.bit_generator, n_tasks, n_sources)
+    if drawn is None:
+        return _draw_objects(workload, rng, step, n_tasks, n_sources, next_task_id, next_source_id)
+    task_owners, (deadline, cycles, value), source_owners, (idle, rate) = drawn
+    tasks = TaskQueue(
+        ids=np.arange(next_task_id, next_task_id + n_tasks, dtype=np.int64),
+        owners=task_owners,
+        deadline=deadline,
+        cycles=cycles,
+        value=value,
+        arrival=np.full(n_tasks, step, dtype=np.int64),
+        deferred=np.zeros(n_tasks, dtype=np.int64),
+    )
+    sources = SourcePool(
+        ids=np.arange(next_source_id, next_source_id + n_sources, dtype=np.int64),
+        owners=source_owners,
+        idle=idle,
+        rate=rate,
+    )
+    return tasks, sources
+
+
+def _draw_objects(workload, rng, step, n_tasks, n_sources, next_task_id, next_source_id):
+    """The arrival stream: one scalar draw per field, task by task, then source by source."""
     tasks = []
     for k in range(n_tasks):
         tasks.append(
@@ -122,31 +150,91 @@ def generate_arrivals(
                 cycles_per_second=float(rng.uniform(*workload.rate_range)),
             )
         )
-    return tasks, sources
+    return TaskQueue.of(tasks), SourcePool.of(sources)
 
 
-def _age_state(state: SimState) -> list[Task]:
+# Offsets back from the end of an object's block of words to its uniforms.
+_TASK_UNIFORMS = np.array([[3], [2], [1]])
+_SOURCE_UNIFORMS = np.array([[2], [1]])
+
+
+def _replay_pcg64(workload, bitgen, n_tasks, n_sources):
+    """The columns ``_draw_objects`` would draw, from raw PCG64 words; None if it cannot.
+
+    Returns the task owners, the tasks' (deadline, cycles, value) rows, the
+    source owners and the sources' (idle, rate) rows, and leaves ``bitgen``
+    in the state the scalar draws would have left it in.  It follows numpy's
+    Generator: ``uniform(lo, hi)`` takes one 64-bit word ``w`` and gives ``lo
+    + (hi - lo) * ((w >> 11) * 2**-53)``.  ``integers(0, n)`` takes one 32-bit
+    half: the cached high half of an earlier word if there is one, else the
+    low half of a fresh word whose high half it caches; ``uniform`` leaves
+    that cache alone.  The half ``x`` gives ``(x * n) >> 32``, unless Lemire's
+    test ``(x * n) mod 2**32 < 2**32 mod n`` rejects it and draws again;
+    ``n == 1`` draws nothing.  A rejection (probability below n / 2**32 per
+    draw), another bit generator or a non-finite range width gives None, with
+    the state as it was.
+    """
+    n = workload.device_count
+    ranges = (workload.deadline_range, workload.cycles_range, workload.value_range,
+              workload.idle_range, workload.rate_range)
+    lows = [float(lo) for lo, _ in ranges]
+    widths = [float(hi) - lo for (_, hi), lo in zip(ranges, lows)]
+    if type(bitgen) is not np.random.PCG64 or n >= 2**32 or not all(map(math.isfinite, widths)):
+        return None
+    lows, widths = np.array(lows)[:, None], np.array(widths)[:, None]
+    saved = bitgen.state
+    n_objects = n_tasks + n_sources
+    draws_ints = n > 1 and n_objects > 0
+    cached = saved["has_uint32"] if draws_ints else 0
+
+    # Object k (tasks first) takes a block of words: its int's fresh word, if
+    # any, then one word per uniform.  Ints alternate between a fresh word and
+    # the half it cached, so objects cached, cached + 2, ... take fresh words.
+    block = np.repeat((3, 2), (n_tasks, n_sources))
+    if draws_ints:
+        block[cached::2] += 1
+    end = block.cumsum()
+    words = bitgen.random_raw(int(end[-1]) if n_objects else 0)
+    unit = (words >> np.uint64(11)) * 2.0**-53
+    task_cols = lows[:3] + widths[:3] * unit[end[:n_tasks] - _TASK_UNIFORMS]
+    source_cols = lows[3:] + widths[3:] * unit[end[n_tasks:] - _SOURCE_UNIFORMS]
+    if not draws_ints:
+        owners = np.zeros(n_objects, dtype=np.int64)
+        return owners[:n_tasks], task_cols, owners[n_tasks:], source_cols
+
+    # The 32-bit halves in the order next_uint32 hands them out: the cached
+    # one, then low and high half of each fresh word.
+    fresh = words[(end - block)[cached::2]].astype("<u8", copy=False).view("<u4")
+    halves = np.concatenate(([saved["uinteger"]], fresh)) if cached else fresh
+    scaled = halves[:n_objects].astype(np.uint64) * np.uint64(n)
+    if ((scaled & np.uint64(0xFFFFFFFF)) < np.uint64((2**32 - n) % n)).any():
+        bitgen.state = saved
+        return None
+    state = bitgen.state
+    state["has_uint32"] = len(halves) - n_objects
+    state["uinteger"] = int(halves[-1])
+    bitgen.state = state
+    owners = (scaled >> np.uint64(32)).astype(np.int64)
+    return owners[:n_tasks], task_cols, owners[n_tasks:], source_cols
+
+
+def _age_state(state: SimState) -> TaskQueue:
     """Advance wall-clock by one step for carried-over tasks and sources.
 
     Returns pending tasks whose deadline expired while waiting; they can no
     longer be finished by any source and escalate straight to the cloud.
     """
     dt = state.config.step_seconds
-    survivors: list[Task] = []
-    expired: list[Task] = []
-    for task in state.pending:
-        aged = replace(task, deadline_s=task.deadline_s - dt)
-        (expired if aged.deadline_s <= 0 else survivors).append(aged)
-    state.pending = survivors
     state.pool.age(dt)
-    return expired
+    return state.pending.age(dt)
 
 
-def _escalate(state: SimState, tasks: list[Task]):
-    for task in tasks:
-        state.migrated_tasks += 1
-        state.migrated_value_cum += task.value
-        state.migrated_cycles_cum += task.cycles_required
+def _escalate(state: SimState, tasks: TaskQueue):
+    # One float add at a time, in queue order: the reports pin every bit.
+    state.migrated_tasks += len(tasks)
+    for value, cycles in zip(tasks.value.tolist(), tasks.cycles.tolist()):
+        state.migrated_value_cum += value
+        state.migrated_cycles_cum += cycles
 
 
 def _record_sample(state: SimState, matched: int, deferred: int, migrated: int):
@@ -181,15 +269,15 @@ def step_crl(state: SimState, config: SimConfig) -> SimState:
     state.pool.extend(new_sources)
 
     ordered, _, result = full_round(state.pending, state.pool, state.ledger, config.weights)
-    task_by_id = {t.task_id: t for t in ordered}
+    task_rows = {task_id: row for row, task_id in enumerate(ordered.ids.tolist())}
+    leased = ordered.take(np.array([task_rows[a.task_id] for a in result.assignments], dtype=np.intp)).tasks()
     rows = state.pool.rows([a.source_id for a in result.assignments])
     chosen = [state.pool.node(row) for row in rows]
 
-    records = apply_settlement(result, ordered, chosen, state.ledger, config.weights, step=state.step)
+    records = apply_settlement(result, leased, chosen, state.ledger, config.weights, step=state.step)
     state.settlement_records.extend(records)
 
-    for a, src in zip(result.assignments, chosen):
-        task = task_by_id[a.task_id]
+    for a, task, src in zip(result.assignments, leased, chosen):
         state.assignment_records.append(
             AssignmentRecord(
                 step=state.step,
@@ -205,8 +293,8 @@ def step_crl(state: SimState, config: SimConfig) -> SimState:
     state.matched_tasks += len(result.assignments)
     state.pool.consume(rows, [a.busy_seconds for a in result.assignments])
 
-    unmatched_tasks = [task_by_id[tid] for tid in result.unmatched_task_ids]
-    deferred, big = classify_unmatched(unmatched_tasks, config.weights, config.step_seconds)
+    unmatched = ordered.take(np.array([task_rows[tid] for tid in result.unmatched_task_ids], dtype=np.intp))
+    deferred, big = classify_unmatched(unmatched, config.weights, config.step_seconds)
     _escalate(state, big)
     state.pending = deferred
 

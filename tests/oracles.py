@@ -55,3 +55,27 @@ def oracle_round(tasks, sources, balances, weights):
         for i2 in range(n):
             prefer[best_j][i2] = 0.0
     return assignments, unmatched
+
+
+def oracle_arrivals(workload, rng, step, next_task_id=0, next_source_id=0):
+    """One step's arrivals drawn the literal way, one scalar call per field.
+
+    Returns (task rows, source rows): per task (task_id, owner_id, deadline_s,
+    cycles_required, value, arrival_step, rounds_deferred), per source
+    (source_id, owner_id, idle_seconds, cycles_per_second).  Tuple items are
+    evaluated left to right, which is the draw order.
+    """
+    n_tasks = int(rng.poisson(workload.task_arrival_rate))
+    n_sources = int(rng.poisson(workload.source_arrival_rate))
+    n = workload.device_count
+    tasks = [
+        (next_task_id + k, int(rng.integers(0, n)), float(rng.uniform(*workload.deadline_range)),
+         float(rng.uniform(*workload.cycles_range)), float(rng.uniform(*workload.value_range)), step, 0)
+        for k in range(n_tasks)
+    ]
+    sources = [
+        (next_source_id + k, int(rng.integers(0, n)), float(rng.uniform(*workload.idle_range)),
+         float(rng.uniform(*workload.rate_range)))
+        for k in range(n_sources)
+    ]
+    return tasks, sources

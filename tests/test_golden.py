@@ -3,16 +3,23 @@
 A fixed seed gives byte-identical reports, so a change that leaves these
 digests alone preserves behaviour.  A change that moves one is a behaviour
 change: re-pin the digest and log old -> new in CHANGES.md.  The ``crl``,
-``cloud`` and ``lease-heavy`` digests equal the benchmark records in
-``perfbench/baseline/``.  The reports carry builtin float ``sum`` results,
-which CPython 3.12 made compensated, so the digests hold for CPython <= 3.11.
+``cloud`` and ``lease-heavy`` cases are the benchmark's workloads on seed 1,
+and their digests and counts equal its records in ``perfbench/baseline/``
+(checked below, read-only).  Every float total in the reports is a
+left-to-right fold (``np.cumsum`` or a loop), not the builtin ``sum``, which
+CPython 3.12 made compensated.  The digests were taken on CPython 3.11.
 """
 
 import hashlib
+import importlib.util
 import io
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
+from crlsim.cli import build_config
 from crlsim.metrics import emit_report
 from crlsim.model import WeightsConfig
 from crlsim.simulator import SimConfig, WorkloadConfig, run
@@ -94,3 +101,26 @@ def test_file_emission_matches_buffer(tmp_path):
         path = tmp_path / f"r.{fmt}"
         emit_report(report, fmt, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest(report, fmt)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+BENCH_WORKLOADS = {"crl": "default-crl", "cloud": "cloud-baseline", "lease-heavy": "lease-heavy"}
+
+
+def bench_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS))
+def test_golden_equals_benchmark_baseline(name):
+    workload = BENCH_WORKLOADS[name]
+    assert build_config(bench_workloads()[workload].scenario, {"rng_seed": 1}) == CASES[name]
+    record = json.loads((PERFBENCH / "baseline" / f"BENCH_{workload}_seed1_trace0.json").read_text())
+    csv_sha, json_sha, counts = GOLDEN[name]
+    assert record["digests"] == {"csv_sha256": csv_sha, "json_sha256": json_sha}
+    recorded = record["counts"]
+    assert (recorded["arrived"], recorded["matched"], recorded["migrated"], recorded["pending"]) == counts

@@ -162,6 +162,26 @@ class TestPreferMatrix:
                     assert m[j, i] == expected
 
 
+    def test_tasks_no_source_can_serve_get_zero_rows(self):
+        # Deadlines and cycles sit on both sides of, and exactly at, what the
+        # fastest source and the largest capacity allow.
+        rng = random.Random(13)
+        for _ in range(200):
+            sources = [source(j, cal=rng.uniform(1, 50), idle=rng.uniform(0, 100)) for j in range(rng.randint(1, 30))]
+            fastest = max(s.cycles_per_second for s in sources)
+            largest = max(s.cycles_per_second * s.idle_seconds for s in sources)
+            tasks = []
+            for i in range(rng.randint(1, 20)):
+                cycles = rng.choice((rng.uniform(1, 2 * largest), largest))
+                deadline = cycles / fastest * rng.choice((0.5, 1.0, 1.0, 2.0, 50.0))
+                tasks.append(task(i, cycles=cycles, deadline=deadline))
+            m = build_prefer_matrix(sources, tasks)
+            for j, s in enumerate(sources):
+                for i, t in enumerate(tasks):
+                    expected = s.cycles_per_second / t.cycles_required if feasible(s, t) else 0.0
+                    assert m[j, i] == expected
+
+
 class TestGreedyMatch:
     def test_documented_two_by_two(self):
         # prefer = [[0.5, 0.25], [1.0, 0.5]] over (s1, s2) x (t1, t2)

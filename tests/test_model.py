@@ -6,6 +6,7 @@ from crlsim.model import (
     Task,
     SourceNode,
     SourcePool,
+    TaskQueue,
     WeightsConfig,
     compute_matching_priority,
     compute_settlement_amount,
@@ -85,6 +86,38 @@ class TestSourcePool:
         pool.extend([SourceNode(source_id=4, owner_id=0, idle_seconds=2.0, cycles_per_second=3.0)])
         assert pool.ids.tolist() == [0, 4]
         assert pool.rate.tolist() == [2.0, 3.0]
+
+
+class TestTaskQueue:
+    def test_of_keeps_order_and_tasks_round_trip(self):
+        tasks = [make_task(task_id=tid, owner=tid + 1, deadline=2.5 * tid, cycles=3.0, value=0.5,
+                           arrival_step=4, rounds_deferred=tid % 2) for tid in (7, 2, 5)]
+        queue = TaskQueue.of(tasks)
+        assert queue.ids.tolist() == [7, 2, 5]
+        assert queue.tasks() == tasks
+        assert [queue.task(i) for i in range(len(queue))] == tasks
+        assert type(queue.task(0).deadline_s) is float and type(queue.task(0).owner_id) is int
+        assert TaskQueue.of(queue) is queue
+        assert len(TaskQueue()) == 0 and len(TaskQueue.of([])) == 0 and TaskQueue().tasks() == []
+
+    def test_take_by_mask_and_by_rows(self):
+        queue = TaskQueue.of([make_task(task_id=tid) for tid in range(4)])
+        assert queue.take(queue.ids % 2 == 1).ids.tolist() == [1, 3]
+        assert queue.take([3, 0]).ids.tolist() == [3, 0]
+        assert len(queue) == 4
+
+    def test_age_returns_expired_in_queue_order(self):
+        queue = TaskQueue.of([make_task(task_id=tid, deadline=d) for tid, d in ((4, 1.0), (1, 3.0), (2, 0.5))])
+        expired = queue.age(1.0)
+        assert expired.ids.tolist() == [4, 2]
+        assert queue.ids.tolist() == [1] and queue.deadline.tolist() == [2.0]
+        assert len(queue.age(1.0)) == 0 and queue.deadline.tolist() == [1.0]
+
+    def test_extend_appends_after_current_rows(self):
+        queue = TaskQueue.of([make_task(task_id=9)])
+        queue.extend([make_task(task_id=3, cycles=2.0)])
+        assert queue.ids.tolist() == [9, 3]
+        assert queue.cycles.tolist() == [1.0, 2.0]
 
 
 class TestWeightsInvariants:

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from crlsim.model import Task, SourceNode, SourcePool, WeightsConfig
+from crlsim import simulator
+from crlsim.model import Task, SourceNode, SourcePool, TaskQueue, WeightsConfig
 from crlsim.simulator import (
     SimConfig,
     WorkloadConfig,
@@ -14,11 +15,43 @@ from crlsim.simulator import (
     run,
 )
 
+from oracles import oracle_arrivals
+
 QUIET = WorkloadConfig(task_arrival_rate=0.0, source_arrival_rate=0.0)
 
 
 def make_state(config):
     return SimState(config=config, rng=np.random.default_rng(config.rng_seed))
+
+
+def as_objects(arrivals):
+    """The Task and SourceNode records that generate_arrivals' columns hold."""
+    tasks, sources = arrivals
+    return tasks.tasks(), [sources.node(j) for j in range(len(sources))]
+
+
+def as_rows(arrivals):
+    """generate_arrivals' columns as the rows oracle_arrivals returns."""
+    tasks, sources = arrivals
+    return (
+        list(zip(*(col.tolist() for col in (tasks.ids, tasks.owners, tasks.deadline, tasks.cycles,
+                                             tasks.value, tasks.arrival, tasks.deferred)))),
+        list(zip(*(col.tolist() for col in (sources.ids, sources.owners, sources.idle, sources.rate)))),
+    )
+
+
+class FixedCounts:
+    """A Generator whose Poisson draws return fixed counts and take no words."""
+
+    def __init__(self, generator, *counts):
+        self.generator = generator
+        self.counts = iter(counts)
+
+    def poisson(self, lam):
+        return next(self.counts)
+
+    def __getattr__(self, name):
+        return getattr(self.generator, name)
 
 
 class TestWorkloadConfig:
@@ -49,13 +82,13 @@ class TestGenerateArrivals:
     def test_zero_rates_yield_nothing(self):
         rng = np.random.default_rng(0)
         for step in range(20):
-            tasks, sources = generate_arrivals(QUIET, rng, step)
+            tasks, sources = as_objects(generate_arrivals(QUIET, rng, step))
             assert tasks == [] and sources == []
 
     def test_fixed_seed_reproducible(self):
         wl = WorkloadConfig()
-        a = generate_arrivals(wl, np.random.default_rng(42), 0)
-        b = generate_arrivals(wl, np.random.default_rng(42), 0)
+        a = as_objects(generate_arrivals(wl, np.random.default_rng(42), 0))
+        b = as_objects(generate_arrivals(wl, np.random.default_rng(42), 0))
         assert a == b
 
     def test_sample_mean_matches_poisson_rate(self):
@@ -70,7 +103,7 @@ class TestGenerateArrivals:
         next_t, next_s = 0, 0
         seen_t, seen_s = [], []
         for step in range(10):
-            tasks, sources = generate_arrivals(wl, rng, step, next_t, next_s)
+            tasks, sources = as_objects(generate_arrivals(wl, rng, step, next_t, next_s))
             seen_t += [t.task_id for t in tasks]
             seen_s += [s.source_id for s in sources]
             next_t += len(tasks)
@@ -81,7 +114,7 @@ class TestGenerateArrivals:
     def test_fields_within_ranges(self):
         wl = WorkloadConfig()
         rng = np.random.default_rng(3)
-        tasks, sources = generate_arrivals(wl, rng, 0)
+        tasks, sources = as_objects(generate_arrivals(wl, rng, 0))
         for t in tasks:
             assert wl.cycles_range[0] <= t.cycles_required <= wl.cycles_range[1]
             assert wl.deadline_range[0] <= t.deadline_s <= wl.deadline_range[1]
@@ -91,11 +124,80 @@ class TestGenerateArrivals:
             assert wl.rate_range[0] <= s.cycles_per_second <= wl.rate_range[1]
 
 
+# name -> (workload, whether the exact replay may fall back to scalar draws)
+REPLAY_SHAPES = {
+    "default": (WorkloadConfig(), False),
+    "lease-heavy": (WorkloadConfig(task_arrival_rate=30.0, rate_range=(50.0, 400.0)), False),
+    "one-device": (WorkloadConfig(source_arrival_rate=10.0, device_count=1), False),
+    "low-rates": (WorkloadConfig(task_arrival_rate=0.3, source_arrival_rate=0.6, device_count=7), False),
+    "no-tasks": (WorkloadConfig(task_arrival_rate=0.0, source_arrival_rate=2.0, device_count=2), False),
+    # 2**32 mod n = 2**30: a quarter of the owner draws is rejected
+    "rejections": (WorkloadConfig(task_arrival_rate=1.0, source_arrival_rate=1.0, device_count=3 * 2**30), True),
+}
+
+
+class TestArrivalReplay:
+    @pytest.mark.parametrize("shape", sorted(REPLAY_SHAPES))
+    def test_equals_scalar_draws_and_state(self, shape, monkeypatch):
+        wl, may_fall_back = REPLAY_SHAPES[shape]
+        fallbacks = []
+        scalar = simulator._draw_objects
+        monkeypatch.setattr(simulator, "_draw_objects", lambda *a: fallbacks.append(a) or scalar(*a))
+        for seed in range(20):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            next_t, next_s = 0, 0
+            for step in range(200):
+                tasks, sources = as_rows(generate_arrivals(wl, fast, step, next_t, next_s))
+                assert (tasks, sources) == oracle_arrivals(wl, slow, step, next_t, next_s)
+                assert fast.bit_generator.state == slow.bit_generator.state
+                next_t += len(tasks)
+                next_s += len(sources)
+        if may_fall_back:
+            assert 0 < len(fallbacks) < 20 * 200
+        else:
+            assert fallbacks == []
+
+    def test_pinned_rejection_falls_back_to_scalar_draws(self):
+        word = int(np.random.PCG64(1).advance(133644978).random_raw())
+        low, high = word & 0xFFFFFFFF, word >> 32
+        # Lemire's test rejects the low half, so integers(0, 30) takes the
+        # high half and returns 18; a replay without the test would give 9.
+        assert (low * 30) & 0xFFFFFFFF == 6 < (2**32 - 30) % 30 == 16
+        assert ((low * 30) >> 32, (high * 30) >> 32) == (9, 18)
+        assert int(np.random.Generator(np.random.PCG64(1).advance(133644978)).integers(0, 30)) == 18
+
+        wl = WorkloadConfig(device_count=30)
+        fast = np.random.Generator(np.random.PCG64(1).advance(133644978))
+        slow = np.random.Generator(np.random.PCG64(1).advance(133644978))
+        tasks, sources = generate_arrivals(wl, FixedCounts(fast, 1, 2), 0)
+        assert tasks.owners.tolist()[0] == 18
+        assert as_rows((tasks, sources)) == oracle_arrivals(wl, FixedCounts(slow, 1, 2), 0)
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+    @pytest.mark.parametrize("make_rng", [
+        lambda: np.random.Generator(np.random.MT19937(3)),
+        lambda: np.random.Generator(np.random.Philox(3)),
+    ], ids=["mt19937", "philox"])
+    def test_other_bit_generators_get_scalar_draws(self, make_rng):
+        wl = WorkloadConfig()
+        fast, slow = make_rng(), make_rng()
+        for step in range(50):
+            assert as_rows(generate_arrivals(wl, fast, step)) == oracle_arrivals(wl, slow, step)
+        assert fast.bit_generator.random_raw(4).tolist() == slow.bit_generator.random_raw(4).tolist()
+
+    def test_device_count_beyond_32_bits_gets_scalar_draws(self):
+        wl = WorkloadConfig(device_count=2**32 + 5)
+        fast, slow = np.random.default_rng(4), np.random.default_rng(4)
+        for step in range(20):
+            assert as_rows(generate_arrivals(wl, fast, step)) == oracle_arrivals(wl, slow, step)
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+
 class TestStepCrl:
     def test_single_feasible_pair_matches_and_settles(self):
         config = SimConfig(workload=QUIET, weights=WeightsConfig(max_rounds_w=1))
         state = make_state(config)
-        state.pending = [Task(task_id=0, owner_id=1, deadline_s=50.0, cycles_required=100.0, value=10.0)]
+        state.pending = TaskQueue.of([Task(task_id=0, owner_id=1, deadline_s=50.0, cycles_required=100.0, value=10.0)])
         state.pool = SourcePool.of([SourceNode(source_id=0, owner_id=2, idle_seconds=50.0, cycles_per_second=10.0)])
         step_crl(state, config)
         assert state.matched_tasks == 1
@@ -111,28 +213,28 @@ class TestStepCrl:
     def test_no_sources_w1_escalates_immediately(self):
         config = SimConfig(workload=QUIET, weights=WeightsConfig(max_rounds_w=1))
         state = make_state(config)
-        state.pending = [Task(task_id=0, owner_id=1, deadline_s=50.0, cycles_required=100.0, value=4.0)]
+        state.pending = TaskQueue.of([Task(task_id=0, owner_id=1, deadline_s=50.0, cycles_required=100.0, value=4.0)])
         step_crl(state, config)
         assert state.migrated_tasks == 1
         assert state.migrated_value_cum == pytest.approx(4.0)
-        assert state.pending == []
+        assert state.pending.tasks() == []
 
     def test_no_sources_w3_defers_twice_then_escalates(self):
         config = SimConfig(workload=QUIET, weights=WeightsConfig(max_rounds_w=3))
         state = make_state(config)
-        state.pending = [Task(task_id=0, owner_id=1, deadline_s=50.0, cycles_required=100.0, value=4.0)]
+        state.pending = TaskQueue.of([Task(task_id=0, owner_id=1, deadline_s=50.0, cycles_required=100.0, value=4.0)])
         step_crl(state, config)
         assert state.migrated_tasks == 0 and len(state.pending) == 1
-        assert state.pending[0].rounds_deferred == 1
+        assert state.pending.task(0).rounds_deferred == 1
         step_crl(state, config)
-        assert state.migrated_tasks == 0 and state.pending[0].rounds_deferred == 2
+        assert state.migrated_tasks == 0 and state.pending.task(0).rounds_deferred == 2
         step_crl(state, config)
-        assert state.migrated_tasks == 1 and state.pending == []
+        assert state.migrated_tasks == 1 and state.pending.tasks() == []
 
     def test_expired_pending_task_escalates(self):
         config = SimConfig(workload=QUIET, weights=WeightsConfig(max_rounds_w=5))
         state = make_state(config)
-        state.pending = [Task(task_id=0, owner_id=1, deadline_s=1.5, cycles_required=100.0, value=4.0)]
+        state.pending = TaskQueue.of([Task(task_id=0, owner_id=1, deadline_s=1.5, cycles_required=100.0, value=4.0)])
         step_crl(state, config)  # unmatched; deadline lookahead escalates
         assert state.migrated_tasks == 1
 
