@@ -8,27 +8,32 @@ import json
 import sys
 from pathlib import Path
 
-from .model import WeightsConfig
-from .simulator import SimConfig, WorkloadConfig, run, POLICIES
+from .simulator import SimConfig, run, POLICIES
 from .metrics import emit_report, compare_reports
 
-WEIGHT_KEYS = {
-    "gamma_t", "gamma_p", "gamma_n", "gamma_m",
-    "conversion_rate_r", "max_rounds_w", "tau_s",
+# Each config field is one scenario key and one flag.  The sections are the
+# SimConfig fields that hold a nested config (weights, workload).
+SECTIONS = {
+    f.name: f.default_factory
+    for f in dataclasses.fields(SimConfig)
+    if dataclasses.is_dataclass(f.default_factory)
 }
-WORKLOAD_KEYS = {
-    "task_arrival_rate", "source_arrival_rate", "cycles_range", "value_range",
-    "deadline_range", "idle_range", "rate_range", "device_count",
+# Every non-section field, by name, and the section holding it (None: top level).
+FIELDS = {f.name: (None, f) for f in dataclasses.fields(SimConfig) if f.name not in SECTIONS}
+FIELDS.update((f.name, (section, f)) for section, cls in SECTIONS.items() for f in dataclasses.fields(cls))
+# The flags not spelled as their field's name with dashes.
+FLAG_NAMES = {
+    "rng_seed": "--seed", "conversion_rate_r": "--conversion-rate", "tau_s": "--tau",
+    "task_arrival_rate": "--task-rate", "source_arrival_rate": "--source-rate",
 }
-TOP_KEYS = {"steps", "step_seconds", "rng_seed", "policy", "weights", "workload"}
 
 
 class ConfigError(Exception):
     pass
 
 
-def _check_keys(section: dict, allowed: set, where: str):
-    unknown = set(section) - allowed
+def _check_keys(section: dict, cls, where: str):
+    unknown = set(section) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
 
@@ -43,74 +48,39 @@ def load_scenario(path: Path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    _check_keys(raw, TOP_KEYS, str(path))
-    _check_keys(raw.get("weights", {}), WEIGHT_KEYS, f"{path}:weights")
-    _check_keys(raw.get("workload", {}), WORKLOAD_KEYS, f"{path}:workload")
+    _check_keys(raw, SimConfig, str(path))
+    for section, cls in SECTIONS.items():
+        _check_keys(raw.get(section, {}), cls, f"{path}:{section}")
     return raw
 
 
 def build_config(scenario: dict, overrides: dict) -> SimConfig:
     """Merge file values with flag overrides (flags win) into a SimConfig."""
-    weights = dict(scenario.get("weights", {}))
-    workload = dict(scenario.get("workload", {}))
-    top = {k: v for k, v in scenario.items() if k not in ("weights", "workload")}
+    values = {section: dict(scenario.get(section, {})) for section in SECTIONS}
+    top = {k: v for k, v in scenario.items() if k not in SECTIONS}
     for key, value in overrides.items():
-        if value is None:
-            continue
-        if key in WEIGHT_KEYS:
-            weights[key] = value
-        elif key in WORKLOAD_KEYS:
-            workload[key] = value
-        else:
-            top[key] = value
-    for section in (workload,):
-        for key in ("cycles_range", "value_range", "deadline_range", "idle_range", "rate_range"):
-            if key in section:
-                section[key] = tuple(section[key])
+        if value is not None:
+            section, _ = FIELDS.get(key, (None, None))
+            values.get(section, top)[key] = value
     try:
-        return SimConfig(
-            weights=WeightsConfig(**weights),
-            workload=WorkloadConfig(**workload),
-            **top,
-        )
+        return SimConfig(**{section: cls(**values[section]) for section, cls in SECTIONS.items()}, **top)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def config_to_dict(config: SimConfig) -> dict:
-    d = dataclasses.asdict(config)
-    for key in ("cycles_range", "value_range", "deadline_range", "idle_range", "rate_range"):
-        d["workload"][key] = list(d["workload"][key])
-    return d
 
 
 def _add_override_flags(p: argparse.ArgumentParser, with_policy: bool = True):
     p.add_argument("--config", type=Path, help="scenario JSON file")
     p.add_argument("--out", type=Path, default=Path("."), help="output directory")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--seed", type=int, dest="rng_seed")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--step-seconds", type=float, dest="step_seconds")
-    if with_policy:
-        p.add_argument("--policy", choices=POLICIES)
-    p.add_argument("--gamma-t", type=float, dest="gamma_t")
-    p.add_argument("--gamma-p", type=float, dest="gamma_p")
-    p.add_argument("--gamma-n", type=float, dest="gamma_n")
-    p.add_argument("--gamma-m", type=float, dest="gamma_m")
-    p.add_argument("--conversion-rate", type=float, dest="conversion_rate_r")
-    p.add_argument("--max-rounds-w", type=int, dest="max_rounds_w")
-    p.add_argument("--tau", type=float, dest="tau_s")
-    p.add_argument("--task-rate", type=float, dest="task_arrival_rate")
-    p.add_argument("--source-rate", type=float, dest="source_arrival_rate")
-    p.add_argument("--device-count", type=int, dest="device_count")
-    for flag, dest in (
-        ("--cycles-range", "cycles_range"),
-        ("--value-range", "value_range"),
-        ("--deadline-range", "deadline_range"),
-        ("--idle-range", "idle_range"),
-        ("--rate-range", "rate_range"),
-    ):
-        p.add_argument(flag, type=_parse_range, dest=dest, metavar="LO,HI")
+    for name, (_, f) in FIELDS.items():
+        flag = FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+        if isinstance(f.default, str):  # the policy
+            if with_policy:
+                p.add_argument(flag, choices=POLICIES, dest=name)
+        elif isinstance(f.default, tuple):
+            p.add_argument(flag, type=_parse_range, dest=name, metavar="LO,HI")
+        else:
+            p.add_argument(flag, type=type(f.default), dest=name)
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -149,15 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-OVERRIDE_DESTS = (
-    ["rng_seed", "steps", "step_seconds", "policy"]
-    + sorted(WEIGHT_KEYS)
-    + sorted(WORKLOAD_KEYS)
-)
-
-
 def _gather_overrides(args) -> dict:
-    return {k: getattr(args, k) for k in OVERRIDE_DESTS if getattr(args, k, None) is not None}
+    return {k: getattr(args, k) for k in FIELDS if getattr(args, k, None) is not None}
 
 
 def _prepare(args) -> tuple[SimConfig, str]:
@@ -173,7 +136,7 @@ def _prepare(args) -> tuple[SimConfig, str]:
 
 def _write_effective_config(config: SimConfig, out_dir: Path):
     (out_dir / "effective_config.json").write_text(
-        json.dumps(config_to_dict(config), indent=2) + "\n"
+        json.dumps(dataclasses.asdict(config), indent=2) + "\n"
     )
 
 

@@ -162,14 +162,6 @@ def load_report_csv(path) -> list[StepSample]:
     return samples
 
 
-def settlement_records_csv_rows(records) -> list[list[str]]:
-    """Settlement records as CSV rows: step, task_id, receiver, provider, amount."""
-    rows = [["step", "task_id", "receiver", "provider", "amount"]]
-    for r in records:
-        rows.append([str(r.step), str(r.task_id), str(r.receiver_device), str(r.provider_device), _render(r.amount)])
-    return rows
-
-
 def compare_reports(a: SimReport, b: SimReport) -> ComparisonSummary:
     """Per-step deltas and sign summary for two runs of equal length."""
     if len(a.samples) != len(b.samples):

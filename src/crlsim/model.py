@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -55,7 +56,8 @@ class SourceNode:
 
 
 def _column(dtype):
-    return field(default_factory=lambda: np.empty(0, dtype=dtype))
+    empty = np.empty(0, dtype=dtype)  # shared: a zero-length column has nothing to write
+    return field(default_factory=lambda: empty)
 
 
 @dataclass(eq=False)  # the generated __eq__ would compare arrays elementwise and raise
@@ -181,7 +183,8 @@ class TaskQueue:
 
     def extend(self, tasks) -> None:
         """Append tasks after the current rows."""
-        self._assign([np.concatenate(pair) for pair in zip(self._columns(), TaskQueue.of(tasks)._columns())])
+        new = TaskQueue.of(tasks)._columns()
+        self._assign([np.concatenate(pair) for pair in zip(self._columns(), new)] if len(self) else new)
 
     def age(self, seconds: float) -> TaskQueue:
         """Let ``seconds`` pass; tasks whose deadline ran out leave the queue and are returned."""
@@ -199,6 +202,18 @@ class TaskQueue:
 
     def _assign(self, columns) -> None:
         self.ids, self.owners, self.deadline, self.cycles, self.value, self.arrival, self.deferred = columns
+
+
+def check_config_numbers(config) -> None:
+    """Make each range field (a field whose default is a tuple) a tuple, and
+    require every float field and range bound of ``config`` to be finite."""
+    for f in fields(config):
+        if isinstance(f.default, tuple):
+            object.__setattr__(config, f.name, tuple(getattr(config, f.name)))
+        if isinstance(f.default, (float, tuple)):
+            value = getattr(config, f.name)
+            if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+                raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -222,6 +237,7 @@ class WeightsConfig:
     tau_s: float = 0.1
 
     def __post_init__(self):
+        check_config_numbers(self)
         for name in ("gamma_t", "gamma_p", "gamma_n", "gamma_m"):
             g = getattr(self, name)
             if not 0.0 <= g <= 1.0:

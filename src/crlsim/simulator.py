@@ -3,12 +3,11 @@ plus the all-to-cloud baseline policy."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .model import Task, SourceNode, SourcePool, TaskQueue, WeightsConfig
+from .model import Task, SourceNode, SourcePool, TaskQueue, WeightsConfig, check_config_numbers
 from .matching import full_round, classify_unmatched
 from .settlement import PriorityLedger, SettlementRecord, apply_settlement
 from .metrics import SimReport, StepSample, AssignmentRecord, idle_capacity
@@ -18,7 +17,7 @@ POLICIES = ("crl", "cloud")
 
 @dataclass(frozen=True)
 class WorkloadConfig:
-    """Arrival rates and uniform field ranges for the synthetic workload."""
+    """Arrival rates and uniform (low, high) field ranges for the synthetic workload."""
 
     task_arrival_rate: float = 10.0
     source_arrival_rate: float = 30.0
@@ -30,21 +29,20 @@ class WorkloadConfig:
     device_count: int = 30
 
     def __post_init__(self):
+        check_config_numbers(self)
         if self.task_arrival_rate < 0 or self.source_arrival_rate < 0:
             raise ValueError("arrival rates must be >= 0")
         if self.device_count < 1:
             raise ValueError("device_count must be >= 1")
-        for name in ("cycles_range", "value_range", "deadline_range", "idle_range", "rate_range"):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ValueError(f"{name}: lower bound {lo} exceeds upper bound {hi}")
-        for name in ("cycles_range", "deadline_range", "rate_range"):
-            if getattr(self, name)[0] <= 0:
-                raise ValueError(f"{name}: lower bound must be > 0")
-        if self.value_range[0] < 0:
-            raise ValueError("value_range: lower bound must be >= 0")
-        if self.idle_range[0] < 0:
-            raise ValueError("idle_range: lower bound must be >= 0")
+        for f in fields(self):
+            if isinstance(f.default, tuple):
+                lo, hi = getattr(self, f.name)
+                if lo > hi:
+                    raise ValueError(f"{f.name}: lower bound {lo} exceeds upper bound {hi}")
+                if lo <= 0 and f.name in ("cycles_range", "deadline_range", "rate_range"):
+                    raise ValueError(f"{f.name}: lower bound must be > 0")
+                if lo < 0:
+                    raise ValueError(f"{f.name}: lower bound must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -57,6 +55,7 @@ class SimConfig:
     policy: str = "crl"
 
     def __post_init__(self):
+        check_config_numbers(self)
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.step_seconds <= 0:
@@ -171,17 +170,16 @@ def _replay_pcg64(workload, bitgen, n_tasks, n_sources):
     that cache alone.  The half ``x`` gives ``(x * n) >> 32``, unless Lemire's
     test ``(x * n) mod 2**32 < 2**32 mod n`` rejects it and draws again;
     ``n == 1`` draws nothing.  A rejection (probability below n / 2**32 per
-    draw), another bit generator or a non-finite range width gives None, with
-    the state as it was.
+    draw), another bit generator or ``n >= 2**32`` gives None, with the state
+    as it was.  ``WorkloadConfig`` keeps every bound finite and every low >=
+    0, so every width ``hi - lo`` is finite too.
     """
     n = workload.device_count
-    ranges = (workload.deadline_range, workload.cycles_range, workload.value_range,
-              workload.idle_range, workload.rate_range)
-    lows = [float(lo) for lo, _ in ranges]
-    widths = [float(hi) - lo for (_, hi), lo in zip(ranges, lows)]
-    if type(bitgen) is not np.random.PCG64 or n >= 2**32 or not all(map(math.isfinite, widths)):
+    if type(bitgen) is not np.random.PCG64 or n >= 2**32:
         return None
-    lows, widths = np.array(lows)[:, None], np.array(widths)[:, None]
+    bounds = np.array([workload.deadline_range, workload.cycles_range, workload.value_range,
+                       workload.idle_range, workload.rate_range], dtype=np.float64)
+    lows, widths = bounds[:, :1], bounds[:, 1:] - bounds[:, :1]
     saved = bitgen.state
     n_objects = n_tasks + n_sources
     draws_ints = n > 1 and n_objects > 0
@@ -237,23 +235,12 @@ def _escalate(state: SimState, tasks: TaskQueue):
         state.migrated_cycles_cum += cycles
 
 
-def _record_sample(state: SimState, matched: int, deferred: int, migrated: int):
-    state.samples.append(
-        StepSample(
-            step=state.step,
-            policy=state.config.policy,
-            idle_capacity=idle_capacity(state.pool),
-            matched=matched,
-            deferred=deferred,
-            migrated=migrated,
-            migrated_value_cum=state.migrated_value_cum,
-            migrated_cycles_cum=state.migrated_cycles_cum,
-        )
-    )
+def _step(state: SimState, config: SimConfig, policy_round) -> SimState:
+    """One step: arrivals, aging, the policy's round, then the step's sample.
 
-
-def step_crl(state: SimState, config: SimConfig) -> SimState:
-    """Run one leasing round: age, match, settle, consume, defer or escalate."""
+    ``policy_round(state, config)`` empties or replaces ``state.pending`` and
+    returns how many tasks it matched and how many it deferred.
+    """
     migrated_before = state.migrated_tasks
 
     new_tasks, new_sources = generate_arrivals(
@@ -263,11 +250,28 @@ def step_crl(state: SimState, config: SimConfig) -> SimState:
     state.next_source_id += len(new_sources)
     state.arrived_tasks += len(new_tasks)
 
-    expired = _age_state(state)
-    _escalate(state, expired)
+    _escalate(state, _age_state(state))
     state.pending.extend(new_tasks)
     state.pool.extend(new_sources)
 
+    matched, deferred = policy_round(state, config)
+    state.samples.append(
+        StepSample(
+            step=state.step,
+            policy=state.config.policy,
+            idle_capacity=idle_capacity(state.pool),
+            matched=matched,
+            deferred=deferred,
+            migrated=state.migrated_tasks - migrated_before,
+            migrated_value_cum=state.migrated_value_cum,
+            migrated_cycles_cum=state.migrated_cycles_cum,
+        )
+    )
+    state.step += 1
+    return state
+
+
+def _lease_round(state: SimState, config: SimConfig) -> tuple[int, int]:
     ordered, _, result = full_round(state.pending, state.pool, state.ledger, config.weights)
     task_rows = {task_id: row for row, task_id in enumerate(ordered.ids.tolist())}
     leased = ordered.take(np.array([task_rows[a.task_id] for a in result.assignments], dtype=np.intp)).tasks()
@@ -297,15 +301,20 @@ def step_crl(state: SimState, config: SimConfig) -> SimState:
     deferred, big = classify_unmatched(unmatched, config.weights, config.step_seconds)
     _escalate(state, big)
     state.pending = deferred
+    return len(result.assignments), len(deferred)
 
-    _record_sample(
-        state,
-        matched=len(result.assignments),
-        deferred=len(deferred),
-        migrated=state.migrated_tasks - migrated_before,
-    )
-    state.step += 1
-    return state
+
+def _cloud_round(state: SimState, config: SimConfig) -> tuple[int, int]:
+    # Pending held nothing before this step's arrivals, so they escalate in
+    # arrival order.
+    _escalate(state, state.pending)
+    state.pending = TaskQueue()
+    return 0, 0
+
+
+def step_crl(state: SimState, config: SimConfig) -> SimState:
+    """Run one leasing round: age, match, settle, consume, defer or escalate."""
+    return _step(state, config, _lease_round)
 
 
 def step_cloud(state: SimState, config: SimConfig) -> SimState:
@@ -314,22 +323,7 @@ def step_cloud(state: SimState, config: SimConfig) -> SimState:
     Sources are never leased, so the pool only ages; under a stationary
     workload its capacity settles to a roughly constant level.
     """
-    migrated_before = state.migrated_tasks
-
-    new_tasks, new_sources = generate_arrivals(
-        config.workload, state.rng, state.step, state.next_task_id, state.next_source_id
-    )
-    state.next_task_id += len(new_tasks)
-    state.next_source_id += len(new_sources)
-    state.arrived_tasks += len(new_tasks)
-
-    _age_state(state)
-    state.pool.extend(new_sources)
-    _escalate(state, new_tasks)
-
-    _record_sample(state, matched=0, deferred=0, migrated=state.migrated_tasks - migrated_before)
-    state.step += 1
-    return state
+    return _step(state, config, _cloud_round)
 
 
 def run(config: SimConfig) -> SimReport:

@@ -1,8 +1,12 @@
+import argparse
+import dataclasses
 import json
 
 import pytest
 
-from crlsim.cli import main, load_scenario, build_config, ConfigError
+from crlsim.cli import main, load_scenario, build_config, build_parser, ConfigError, _gather_overrides, _parse_range
+from crlsim.model import WeightsConfig
+from crlsim.simulator import SimConfig, WorkloadConfig
 
 
 def scenario_file(tmp_path, name="scen", **extra):
@@ -109,3 +113,92 @@ def test_json_format_output(tmp_path):
     assert main(["run", "--steps", "5", "--seed", "2", "--format", "json", "--out", str(out)]) == 0
     data = json.loads((out / "default_crl_seed2.json").read_text())
     assert data["seed"] == 2 and len(data["samples"]) == 5
+
+
+# The override flags as they are spelled today, flag -> dest.  Pinned so that
+# deriving them from the config dataclasses cannot drop, add or rename one.
+FIELD_FLAGS = {
+    "--seed": "rng_seed", "--steps": "steps", "--step-seconds": "step_seconds",
+    "--gamma-t": "gamma_t", "--gamma-p": "gamma_p", "--gamma-n": "gamma_n", "--gamma-m": "gamma_m",
+    "--conversion-rate": "conversion_rate_r", "--max-rounds-w": "max_rounds_w", "--tau": "tau_s",
+    "--task-rate": "task_arrival_rate", "--source-rate": "source_arrival_rate",
+    "--device-count": "device_count",
+    "--cycles-range": "cycles_range", "--value-range": "value_range",
+    "--deadline-range": "deadline_range", "--idle-range": "idle_range", "--rate-range": "rate_range",
+}
+FLAG_VALUES = {
+    "--seed": "9", "--steps": "5", "--step-seconds": "2.0", "--policy": "cloud",
+    "--gamma-t": "0.1", "--gamma-p": "0.2", "--gamma-n": "0.3", "--gamma-m": "0.4",
+    "--conversion-rate": "2.0", "--max-rounds-w": "4", "--tau": "0.2",
+    "--task-rate": "1.0", "--source-rate": "2.0", "--device-count": "7",
+    "--cycles-range": "1,2", "--value-range": "0,1", "--deadline-range": "1,9",
+    "--idle-range": "1,5", "--rate-range": "1,3",
+}
+
+
+def _subparser(command):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+def _field_names():
+    names = set()
+    for cls in (SimConfig, WeightsConfig, WorkloadConfig):
+        names |= {f.name for f in dataclasses.fields(cls) if f.name not in ("weights", "workload")}
+    return names
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("run", {"--policy": "policy"}),
+    ("compare", {}),
+    ("sweep-w", {"--w-values": "w_values"}),
+])
+def test_cli_surface_is_pinned(command, extra):
+    actions = _subparser(command)._actions
+    options = {opt: a.dest for a in actions for opt in a.option_strings}
+    common = {"-h": "help", "--help": "help", "--config": "config", "--out": "out", "--format": "format"}
+    assert options == {**common, **FIELD_FLAGS, **extra}
+    by_dest = {a.dest: a for a in actions}
+    assert {d for d, a in by_dest.items() if a.metavar == "LO,HI"} == {d for d in FIELD_FLAGS.values() if d.endswith("_range")}
+    if command == "run":
+        assert tuple(by_dest["policy"].choices) == ("crl", "cloud")
+
+
+def test_every_field_flag_reaches_the_overrides():
+    argv = [tok for flag, value in FLAG_VALUES.items() for tok in (flag, value)]
+    overrides = _gather_overrides(_subparser("run").parse_args(argv))
+    assert set(overrides) == _field_names()
+    config = build_config({}, overrides)
+    assert (config.rng_seed, config.policy, config.weights.tau_s) == (9, "cloud", 0.2)
+    assert config.workload.idle_range == (1.0, 5.0) and config.workload.device_count == 7
+
+
+def test_effective_config_round_trips(tmp_path):
+    out = tmp_path / "o"
+    argv = ["--steps", "3", "--idle-range", "10,50", "--max-rounds-w", "5", "--task-rate", "2.5"]
+    assert main(["run", *argv, "--out", str(out)]) == 0
+    effective = out / "effective_config.json"
+    expected = build_config({}, {"steps": 3, "idle_range": (10.0, 50.0), "max_rounds_w": 5,
+                                 "task_arrival_rate": 2.5})
+    assert build_config(load_scenario(effective), {}) == expected
+    again = tmp_path / "again"
+    assert main(["run", "--config", str(effective), "--out", str(again)]) == 0
+    assert (again / "effective_config.json").read_bytes() == effective.read_bytes()
+
+
+@pytest.mark.parametrize("flag, value, field, section", [
+    ("--idle-range", "40,inf", "idle_range", "workload"),
+    ("--idle-range", "nan,80", "idle_range", "workload"),
+    ("--task-rate", "nan", "task_arrival_rate", "workload"),
+    ("--task-rate", "inf", "task_arrival_rate", "workload"),
+    ("--step-seconds", "nan", "step_seconds", None),
+    ("--conversion-rate", "inf", "conversion_rate_r", "weights"),
+    ("--tau", "nan", "tau_s", "weights"),
+])
+def test_non_finite_value_rejected(tmp_path, capsys, flag, value, field, section):
+    assert main(["run", "--steps", "2", flag, value, "--out", str(tmp_path)]) == 2
+    assert field in capsys.readouterr().err
+    parsed = _parse_range(value) if "," in value else float(value)
+    cls = {None: SimConfig, "weights": WeightsConfig, "workload": WorkloadConfig}[section]
+    with pytest.raises(ValueError, match=field):
+        cls(**{field: parsed})

@@ -11,10 +11,8 @@ from crlsim.metrics import (
     emit_report,
     load_report_csv,
     compare_reports,
-    settlement_records_csv_rows,
     CSV_COLUMNS,
 )
-from crlsim.settlement import SettlementRecord
 from crlsim.simulator import SimConfig, run
 
 
@@ -96,12 +94,6 @@ class TestEmit:
         bad = tmp_path / "missing_dir" / "r.csv"
         with pytest.raises(OSError, match=str(bad)):
             emit_report(SimReport(policy="crl", seed=0), "csv", bad)
-
-    def test_settlement_rows_shape(self):
-        records = [SettlementRecord(task_id=1, receiver_device=2, provider_device=3, amount=1.5, step=0)]
-        rows = settlement_records_csv_rows(records)
-        assert rows[0] == ["step", "task_id", "receiver", "provider", "amount"]
-        assert rows[1] == ["0", "1", "2", "3", "1.5"]
 
 
 class TestCompare:
