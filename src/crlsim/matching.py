@@ -11,37 +11,28 @@ from .model import Task, SourceNode, SourcePool, TaskQueue, WeightsConfig
 from .settlement import PriorityLedger
 
 
-@dataclass(frozen=True)
-class Assignment:
-    task_id: int
-    source_id: int
-    busy_seconds: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a generated __eq__ would compare arrays elementwise
 class MatchResult:
-    """Outcome of one greedy round: per-source leases plus leftovers."""
+    """Outcome of one greedy round over a priority-ordered queue and a pool.
 
-    assignments: list[Assignment]
+    ``assignments`` is a (k, 2) int array of (queue row, pool row) pairs in
+    priority order; ``unmatched_task_ids`` holds the ids of the other tasks,
+    in priority order.
+    """
+
+    assignments: np.ndarray
     unmatched_task_ids: list[int]
 
 
-def _as_given(tasks, queue: TaskQueue):
-    """``queue`` in the form the caller gave its tasks: a TaskQueue, else a list of Tasks."""
-    return queue if isinstance(tasks, TaskQueue) else queue.tasks()
-
-
-def sort_tasks_by_priority(tasks, ledger: PriorityLedger, weights: WeightsConfig) -> TaskQueue | list[Task]:
-    """Descending matching-priority order, ties broken by ascending task_id.
+def sort_tasks_by_priority(queue: TaskQueue, ledger: PriorityLedger, weights: WeightsConfig) -> TaskQueue:
+    """The queue in descending matching-priority order, ties broken by ascending task_id.
 
     The priority is ``compute_matching_priority``'s expression, evaluated
-    column-wise with the same float operations.  ``tasks`` is a TaskQueue or
-    Tasks; the result is of the same kind.
+    column-wise with the same float operations.
     """
-    queue = TaskQueue.of(tasks)
     balances = np.array([ledger.balance_of(owner) for owner in queue.owners.tolist()], dtype=np.float64)
     priority = weights.gamma_t * (queue.value / queue.cycles) + weights.gamma_p * balances
-    return _as_given(tasks, queue.take(np.lexsort((queue.ids, -priority))))
+    return queue.take(np.lexsort((queue.ids, -priority)))
 
 
 def feasible(source: SourceNode, task: Task) -> bool:
@@ -52,18 +43,15 @@ def feasible(source: SourceNode, task: Task) -> bool:
     )
 
 
-def build_prefer_matrix(sources, ordered_tasks) -> np.ndarray:
+def build_prefer_matrix(pool: SourcePool, queue: TaskQueue) -> np.ndarray:
     """Build the m x n preference matrix over the pool and priority-sorted tasks.
 
-    Row j is the pool's j-th source (ascending source_id), column i the i-th
-    task.  A cell holds cycles_per_second / cycles_required where the source
-    can finish the task within both its idle window and the task deadline
-    (the test of ``feasible``), else 0.  ``sources`` is a SourcePool or
-    SourceNodes, ``ordered_tasks`` a TaskQueue or Tasks.  Empty sources or
-    tasks yield a degenerate matrix that matches nothing.
+    Row j is the pool's j-th source (ascending source_id), column i the
+    queue's i-th task.  A cell holds cycles_per_second / cycles_required
+    where the source can finish the task within both its idle window and the
+    task deadline (the test of ``feasible``), else 0.  An empty pool or
+    queue yields a degenerate matrix that matches nothing.
     """
-    pool = SourcePool.of(sources)
-    queue = TaskQueue.of(ordered_tasks)
     # Built task-major, one contiguous row per task as greedy_match scans it,
     # and returned as the m x n transpose of that.
     prefer = np.zeros((len(queue), len(pool)))
@@ -81,7 +69,7 @@ def build_prefer_matrix(sources, ordered_tasks) -> np.ndarray:
     return prefer.T
 
 
-def greedy_match(matrix: np.ndarray, sources, ordered_tasks) -> MatchResult:
+def greedy_match(matrix: np.ndarray, pool: SourcePool, queue: TaskQueue) -> MatchResult:
     """Assign each task, in priority order, its best still-free source.
 
     Each column takes the row of its largest positive value, and that row is
@@ -90,61 +78,47 @@ def greedy_match(matrix: np.ndarray, sources, ordered_tasks) -> MatchResult:
     maximum, so ties on preference value go to the lowest source_id.  Tasks
     whose column holds no positive value over the free sources are unmatched.
     """
-    pool = SourcePool.of(sources)
-    queue = TaskQueue.of(ordered_tasks)
-    task_ids = queue.ids.tolist()
-    if not len(pool):
-        return MatchResult(assignments=[], unmatched_task_ids=task_ids)
     by_task = matrix.T  # one row per task
     # Zeroing never makes a value positive, so only tasks with a positive
     # value somewhere can match; only their rows are copied and scanned.
-    candidates = np.flatnonzero(by_task.max(axis=1) > 0.0)
+    candidates = np.flatnonzero(by_task.max(axis=1, initial=0.0) > 0.0)
     free = by_task[candidates]
-    leases: dict[int, int] = {}  # task column -> source row, in priority order
+    pairs = []
     for k, col in enumerate(candidates.tolist()):
         row = int(free[k].argmax())
         if free[k, row] > 0.0:
             free[k + 1:, row] = 0.0
-            leases[col] = row
-    cycles = queue.cycles.tolist()
-    return MatchResult(
-        assignments=[
-            Assignment(task_id=task_ids[col], source_id=int(pool.ids[row]), busy_seconds=cycles[col] / float(pool.rate[row]))
-            for col, row in leases.items()
-        ],
-        unmatched_task_ids=[task_id for col, task_id in enumerate(task_ids) if col not in leases],
-    )
+            pairs.append((col, row))
+    assignments = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    unmatched = np.ones(len(queue), dtype=bool)
+    unmatched[assignments[:, 0]] = False
+    return MatchResult(assignments=assignments, unmatched_task_ids=queue.ids[unmatched].tolist())
 
 
-def classify_unmatched(unmatched, weights: WeightsConfig, step_seconds: float = 0.0) -> tuple:
+def classify_unmatched(queue: TaskQueue, weights: WeightsConfig, step_seconds: float = 0.0) -> tuple[TaskQueue, TaskQueue]:
     """Split this round's losers into deferred tasks and cloud-bound big tasks.
 
     Every task's rounds_deferred is incremented.  Tasks hitting the retry
     limit, and tasks whose deadline cannot survive another step's wait,
     escalate immediately; the rest re-enter the queue for the next round.
-    ``unmatched`` is a TaskQueue or Tasks; both parts keep its order and kind.
+    Both parts keep the queue's order.
     """
-    queue = TaskQueue.of(unmatched)
     over = np.flatnonzero(queue.deferred >= weights.max_rounds_w)
     if len(over):
-        task = queue.task(over[0])
         raise ValueError(
-            f"task {task.task_id}: rounds_deferred {task.rounds_deferred} "
+            f"task {queue.ids[over[0]]}: rounds_deferred {queue.deferred[over[0]]} "
             f"already at limit {weights.max_rounds_w}"
         )
     bumped = replace(queue, deferred=queue.deferred + 1)
     big = (bumped.deferred >= weights.max_rounds_w) | (bumped.deadline - step_seconds <= 0)
-    return _as_given(unmatched, bumped.take(~big)), _as_given(unmatched, bumped.take(big))
+    return bumped.take(~big), bumped.take(big)
 
 
-def full_round(tasks, sources, ledger: PriorityLedger, weights: WeightsConfig) -> tuple:
-    """Convenience pipeline: sort, build the matrix, match greedily.
+def full_round(queue: TaskQueue, pool: SourcePool, ledger: PriorityLedger, weights: WeightsConfig) -> tuple[TaskQueue, MatchResult]:
+    """Sort the queue by priority and match it greedily to the pool.
 
-    ``sources`` is a SourcePool or SourceNodes in any order; ``tasks`` is a
-    TaskQueue or Tasks, and the priority-ordered tasks come back as the same
-    kind.
+    Returns the priority-ordered queue, whose rows the result's assignments
+    index, and the match result.
     """
-    pool = SourcePool.of(sources)
-    ordered = sort_tasks_by_priority(TaskQueue.of(tasks), ledger, weights)
-    matrix = build_prefer_matrix(pool, ordered)
-    return _as_given(tasks, ordered), matrix, greedy_match(matrix, pool, ordered)
+    ordered = sort_tasks_by_priority(queue, ledger, weights)
+    return ordered, greedy_match(build_prefer_matrix(pool, ordered), pool, ordered)

@@ -79,15 +79,14 @@ class ComparisonSummary:
     frac_migrated_a_le_b: float
 
 
-def idle_capacity(pool) -> float:
+def idle_capacity(pool: SourcePool) -> float:
     """Total deliverable cycles left in the unassigned source pool.
 
-    ``pool`` is a SourcePool or SourceNodes.  The products are added left to
-    right in ascending source_id order by ``np.cumsum``, as the builtin
-    ``sum`` of CPython <= 3.11 adds them; ``np.sum`` adds pairwise and would
-    change the last bits of the reports.  An empty pool gives the int 0.
+    The products are added left to right in ascending source_id order by
+    ``np.cumsum``, as the builtin ``sum`` of CPython <= 3.11 adds them;
+    ``np.sum`` adds pairwise and would change the last bits of the reports.
+    An empty pool gives the int 0.
     """
-    pool = SourcePool.of(pool)
     if not len(pool):
         return 0
     return float(np.cumsum(pool.rate * pool.idle)[-1])

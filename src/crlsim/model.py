@@ -49,11 +49,6 @@ class SourceNode:
         if self.idle_seconds < 0:
             raise ValueError(f"source {self.source_id}: idle_seconds must be >= 0")
 
-    @property
-    def capacity(self) -> float:
-        """Total cycles this source can still deliver."""
-        return self.cycles_per_second * self.idle_seconds
-
 
 def _column(dtype):
     empty = np.empty(0, dtype=dtype)  # shared: a zero-length column has nothing to write
@@ -76,9 +71,7 @@ class SourcePool:
 
     @classmethod
     def of(cls, sources) -> SourcePool:
-        """``sources`` itself if it is a pool, else a pool of its SourceNodes sorted by id."""
-        if isinstance(sources, cls):
-            return sources
+        """A pool of the SourceNodes ``sources``, sorted by id."""
         nodes = sorted(sources, key=lambda s: s.source_id)
         return cls(
             ids=np.array([s.source_id for s in nodes], dtype=np.int64),
@@ -90,22 +83,8 @@ class SourcePool:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def node(self, row: int) -> SourceNode:
-        """Row ``row`` as a SourceNode of plain Python numbers."""
-        return SourceNode(
-            source_id=int(self.ids[row]),
-            owner_id=int(self.owners[row]),
-            idle_seconds=float(self.idle[row]),
-            cycles_per_second=float(self.rate[row]),
-        )
-
-    def rows(self, source_ids) -> np.ndarray:
-        """Row indices of pooled sources, by id."""
-        return np.searchsorted(self.ids, source_ids)
-
-    def extend(self, sources) -> None:
-        """Append newly arrived sources, whose ids exceed every pooled id."""
-        new = SourcePool.of(sources)
+    def extend(self, new: SourcePool) -> None:
+        """Append the pool of newly arrived sources, whose ids exceed every pooled id."""
         self.ids = np.concatenate((self.ids, new.ids))
         self.owners = np.concatenate((self.owners, new.owners))
         self.idle = np.concatenate((self.idle, new.idle))
@@ -116,10 +95,9 @@ class SourcePool:
         self.idle = self.idle - seconds
         self._keep(self.idle > 0)
 
-    def consume(self, rows, busy_seconds) -> None:
-        """Subtract leased seconds from ``rows``; of those, drop the ones left with none."""
-        rows = np.asarray(rows, dtype=np.intp)
-        self.idle[rows] -= np.asarray(busy_seconds, dtype=np.float64)
+    def consume(self, rows: np.ndarray, busy_seconds: np.ndarray) -> None:
+        """Subtract leased seconds from the row indices ``rows``; of those, drop the ones left with none."""
+        self.idle[rows] -= busy_seconds
         spent = rows[self.idle[rows] <= 0]
         if len(spent):
             keep = np.ones(len(self), dtype=bool)
@@ -152,9 +130,7 @@ class TaskQueue:
 
     @classmethod
     def of(cls, tasks) -> TaskQueue:
-        """``tasks`` itself if it is a queue, else a queue of its Tasks in the given order."""
-        if isinstance(tasks, cls):
-            return tasks
+        """A queue of the Tasks ``tasks``, in the given order."""
         tasks = list(tasks)
         return cls(
             ids=np.array([t.task_id for t in tasks], dtype=np.int64),
@@ -169,22 +145,14 @@ class TaskQueue:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def task(self, row: int) -> Task:
-        """Row ``row`` as a Task of plain Python numbers."""
-        return Task(*(column[row].item() for column in self._columns()))
-
-    def tasks(self) -> list[Task]:
-        """Every row as a Task of plain Python numbers, in row order."""
-        return [Task(*row) for row in zip(*(column.tolist() for column in self._columns()))]
-
     def take(self, rows) -> TaskQueue:
         """A new queue of ``rows``, a row mask or row indices, in that order."""
         return TaskQueue(*(column[rows] for column in self._columns()))
 
-    def extend(self, tasks) -> None:
-        """Append tasks after the current rows."""
-        new = TaskQueue.of(tasks)._columns()
-        self._assign([np.concatenate(pair) for pair in zip(self._columns(), new)] if len(self) else new)
+    def extend(self, new: TaskQueue) -> None:
+        """Append the rows of ``new`` after the current rows."""
+        columns = new._columns()
+        self._assign([np.concatenate(pair) for pair in zip(self._columns(), columns)] if len(self) else columns)
 
     def age(self, seconds: float) -> TaskQueue:
         """Let ``seconds`` pass; tasks whose deadline ran out leave the queue and are returned."""
@@ -197,7 +165,7 @@ class TaskQueue:
         return gone
 
     def _columns(self) -> tuple[np.ndarray, ...]:
-        """The columns in the order of Task's fields, so that a row unpacks into Task(*row)."""
+        """The columns in the order of Task's fields."""
         return self.ids, self.owners, self.deadline, self.cycles, self.value, self.arrival, self.deferred
 
     def _assign(self, columns) -> None:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Task, SourceNode, WeightsConfig, compute_settlement_amount
+import numpy as np
+
+from .model import TaskQueue, WeightsConfig
 
 
 @dataclass(frozen=True)
@@ -50,40 +52,32 @@ class PriorityLedger:
 
 
 def apply_settlement(
-    matches,
-    tasks,
-    sources,
+    leased: TaskQueue,
+    providers: np.ndarray,
     ledger: PriorityLedger,
     weights: WeightsConfig,
     step: int = 0,
 ) -> list[SettlementRecord]:
-    """Settle one round's assignments as a single simultaneous batch.
+    """Settle one round's leases as a single simultaneous batch.
 
-    Every amount is computed from the receiver's pre-batch balance before any
-    balance moves, so the result does not depend on assignment order.  An
-    assignment referencing an unknown task or source rejects the whole batch
-    with the ledger untouched.
+    Row k of ``leased`` is a leased task and ``providers[k]`` the owner of
+    the source serving it.  Every amount is ``compute_settlement_amount`` of
+    the task and its receiver's pre-batch balance, floored at 0, taken
+    before any balance moves, so the result does not depend on lease order.
+    Columns of unequal length raise ValueError with the ledger untouched.
     """
-    task_by_id: dict[int, Task] = {t.task_id: t for t in tasks}
-    source_by_id: dict[int, SourceNode] = {s.source_id: s for s in sources}
-
     records: list[SettlementRecord] = []
     deltas: dict[int, float] = {}
-    for a in matches.assignments:
-        if a.task_id not in task_by_id:
-            raise ValueError(f"settlement batch references unknown task {a.task_id}")
-        if a.source_id not in source_by_id:
-            raise ValueError(f"settlement batch references unknown source {a.source_id}")
-        task = task_by_id[a.task_id]
-        receiver = task.owner_id
-        provider = source_by_id[a.source_id].owner_id
-        amount = compute_settlement_amount(task, ledger.balance_of(receiver), weights)
+    columns = (leased.ids.tolist(), leased.owners.tolist(), leased.value.tolist(), providers.tolist())
+    for task_id, receiver, value, provider in zip(*columns, strict=True):
+        # compute_settlement_amount's expression, on the same floats.
+        amount = (weights.gamma_n * value + weights.gamma_m * ledger.balance_of(receiver)) * weights.conversion_rate_r
         floored = amount < 0.0
         if floored:
             amount = 0.0
         records.append(
             SettlementRecord(
-                task_id=a.task_id,
+                task_id=task_id,
                 receiver_device=receiver,
                 provider_device=provider,
                 amount=amount,

@@ -14,6 +14,10 @@ from .metrics import SimReport, StepSample, AssignmentRecord, idle_capacity
 
 POLICIES = ("crl", "cloud")
 
+# The largest mean Generator.poisson accepts; above it numpy raises "lam value
+# too large".  numpy derives it from the C long range with this expression.
+POISSON_LAM_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
+
 
 @dataclass(frozen=True)
 class WorkloadConfig:
@@ -30,8 +34,10 @@ class WorkloadConfig:
 
     def __post_init__(self):
         check_config_numbers(self)
-        if self.task_arrival_rate < 0 or self.source_arrival_rate < 0:
-            raise ValueError("arrival rates must be >= 0")
+        for name in ("task_arrival_rate", "source_arrival_rate"):
+            rate = getattr(self, name)
+            if not 0 <= rate <= POISSON_LAM_MAX:
+                raise ValueError(f"{name} must be in [0, {POISSON_LAM_MAX!r}], got {rate}")
         if self.device_count < 1:
             raise ValueError("device_count must be >= 1")
         for f in fields(self):
@@ -272,36 +278,28 @@ def _step(state: SimState, config: SimConfig, policy_round) -> SimState:
 
 
 def _lease_round(state: SimState, config: SimConfig) -> tuple[int, int]:
-    ordered, _, result = full_round(state.pending, state.pool, state.ledger, config.weights)
-    task_rows = {task_id: row for row, task_id in enumerate(ordered.ids.tolist())}
-    leased = ordered.take(np.array([task_rows[a.task_id] for a in result.assignments], dtype=np.intp)).tasks()
-    rows = state.pool.rows([a.source_id for a in result.assignments])
-    chosen = [state.pool.node(row) for row in rows]
+    pool = state.pool
+    ordered, result = full_round(state.pending, pool, state.ledger, config.weights)
+    task_rows, rows = result.assignments.T
+    leased = ordered.take(task_rows)
+    busy = leased.cycles / pool.rate[rows]
 
-    records = apply_settlement(result, leased, chosen, state.ledger, config.weights, step=state.step)
+    records = apply_settlement(leased, pool.owners[rows], state.ledger, config.weights, step=state.step)
     state.settlement_records.extend(records)
+    # Columns in AssignmentRecord's field order, read before consume moves the idle times.
+    lease_columns = (leased.ids, pool.ids[rows], busy, leased.cycles, leased.deadline, pool.idle[rows], pool.rate[rows])
+    state.assignment_records.extend(
+        AssignmentRecord(state.step, *lease) for lease in zip(*(column.tolist() for column in lease_columns))
+    )
+    state.matched_tasks += len(leased)
+    pool.consume(rows, busy)
 
-    for a, task, src in zip(result.assignments, leased, chosen):
-        state.assignment_records.append(
-            AssignmentRecord(
-                step=state.step,
-                task_id=a.task_id,
-                source_id=a.source_id,
-                busy_seconds=a.busy_seconds,
-                task_cycles_required=task.cycles_required,
-                task_deadline_s=task.deadline_s,
-                source_idle_seconds=src.idle_seconds,
-                source_cycles_per_second=src.cycles_per_second,
-            )
-        )
-    state.matched_tasks += len(result.assignments)
-    state.pool.consume(rows, [a.busy_seconds for a in result.assignments])
-
-    unmatched = ordered.take(np.array([task_rows[tid] for tid in result.unmatched_task_ids], dtype=np.intp))
-    deferred, big = classify_unmatched(unmatched, config.weights, config.step_seconds)
+    left = np.ones(len(ordered), dtype=bool)
+    left[task_rows] = False
+    deferred, big = classify_unmatched(ordered.take(left), config.weights, config.step_seconds)
     _escalate(state, big)
     state.pending = deferred
-    return len(result.assignments), len(deferred)
+    return len(leased), len(deferred)
 
 
 def _cloud_round(state: SimState, config: SimConfig) -> tuple[int, int]:

@@ -8,16 +8,17 @@ import itertools
 import random
 import time
 
+import numpy as np
 import pytest
 
-from crlsim.model import Task, SourceNode, WeightsConfig, compute_matching_priority, compute_settlement_amount
-from crlsim.matching import full_round, Assignment, MatchResult
+from crlsim.model import Task, SourceNode, TaskQueue, WeightsConfig, compute_matching_priority, compute_settlement_amount
 from crlsim.settlement import PriorityLedger, apply_settlement
 from crlsim.simulator import SimConfig, WorkloadConfig, run
 from crlsim.cli import main
 from crlsim.metrics import load_report_csv
 
 from oracles import oracle_round
+from records import round_ids
 
 WEIGHTS = WeightsConfig()
 
@@ -29,10 +30,9 @@ def _report(criterion, ok, detail=""):
 
 
 def _check_instance(tasks, sources, balances):
-    _, _, result = full_round(tasks, sources, PriorityLedger(balances), WEIGHTS)
+    _, got, unmatched = round_ids(tasks, sources, PriorityLedger(balances), WEIGHTS)
     expected_assign, expected_unmatched = oracle_round(tasks, sources, balances, WEIGHTS)
-    got = {a.task_id: a.source_id for a in result.assignments}
-    return got == expected_assign and result.unmatched_task_ids == expected_unmatched
+    return got == expected_assign and unmatched == expected_unmatched
 
 
 def test_criterion_1_oracle_equivalence():
@@ -98,12 +98,10 @@ def test_criterion_2_priority_conservation():
                        cycles_per_second=rng.uniform(1, 50))
             for i in range(k)
         ]
-        batch = MatchResult(
-            assignments=[Assignment(task_id=i, source_id=i, busy_seconds=1.0) for i in range(k)],
-            unmatched_task_ids=[],
-        )
+        # task i leases source i
+        providers = np.array([s.owner_id for s in sources], dtype=np.int64)
         before = ledger.total()
-        apply_settlement(batch, tasks, sources, ledger, WEIGHTS)
+        apply_settlement(TaskQueue.of(tasks), providers, ledger, WEIGHTS)
         worst = max(worst, abs(ledger.total() - before))
         assert worst <= 1e-9
     elapsed = time.monotonic() - start

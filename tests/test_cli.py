@@ -194,6 +194,9 @@ def test_effective_config_round_trips(tmp_path):
     ("--step-seconds", "nan", "step_seconds", None),
     ("--conversion-rate", "inf", "conversion_rate_r", "weights"),
     ("--tau", "nan", "tau_s", "weights"),
+    # finite, but above the largest mean numpy's Poisson draw accepts
+    ("--task-rate", "1e300", "task_arrival_rate", "workload"),
+    ("--source-rate", "1e19", "source_arrival_rate", "workload"),
 ])
 def test_non_finite_value_rejected(tmp_path, capsys, flag, value, field, section):
     assert main(["run", "--steps", "2", flag, value, "--out", str(tmp_path)]) == 2

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from crlsim.model import Task, SourceNode, WeightsConfig, compute_matching_priority
+from crlsim.model import Task, SourceNode, SourcePool, TaskQueue, WeightsConfig, compute_matching_priority
 from crlsim.matching import (
     sort_tasks_by_priority,
     feasible,
@@ -15,6 +15,7 @@ from crlsim.matching import (
 from crlsim.settlement import PriorityLedger
 
 from oracles import oracle_round
+from records import lease_ids, round_ids
 
 W = WeightsConfig()
 
@@ -26,6 +27,14 @@ def task(tid, cycles=1.0, value=1.0, deadline=100.0, owner=0, deferred=0):
 
 def source(sid, cal=10.0, idle=100.0, owner=100):
     return SourceNode(source_id=sid, owner_id=owner, idle_seconds=idle, cycles_per_second=cal)
+
+
+def queue(*tasks):
+    return TaskQueue.of(tasks)
+
+
+def pool(*sources):
+    return SourcePool.of(sources)
 
 
 def random_instance(rng, max_n=5, max_m=5):
@@ -72,13 +81,13 @@ def tied_instance(rng, max_n=40, max_m=200):
 class TestSort:
     def test_descending(self):
         tasks = [task(0, value=1), task(1, value=3), task(2, value=2)]
-        out = sort_tasks_by_priority(tasks, PriorityLedger(), W)
-        assert [t.task_id for t in out] == [1, 2, 0]
+        out = sort_tasks_by_priority(TaskQueue.of(tasks), PriorityLedger(), W)
+        assert out.ids.tolist() == [1, 2, 0]
 
     def test_tie_break_ascending_id(self):
         tasks = [task(2), task(0), task(1)]
-        out = sort_tasks_by_priority(tasks, PriorityLedger(), W)
-        assert [t.task_id for t in out] == [0, 1, 2]
+        out = sort_tasks_by_priority(TaskQueue.of(tasks), PriorityLedger(), W)
+        assert out.ids.tolist() == [0, 1, 2]
 
     def test_against_selection_sort_oracle(self):
         rng = random.Random(42)
@@ -87,7 +96,7 @@ class TestSort:
             task(i, cycles=rng.uniform(1, 50), value=rng.uniform(0, 10), owner=rng.randint(0, 3))
             for i in range(100)
         ]
-        out = sort_tasks_by_priority(tasks, ledger, W)
+        out = sort_tasks_by_priority(TaskQueue.of(tasks), ledger, W).ids.tolist()
 
         # naive selection sort on (priority desc, id asc)
         remaining = list(tasks)
@@ -101,8 +110,8 @@ class TestSort:
                     best = t
             expected.append(best)
             remaining.remove(best)
-        assert [t.task_id for t in out] == [t.task_id for t in expected]
-        assert sorted(t.task_id for t in out) == sorted(t.task_id for t in tasks)
+        assert out == [t.task_id for t in expected]
+        assert sorted(out) == sorted(t.task_id for t in tasks)
 
     def test_raising_balance_never_demotes(self):
         rng = random.Random(5)
@@ -111,12 +120,12 @@ class TestSort:
             if not tasks:
                 continue
             target = rng.choice(tasks)
-            before = sort_tasks_by_priority(tasks, PriorityLedger(balances), W)
+            before = sort_tasks_by_priority(TaskQueue.of(tasks), PriorityLedger(balances), W)
             bumped = dict(balances)
             bumped[target.owner_id] = bumped.get(target.owner_id, 0.0) + rng.uniform(0, 5)
-            after = sort_tasks_by_priority(tasks, PriorityLedger(bumped), W)
-            ids_b = [t.task_id for t in before]
-            ids_a = [t.task_id for t in after]
+            after = sort_tasks_by_priority(TaskQueue.of(tasks), PriorityLedger(bumped), W)
+            ids_b = before.ids.tolist()
+            ids_a = after.ids.tolist()
             # all tasks sharing the bumped owner move together; check the target
             same_owner = {t.task_id for t in tasks if t.owner_id == target.owner_id}
             for tid in same_owner:
@@ -136,24 +145,24 @@ class TestFeasible:
 
 class TestPreferMatrix:
     def test_single_feasible_cell(self):
-        m = build_prefer_matrix([source(0, cal=50, idle=10)], [task(0, cycles=100, deadline=5)])
+        m = build_prefer_matrix(pool(source(0, cal=50, idle=10)), queue(task(0, cycles=100, deadline=5)))
         assert m.tolist() == [[0.5]]
         assert m.shape == (1, 1)
 
     def test_single_infeasible_cell(self):
-        m = build_prefer_matrix([source(0, cal=10, idle=1)], [task(0, cycles=100, deadline=100)])
+        m = build_prefer_matrix(pool(source(0, cal=10, idle=1)), queue(task(0, cycles=100, deadline=100)))
         assert m.tolist() == [[0.0]]
 
     def test_empty_inputs(self):
-        assert build_prefer_matrix([], []).shape == (0, 0)
-        assert build_prefer_matrix([], [task(0)]).shape == (0, 1)
-        assert build_prefer_matrix([source(0)], []).shape == (1, 0)
+        assert build_prefer_matrix(pool(), queue()).shape == (0, 0)
+        assert build_prefer_matrix(pool(), queue(task(0))).shape == (0, 1)
+        assert build_prefer_matrix(pool(source(0)), queue()).shape == (1, 0)
 
     def test_random_cells_match_per_cell_oracle(self):
         rng = random.Random(9)
         for _ in range(50):
             tasks, sources, _ = random_instance(rng, max_n=3, max_m=3)
-            m = build_prefer_matrix(sources, tasks)
+            m = build_prefer_matrix(pool(*sources), queue(*tasks))
             for j, s in enumerate(sources):
                 for i, t in enumerate(tasks):
                     ok = (t.cycles_required <= s.cycles_per_second * s.idle_seconds
@@ -175,7 +184,7 @@ class TestPreferMatrix:
                 cycles = rng.choice((rng.uniform(1, 2 * largest), largest))
                 deadline = cycles / fastest * rng.choice((0.5, 1.0, 1.0, 2.0, 50.0))
                 tasks.append(task(i, cycles=cycles, deadline=deadline))
-            m = build_prefer_matrix(sources, tasks)
+            m = build_prefer_matrix(pool(*sources), queue(*tasks))
             for j, s in enumerate(sources):
                 for i, t in enumerate(tasks):
                     expected = s.cycles_per_second / t.cycles_required if feasible(s, t) else 0.0
@@ -185,37 +194,39 @@ class TestPreferMatrix:
 class TestGreedyMatch:
     def test_documented_two_by_two(self):
         # prefer = [[0.5, 0.25], [1.0, 0.5]] over (s1, s2) x (t1, t2)
-        tasks = [task(1, cycles=100, value=2), task(2, cycles=200, value=1)]
-        sources = [source(1, cal=50), source(2, cal=100)]
+        tasks = queue(task(1, cycles=100, value=2), task(2, cycles=200, value=1))
+        sources = pool(source(1, cal=50), source(2, cal=100))
         m = build_prefer_matrix(sources, tasks)
         assert m.tolist() == [[0.5, 0.25], [1.0, 0.5]]
         result = greedy_match(m, sources, tasks)
-        assert [(a.task_id, a.source_id) for a in result.assignments] == [(1, 2), (2, 1)]
+        assert lease_ids(tasks, result, sources) == [(1, 2), (2, 1)]
+        assert result.assignments.tolist() == [[0, 1], [1, 0]]
         assert result.unmatched_task_ids == []
-        assert result.assignments[0].busy_seconds == pytest.approx(1.0)
-        assert result.assignments[1].busy_seconds == pytest.approx(4.0)
+        task_rows, rows = result.assignments.T
+        busy_seconds = (tasks.cycles[task_rows] / sources.rate[rows]).tolist()
+        assert busy_seconds == [pytest.approx(1.0), pytest.approx(4.0)]
 
     def test_all_zero_matrix(self):
-        tasks = [task(0, cycles=1000, deadline=0.1), task(1, cycles=1000, deadline=0.1)]
-        sources = [source(0, cal=1, idle=1)]
+        tasks = queue(task(0, cycles=1000, deadline=0.1), task(1, cycles=1000, deadline=0.1))
+        sources = pool(source(0, cal=1, idle=1))
         m = build_prefer_matrix(sources, tasks)
         result = greedy_match(m, sources, tasks)
-        assert result.assignments == []
+        assert result.assignments.shape == (0, 2)
         assert result.unmatched_task_ids == [0, 1]
 
     def test_tie_breaks_to_lowest_source_id(self):
-        tasks = [task(0, cycles=10)]
-        sources = [source(2, cal=5), source(0, cal=5), source(1, cal=5)]
+        tasks = queue(task(0, cycles=10))
+        sources = pool(source(2, cal=5), source(0, cal=5), source(1, cal=5))
         m = build_prefer_matrix(sources, tasks)
         result = greedy_match(m, sources, tasks)
-        assert result.assignments[0].source_id == 0
+        assert lease_ids(tasks, result, sources) == [(0, 0)]
 
     def test_no_source_double_booked(self):
         rng = random.Random(17)
         for _ in range(200):
             tasks, sources, balances = random_instance(rng)
-            ordered, matrix, result = full_round(tasks, sources, PriorityLedger(balances), W)
-            ids = [a.source_id for a in result.assignments]
+            _, leases, _ = round_ids(tasks, sources, PriorityLedger(balances), W)
+            ids = list(leases.values())
             assert len(ids) == len(set(ids))
 
     def test_assignments_feasible_pre_round(self):
@@ -224,9 +235,9 @@ class TestGreedyMatch:
             tasks, sources, balances = random_instance(rng)
             src = {s.source_id: s for s in sources}
             tsk = {t.task_id: t for t in tasks}
-            _, _, result = full_round(tasks, sources, PriorityLedger(balances), W)
-            for a in result.assignments:
-                assert feasible(src[a.source_id], tsk[a.task_id])
+            _, leases, _ = round_ids(tasks, sources, PriorityLedger(balances), W)
+            for task_id, source_id in leases.items():
+                assert feasible(src[source_id], tsk[task_id])
 
     def test_prefix_stability_when_dropping_lower_task(self):
         rng = random.Random(31)
@@ -235,22 +246,21 @@ class TestGreedyMatch:
             if len(tasks) < 2:
                 continue
             ledger = PriorityLedger(balances)
-            ordered, _, result = full_round(tasks, sources, ledger, W)
+            ordered, leases, _ = round_ids(tasks, sources, ledger, W)
             drop = ordered[-1]
-            kept = [t for t in tasks if t.task_id != drop.task_id]
-            _, _, result2 = full_round(kept, sources, ledger, W)
-            above = {a.task_id: a.source_id for a in result.assignments if a.task_id != drop.task_id}
-            above2 = {a.task_id: a.source_id for a in result2.assignments}
-            assert above == above2
+            kept = [t for t in tasks if t.task_id != drop]
+            _, leases2, _ = round_ids(kept, sources, ledger, W)
+            above = {task_id: source_id for task_id, source_id in leases.items() if task_id != drop}
+            assert above == leases2
 
     def test_full_round_equals_literal_oracle(self):
         rng = random.Random(99)
         for _ in range(300):
             tasks, sources, balances = random_instance(rng)
-            _, _, result = full_round(tasks, sources, PriorityLedger(balances), W)
+            _, leases, unmatched = round_ids(tasks, sources, PriorityLedger(balances), W)
             expected_assign, expected_unmatched = oracle_round(tasks, sources, balances, W)
-            assert {a.task_id: a.source_id for a in result.assignments} == expected_assign
-            assert result.unmatched_task_ids == expected_unmatched
+            assert leases == expected_assign
+            assert unmatched == expected_unmatched
 
     def test_full_round_equals_oracle_on_large_tied_instances(self):
         rng = random.Random(2024)
@@ -261,18 +271,23 @@ class TestGreedyMatch:
                 sources = []
             elif k % 10 == 1:
                 tasks = []
-            shuffled = rng.sample(sources, len(sources))
-            ordered, matrix, result = full_round(tasks, shuffled, PriorityLedger(balances), W)
+            shuffled = pool(*rng.sample(sources, len(sources)))
+            ordered, result = full_round(queue(*tasks), shuffled, PriorityLedger(balances), W)
             expected_assign, expected_unmatched = oracle_round(tasks, sources, balances, W)
-            assert {a.task_id: a.source_id for a in result.assignments} == expected_assign
+            assert dict(lease_ids(ordered, result, shuffled)) == expected_assign
             assert result.unmatched_task_ids == expected_unmatched
 
             src = {s.source_id: s for s in sources}
             tsk = {t.task_id: t for t in tasks}
-            for a in result.assignments:
-                assert a.busy_seconds == tsk[a.task_id].cycles_required / src[a.source_id].cycles_per_second
+            task_rows, rows = result.assignments.T
+            busy_seconds = (ordered.cycles[task_rows] / shuffled.rate[rows]).tolist()
+            for (task_id, source_id), busy in zip(lease_ids(ordered, result, shuffled), busy_seconds):
+                assert busy == tsk[task_id].cycles_required / src[source_id].cycles_per_second
             # greedy_match leaves the matrix as built
-            assert np.array_equal(matrix, build_prefer_matrix(sources, ordered))
+            matrix = build_prefer_matrix(shuffled, ordered)
+            again = greedy_match(matrix, shuffled, ordered)
+            assert np.array_equal(again.assignments, result.assignments)
+            assert np.array_equal(matrix, build_prefer_matrix(shuffled, ordered))
             for col in matrix.T:
                 best = col.max(initial=0.0)
                 tied_columns += best > 0 and np.count_nonzero(col == best) > 1
@@ -282,34 +297,34 @@ class TestGreedyMatch:
 class TestClassifyUnmatched:
     def test_threshold_escalates(self):
         w = WeightsConfig(max_rounds_w=3)
-        deferred, big = classify_unmatched([task(0, deferred=2)], w)
-        assert deferred == [] and [t.task_id for t in big] == [0]
-        assert big[0].rounds_deferred == 3
+        deferred, big = classify_unmatched(queue(task(0, deferred=2)), w)
+        assert len(deferred) == 0 and big.ids.tolist() == [0]
+        assert big.deferred[0] == 3
 
     def test_increments_and_defers(self):
         w = WeightsConfig(max_rounds_w=3)
-        deferred, big = classify_unmatched([task(0, deferred=0)], w)
-        assert big == [] and deferred[0].rounds_deferred == 1
+        deferred, big = classify_unmatched(queue(task(0, deferred=0)), w)
+        assert len(big) == 0 and deferred.deferred[0] == 1
 
     def test_expired_deadline_escalates(self):
         w = WeightsConfig(max_rounds_w=5)
-        deferred, big = classify_unmatched([task(0, deadline=1.0, deferred=0)], w, step_seconds=1.0)
-        assert deferred == [] and len(big) == 1
+        deferred, big = classify_unmatched(queue(task(0, deadline=1.0, deferred=0)), w, step_seconds=1.0)
+        assert len(deferred) == 0 and len(big) == 1
 
     def test_rejects_over_limit_entry(self):
         w = WeightsConfig(max_rounds_w=2)
         with pytest.raises(ValueError):
-            classify_unmatched([task(0, deferred=2)], w)
+            classify_unmatched(queue(task(0, deferred=2)), w)
 
     def test_mixed_batch_matches_per_element_rule(self):
         w = WeightsConfig(max_rounds_w=2)
         rng = random.Random(55)
         batch = [task(i, deadline=rng.uniform(0.5, 20), deferred=rng.randint(0, 1)) for i in range(5)]
-        deferred, big = classify_unmatched(batch, w, step_seconds=1.0)
+        deferred, big = classify_unmatched(queue(*batch), w, step_seconds=1.0)
         for t in batch:
-            d1, b1 = classify_unmatched([t], w, step_seconds=1.0)
-            if b1:
-                assert t.task_id in [x.task_id for x in big]
+            d1, b1 = classify_unmatched(queue(t), w, step_seconds=1.0)
+            if len(b1):
+                assert t.task_id in big.ids.tolist()
             else:
-                assert t.task_id in [x.task_id for x in deferred]
+                assert t.task_id in deferred.ids.tolist()
         assert len(deferred) + len(big) == len(batch)

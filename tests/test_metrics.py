@@ -24,10 +24,10 @@ def sample(step, policy="crl", idle=0.0, matched=0, deferred=0, migrated=0, mig_
 
 class TestIdleCapacity:
     def test_empty_pool(self):
-        assert idle_capacity([]) == 0.0
+        assert idle_capacity(SourcePool()) == 0.0
 
     def test_single_source(self):
-        pool = [SourceNode(source_id=0, owner_id=0, idle_seconds=5.0, cycles_per_second=10.0)]
+        pool = SourcePool.of([SourceNode(source_id=0, owner_id=0, idle_seconds=5.0, cycles_per_second=10.0)])
         assert idle_capacity(pool) == 50.0
 
     def test_matches_naive_fold(self):
@@ -43,7 +43,6 @@ class TestIdleCapacity:
         pool = SourcePool.of(nodes)
         # the reports pin every bit, so the fold order is part of the contract
         assert idle_capacity(pool) == total
-        assert idle_capacity(nodes) == total
         # pairwise summation gives a different last bit on this pool
         assert float(np.sum(pool.rate * pool.idle)) != total
 

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from crlsim.model import (
@@ -11,6 +12,8 @@ from crlsim.model import (
     compute_matching_priority,
     compute_settlement_amount,
 )
+
+from records import nodes_of, tasks_of
 
 
 def make_task(task_id=0, owner=0, deadline=10.0, cycles=1.0, value=1.0, **kw):
@@ -44,10 +47,6 @@ class TestSourceInvariants:
         with pytest.raises(ValueError):
             SourceNode(source_id=0, owner_id=0, idle_seconds=-1.0, cycles_per_second=1.0)
 
-    def test_capacity(self):
-        s = SourceNode(source_id=0, owner_id=0, idle_seconds=5.0, cycles_per_second=10.0)
-        assert s.capacity == 50.0
-
 
 def make_pool(*idle):
     return SourcePool.of(
@@ -62,9 +61,7 @@ class TestSourcePool:
                  for sid in (7, 2, 5)]
         pool = SourcePool.of(nodes)
         assert pool.ids.tolist() == [2, 5, 7]
-        assert [pool.node(j) for j in range(len(pool))] == sorted(nodes, key=lambda s: s.source_id)
-        assert type(pool.node(0).idle_seconds) is float and type(pool.node(0).owner_id) is int
-        assert SourcePool.of(pool) is pool
+        assert nodes_of(pool) == sorted(nodes, key=lambda s: s.source_id)
         assert len(SourcePool()) == 0 and len(SourcePool.of([])) == 0
 
     def test_age_drops_sources_left_with_no_time(self):
@@ -75,7 +72,7 @@ class TestSourcePool:
 
     def test_consume_drops_only_exhausted_chosen_rows(self):
         pool = make_pool(0.0, 4.0, 5.0, 6.0)
-        pool.consume(pool.rows([1, 3]), [4.0, 1.5])
+        pool.consume(np.array([1, 3]), np.array([4.0, 1.5]))
         # source 0 has no time but was not leased, so it stays until aging
         assert pool.ids.tolist() == [0, 2, 3]
         assert pool.idle.tolist() == [0.0, 5.0, 4.5]
@@ -83,7 +80,7 @@ class TestSourcePool:
 
     def test_extend_appends_in_id_order(self):
         pool = make_pool(1.0)
-        pool.extend([SourceNode(source_id=4, owner_id=0, idle_seconds=2.0, cycles_per_second=3.0)])
+        pool.extend(SourcePool.of([SourceNode(source_id=4, owner_id=0, idle_seconds=2.0, cycles_per_second=3.0)]))
         assert pool.ids.tolist() == [0, 4]
         assert pool.rate.tolist() == [2.0, 3.0]
 
@@ -94,11 +91,8 @@ class TestTaskQueue:
                            arrival_step=4, rounds_deferred=tid % 2) for tid in (7, 2, 5)]
         queue = TaskQueue.of(tasks)
         assert queue.ids.tolist() == [7, 2, 5]
-        assert queue.tasks() == tasks
-        assert [queue.task(i) for i in range(len(queue))] == tasks
-        assert type(queue.task(0).deadline_s) is float and type(queue.task(0).owner_id) is int
-        assert TaskQueue.of(queue) is queue
-        assert len(TaskQueue()) == 0 and len(TaskQueue.of([])) == 0 and TaskQueue().tasks() == []
+        assert tasks_of(queue) == tasks
+        assert len(TaskQueue()) == 0 and len(TaskQueue.of([])) == 0 and tasks_of(TaskQueue()) == []
 
     def test_take_by_mask_and_by_rows(self):
         queue = TaskQueue.of([make_task(task_id=tid) for tid in range(4)])
@@ -115,7 +109,7 @@ class TestTaskQueue:
 
     def test_extend_appends_after_current_rows(self):
         queue = TaskQueue.of([make_task(task_id=9)])
-        queue.extend([make_task(task_id=3, cycles=2.0)])
+        queue.extend(TaskQueue.of([make_task(task_id=3, cycles=2.0)]))
         assert queue.ids.tolist() == [9, 3]
         assert queue.cycles.tolist() == [1.0, 2.0]
 

@@ -6,6 +6,7 @@ import pytest
 from crlsim import simulator
 from crlsim.model import Task, SourceNode, SourcePool, TaskQueue, WeightsConfig
 from crlsim.simulator import (
+    POISSON_LAM_MAX,
     SimConfig,
     WorkloadConfig,
     SimState,
@@ -16,6 +17,7 @@ from crlsim.simulator import (
 )
 
 from oracles import oracle_arrivals
+from records import nodes_of, tasks_of
 
 QUIET = WorkloadConfig(task_arrival_rate=0.0, source_arrival_rate=0.0)
 
@@ -27,7 +29,7 @@ def make_state(config):
 def as_objects(arrivals):
     """The Task and SourceNode records that generate_arrivals' columns hold."""
     tasks, sources = arrivals
-    return tasks.tasks(), [sources.node(j) for j in range(len(sources))]
+    return tasks_of(tasks), nodes_of(sources)
 
 
 def as_rows(arrivals):
@@ -66,6 +68,17 @@ class TestWorkloadConfig:
     def test_rejects_nonpositive_cycles(self):
         with pytest.raises(ValueError):
             WorkloadConfig(cycles_range=(0.0, 10.0))
+
+    @pytest.mark.parametrize("field", ["task_arrival_rate", "source_arrival_rate"])
+    def test_rate_limit_is_numpys_poisson_limit(self, field):
+        rng = np.random.default_rng(0)
+        rng.poisson(POISSON_LAM_MAX)
+        WorkloadConfig(**{field: POISSON_LAM_MAX})
+        above = float(np.nextafter(POISSON_LAM_MAX, np.inf))
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(above)
+        with pytest.raises(ValueError, match=field):
+            WorkloadConfig(**{field: above})
 
 
 class TestSimConfig:
@@ -208,7 +221,8 @@ class TestStepCrl:
         assert state.ledger.balance_of(2) == pytest.approx(expected_b)
         assert state.ledger.balance_of(1) == pytest.approx(-expected_b)
         # 100 cycles at 10/s consumes 10 of the 49 idle seconds left after aging
-        assert state.pool.node(0).idle_seconds == pytest.approx(39.0)
+        assert state.pool.idle[0] == pytest.approx(39.0)
+        assert state.assignment_records[0].busy_seconds == 10.0
 
     def test_no_sources_w1_escalates_immediately(self):
         config = SimConfig(workload=QUIET, weights=WeightsConfig(max_rounds_w=1))
@@ -217,7 +231,7 @@ class TestStepCrl:
         step_crl(state, config)
         assert state.migrated_tasks == 1
         assert state.migrated_value_cum == pytest.approx(4.0)
-        assert state.pending.tasks() == []
+        assert len(state.pending) == 0
 
     def test_no_sources_w3_defers_twice_then_escalates(self):
         config = SimConfig(workload=QUIET, weights=WeightsConfig(max_rounds_w=3))
@@ -225,11 +239,11 @@ class TestStepCrl:
         state.pending = TaskQueue.of([Task(task_id=0, owner_id=1, deadline_s=50.0, cycles_required=100.0, value=4.0)])
         step_crl(state, config)
         assert state.migrated_tasks == 0 and len(state.pending) == 1
-        assert state.pending.task(0).rounds_deferred == 1
+        assert state.pending.deferred[0] == 1
         step_crl(state, config)
-        assert state.migrated_tasks == 0 and state.pending.task(0).rounds_deferred == 2
+        assert state.migrated_tasks == 0 and state.pending.deferred[0] == 2
         step_crl(state, config)
-        assert state.migrated_tasks == 1 and state.pending.tasks() == []
+        assert state.migrated_tasks == 1 and len(state.pending) == 0
 
     def test_expired_pending_task_escalates(self):
         config = SimConfig(workload=QUIET, weights=WeightsConfig(max_rounds_w=5))
@@ -284,6 +298,12 @@ class TestRun:
         cloud = run(SimConfig(steps=100, rng_seed=3, policy="cloud"))
         for sa, sb in zip(crl.samples, cloud.samples):
             assert sa.idle_capacity <= sb.idle_capacity + 1e-6
+
+    def test_lease_busy_seconds_are_cycles_over_rate(self):
+        report = run(SimConfig(steps=60, rng_seed=6))
+        assert report.assignment_records
+        for r in report.assignment_records:
+            assert r.busy_seconds == r.task_cycles_required / r.source_cycles_per_second
 
     def test_task_accounting_closed(self):
         for seed in range(5):
