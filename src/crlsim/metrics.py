@@ -4,24 +4,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 
 from .model import SourcePool
 from .settlement import SettlementRecord
-
-CSV_COLUMNS = [
-    "step",
-    "policy",
-    "idle_capacity",
-    "matched",
-    "deferred",
-    "migrated",
-    "migrated_value_cum",
-    "migrated_cycles_cum",
-]
-
 
 @dataclass(frozen=True)
 class StepSample:
@@ -33,6 +22,9 @@ class StepSample:
     migrated: int
     migrated_value_cum: float
     migrated_cycles_cum: float
+
+
+CSV_COLUMNS = [f.name for f in fields(StepSample)]
 
 
 @dataclass(frozen=True)
@@ -92,11 +84,6 @@ def idle_capacity(pool: SourcePool) -> float:
     return float(np.cumsum(pool.rate * pool.idle)[-1])
 
 
-def _render(value) -> str:
-    # repr() keeps floats round-trippable; ints stay ints
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def emit_report(report: SimReport, format: str, destination) -> None:
     """Write the report as CSV (per-step series only) or JSON (everything).
 
@@ -119,16 +106,17 @@ def _emit(report: SimReport, format: str, fh) -> None:
     if format == "csv":
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for s in report.samples:
-            writer.writerow([_render(getattr(s, col)) for col in CSV_COLUMNS])
+        # csv writes a float as its repr(), which round-trips, and any other value as its str().
+        writer.writerows(vars(s).values() for s in report.samples)
     else:
+        # Every record field is a scalar, so each record's own field dict serves as its JSON object.
         payload = {
             "policy": report.policy,
             "seed": report.seed,
-            "samples": [asdict(s) for s in report.samples],
+            "samples": [vars(s) for s in report.samples],
             "ledger": {str(k): v for k, v in sorted(report.ledger_snapshot.items())},
-            "settlement_records": [asdict(r) for r in report.settlement_records],
-            "assignment_records": [asdict(r) for r in report.assignment_records],
+            "settlement_records": [vars(r) for r in report.settlement_records],
+            "assignment_records": [vars(r) for r in report.assignment_records],
             "arrived_tasks": report.arrived_tasks,
             "matched_tasks": report.matched_tasks,
             "migrated_tasks": report.migrated_tasks,
@@ -140,25 +128,12 @@ def _emit(report: SimReport, format: str, fh) -> None:
 
 def load_report_csv(path) -> list[StepSample]:
     """Parse a CSV report back into step samples (round-trip inverse of emit)."""
-    samples = []
+    types = get_type_hints(StepSample)
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV columns in {path}: {reader.fieldnames}")
-        for row in reader:
-            samples.append(
-                StepSample(
-                    step=int(row["step"]),
-                    policy=row["policy"],
-                    idle_capacity=float(row["idle_capacity"]),
-                    matched=int(row["matched"]),
-                    deferred=int(row["deferred"]),
-                    migrated=int(row["migrated"]),
-                    migrated_value_cum=float(row["migrated_value_cum"]),
-                    migrated_cycles_cum=float(row["migrated_cycles_cum"]),
-                )
-            )
-    return samples
+        return [StepSample(**{name: parse(row[name]) for name, parse in types.items()}) for row in reader]
 
 
 def compare_reports(a: SimReport, b: SimReport) -> ComparisonSummary:
@@ -170,7 +145,11 @@ def compare_reports(a: SimReport, b: SimReport) -> ComparisonSummary:
     mig_delta = [sa.migrated_value_cum - sb.migrated_value_cum for sa, sb in zip(a.samples, b.samples)]
 
     def mean(xs):
-        return sum(xs) / len(xs) if xs else 0.0
+        # Left to right, as the builtin sum of CPython <= 3.11 adds; 3.12's compensates.
+        total = 0
+        for x in xs:
+            total += x
+        return total / len(xs) if xs else 0.0
 
     return ComparisonSummary(
         idle_capacity_delta=idle_delta,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -22,7 +22,6 @@ class Task:
     deadline_s: float
     cycles_required: float
     value: float
-    arrival_step: int = 0
     rounds_deferred: int = 0
 
     def __post_init__(self):
@@ -55,13 +54,50 @@ def _column(dtype):
     return field(default_factory=lambda: empty)
 
 
+class _Table:
+    """Parallel numpy columns, one per dataclass field of the subclass, one row per record.
+
+    The fields follow those of the record class in order, ``ids`` first, so
+    ``of`` fills column k from field k of each record.  Columns are replaced,
+    never written in place, so tables taken from or extended by one another
+    may share them.  They are reached by name, never through ``vars``, which
+    would turn off CPython's inline attribute values and slow every access.
+    """
+
+    @classmethod
+    def of(cls, records):
+        """A table of the dataclass ``records``, in the given order."""
+        rows = [astuple(r) for r in records]
+        return cls(*(np.array([row[k] for row in rows], dtype=getattr(cls(), name).dtype)
+                     for k, name in enumerate(cls.__dataclass_fields__)))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def take(self, rows):
+        """A new table of ``rows``, a row mask or row indices, in that order."""
+        return type(self)(*(getattr(self, name)[rows] for name in self.__dataclass_fields__))
+
+    def extend(self, new) -> None:
+        """Append the rows of ``new`` after the current rows."""
+        grow = len(self) > 0
+        for name in self.__dataclass_fields__:
+            column = getattr(new, name)
+            setattr(self, name, np.concatenate((getattr(self, name), column)) if grow else column)
+
+    def _keep(self, rows) -> None:
+        for name in self.__dataclass_fields__:
+            setattr(self, name, getattr(self, name)[rows])
+
+
 @dataclass(eq=False)  # the generated __eq__ would compare arrays elementwise and raise
-class SourcePool:
+class SourcePool(_Table):
     """The idle-source pool as four parallel columns in ascending source_id order.
 
     Row j is one source: ``ids[j]``, ``owners[j]``, ``idle[j]`` (seconds it
-    still offers) and ``rate[j]`` (cycles per second).  Because ids ascend,
-    the first maximum of any per-row quantity belongs to the lowest source_id.
+    still offers) and ``rate[j]`` (cycles per second).  Arrivals carry higher
+    ids, so ids ascend and the first maximum of any per-row quantity belongs
+    to the lowest source_id.
     """
 
     ids: np.ndarray = _column(np.int64)
@@ -72,23 +108,7 @@ class SourcePool:
     @classmethod
     def of(cls, sources) -> SourcePool:
         """A pool of the SourceNodes ``sources``, sorted by id."""
-        nodes = sorted(sources, key=lambda s: s.source_id)
-        return cls(
-            ids=np.array([s.source_id for s in nodes], dtype=np.int64),
-            owners=np.array([s.owner_id for s in nodes], dtype=np.int64),
-            idle=np.array([s.idle_seconds for s in nodes], dtype=np.float64),
-            rate=np.array([s.cycles_per_second for s in nodes], dtype=np.float64),
-        )
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def extend(self, new: SourcePool) -> None:
-        """Append the pool of newly arrived sources, whose ids exceed every pooled id."""
-        self.ids = np.concatenate((self.ids, new.ids))
-        self.owners = np.concatenate((self.owners, new.owners))
-        self.idle = np.concatenate((self.idle, new.idle))
-        self.rate = np.concatenate((self.rate, new.rate))
+        return super().of(sorted(sources, key=lambda s: s.source_id))
 
     def age(self, seconds: float) -> None:
         """Let ``seconds`` of idle time pass; sources left with none leave the pool."""
@@ -97,27 +117,24 @@ class SourcePool:
 
     def consume(self, rows: np.ndarray, busy_seconds: np.ndarray) -> None:
         """Subtract leased seconds from the row indices ``rows``; of those, drop the ones left with none."""
-        self.idle[rows] -= busy_seconds
-        spent = rows[self.idle[rows] <= 0]
+        idle = self.idle.copy()
+        idle[rows] -= busy_seconds
+        self.idle = idle
+        spent = rows[idle[rows] <= 0]
         if len(spent):
             keep = np.ones(len(self), dtype=bool)
             keep[spent] = False
             self._keep(keep)
 
-    def _keep(self, mask: np.ndarray) -> None:
-        self.ids, self.owners = self.ids[mask], self.owners[mask]
-        self.idle, self.rate = self.idle[mask], self.rate[mask]
-
 
 @dataclass(eq=False)  # as for SourcePool
-class TaskQueue:
-    """The pending tasks as seven parallel columns, one row per task, in queue order.
+class TaskQueue(_Table):
+    """The pending tasks as six parallel columns, one row per task, in queue order.
 
     The columns follow the fields of ``Task``: ``ids``, ``owners``,
-    ``deadline`` (seconds left), ``cycles``, ``value``, ``arrival`` (step) and
-    ``deferred`` (rounds already failed).  Row order matters: escalated tasks
-    add to the cumulative migration sums in that order.  Columns are replaced,
-    never written in place, so queues taken from one another may share them.
+    ``deadline`` (seconds left), ``cycles``, ``value`` and ``deferred``
+    (rounds already failed).  Row order matters: escalated tasks add to the
+    cumulative migration sums in that order.
     """
 
     ids: np.ndarray = _column(np.int64)
@@ -125,34 +142,7 @@ class TaskQueue:
     deadline: np.ndarray = _column(np.float64)
     cycles: np.ndarray = _column(np.float64)
     value: np.ndarray = _column(np.float64)
-    arrival: np.ndarray = _column(np.int64)
     deferred: np.ndarray = _column(np.int64)
-
-    @classmethod
-    def of(cls, tasks) -> TaskQueue:
-        """A queue of the Tasks ``tasks``, in the given order."""
-        tasks = list(tasks)
-        return cls(
-            ids=np.array([t.task_id for t in tasks], dtype=np.int64),
-            owners=np.array([t.owner_id for t in tasks], dtype=np.int64),
-            deadline=np.array([t.deadline_s for t in tasks], dtype=np.float64),
-            cycles=np.array([t.cycles_required for t in tasks], dtype=np.float64),
-            value=np.array([t.value for t in tasks], dtype=np.float64),
-            arrival=np.array([t.arrival_step for t in tasks], dtype=np.int64),
-            deferred=np.array([t.rounds_deferred for t in tasks], dtype=np.int64),
-        )
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def take(self, rows) -> TaskQueue:
-        """A new queue of ``rows``, a row mask or row indices, in that order."""
-        return TaskQueue(*(column[rows] for column in self._columns()))
-
-    def extend(self, new: TaskQueue) -> None:
-        """Append the rows of ``new`` after the current rows."""
-        columns = new._columns()
-        self._assign([np.concatenate(pair) for pair in zip(self._columns(), columns)] if len(self) else columns)
 
     def age(self, seconds: float) -> TaskQueue:
         """Let ``seconds`` pass; tasks whose deadline ran out leave the queue and are returned."""
@@ -161,15 +151,8 @@ class TaskQueue:
         if not expired.any():
             return TaskQueue()
         gone = self.take(expired)
-        self._assign(self.take(~expired)._columns())
+        self._keep(~expired)
         return gone
-
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        """The columns in the order of Task's fields."""
-        return self.ids, self.owners, self.deadline, self.cycles, self.value, self.arrival, self.deferred
-
-    def _assign(self, columns) -> None:
-        self.ids, self.owners, self.deadline, self.cycles, self.value, self.arrival, self.deferred = columns
 
 
 def check_config_numbers(config) -> None:

@@ -34,7 +34,6 @@ class PriorityLedger:
 
     def __init__(self, initial=None):
         self._balances: dict[int, float] = dict(initial) if initial else {}
-        self.batch_seq = 0
 
     def balance_of(self, device_id: int) -> float:
         return self._balances.get(device_id, 0.0)
@@ -48,7 +47,6 @@ class PriorityLedger:
     def _apply(self, deltas: dict[int, float]):
         for device_id, delta in deltas.items():
             self._balances[device_id] = self._balances.get(device_id, 0.0) + delta
-        self.batch_seq += 1
 
 
 def apply_settlement(

@@ -95,7 +95,6 @@ class SimState:
 def generate_arrivals(
     workload: WorkloadConfig,
     rng: np.random.Generator,
-    step: int,
     next_task_id: int = 0,
     next_source_id: int = 0,
 ) -> tuple[TaskQueue, SourcePool]:
@@ -111,7 +110,7 @@ def generate_arrivals(
     n_sources = int(rng.poisson(workload.source_arrival_rate))
     drawn = _replay_pcg64(workload, rng.bit_generator, n_tasks, n_sources)
     if drawn is None:
-        return _draw_objects(workload, rng, step, n_tasks, n_sources, next_task_id, next_source_id)
+        return _draw_objects(workload, rng, n_tasks, n_sources, next_task_id, next_source_id)
     task_owners, (deadline, cycles, value), source_owners, (idle, rate) = drawn
     tasks = TaskQueue(
         ids=np.arange(next_task_id, next_task_id + n_tasks, dtype=np.int64),
@@ -119,7 +118,6 @@ def generate_arrivals(
         deadline=deadline,
         cycles=cycles,
         value=value,
-        arrival=np.full(n_tasks, step, dtype=np.int64),
         deferred=np.zeros(n_tasks, dtype=np.int64),
     )
     sources = SourcePool(
@@ -131,7 +129,7 @@ def generate_arrivals(
     return tasks, sources
 
 
-def _draw_objects(workload, rng, step, n_tasks, n_sources, next_task_id, next_source_id):
+def _draw_objects(workload, rng, n_tasks, n_sources, next_task_id, next_source_id):
     """The arrival stream: one scalar draw per field, task by task, then source by source."""
     tasks = []
     for k in range(n_tasks):
@@ -142,7 +140,6 @@ def _draw_objects(workload, rng, step, n_tasks, n_sources, next_task_id, next_so
                 deadline_s=float(rng.uniform(*workload.deadline_range)),
                 cycles_required=float(rng.uniform(*workload.cycles_range)),
                 value=float(rng.uniform(*workload.value_range)),
-                arrival_step=step,
             )
         )
     sources = []
@@ -250,7 +247,7 @@ def _step(state: SimState, config: SimConfig, policy_round) -> SimState:
     migrated_before = state.migrated_tasks
 
     new_tasks, new_sources = generate_arrivals(
-        config.workload, state.rng, state.step, state.next_task_id, state.next_source_id
+        config.workload, state.rng, state.next_task_id, state.next_source_id
     )
     state.next_task_id += len(new_tasks)
     state.next_source_id += len(new_sources)

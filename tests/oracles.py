@@ -57,11 +57,11 @@ def oracle_round(tasks, sources, balances, weights):
     return assignments, unmatched
 
 
-def oracle_arrivals(workload, rng, step, next_task_id=0, next_source_id=0):
+def oracle_arrivals(workload, rng, next_task_id=0, next_source_id=0):
     """One step's arrivals drawn the literal way, one scalar call per field.
 
     Returns (task rows, source rows): per task (task_id, owner_id, deadline_s,
-    cycles_required, value, arrival_step, rounds_deferred), per source
+    cycles_required, value, rounds_deferred), per source
     (source_id, owner_id, idle_seconds, cycles_per_second).  Tuple items are
     evaluated left to right, which is the draw order.
     """
@@ -70,7 +70,7 @@ def oracle_arrivals(workload, rng, step, next_task_id=0, next_source_id=0):
     n = workload.device_count
     tasks = [
         (next_task_id + k, int(rng.integers(0, n)), float(rng.uniform(*workload.deadline_range)),
-         float(rng.uniform(*workload.cycles_range)), float(rng.uniform(*workload.value_range)), step, 0)
+         float(rng.uniform(*workload.cycles_range)), float(rng.uniform(*workload.value_range)), 0)
         for k in range(n_tasks)
     ]
     sources = [

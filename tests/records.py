@@ -8,16 +8,23 @@ from crlsim.matching import full_round
 from crlsim.model import SourceNode, SourcePool, Task, TaskQueue
 
 
+def rows_of(table):
+    """A TaskQueue's or SourcePool's rows as tuples, in row order.
+
+    The columns follow the fields of Task or SourceNode, so each tuple holds
+    one record's fields in order.
+    """
+    return list(zip(*(column.tolist() for column in vars(table).values())))
+
+
 def tasks_of(queue):
     """The queue's rows as Tasks, in row order."""
-    columns = (queue.ids, queue.owners, queue.deadline, queue.cycles, queue.value, queue.arrival, queue.deferred)
-    return [Task(*row) for row in zip(*(column.tolist() for column in columns))]
+    return [Task(*row) for row in rows_of(queue)]
 
 
 def nodes_of(pool):
     """The pool's rows as SourceNodes, in row order."""
-    columns = (pool.ids, pool.owners, pool.idle, pool.rate)
-    return [SourceNode(*row) for row in zip(*(column.tolist() for column in columns))]
+    return [SourceNode(*row) for row in rows_of(pool)]
 
 
 def lease_ids(ordered, result, pool):

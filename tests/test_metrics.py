@@ -1,10 +1,13 @@
+import json
 import random
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from crlsim.model import SourceNode, SourcePool
 from crlsim.metrics import (
+    AssignmentRecord,
     SimReport,
     StepSample,
     idle_capacity,
@@ -13,6 +16,7 @@ from crlsim.metrics import (
     compare_reports,
     CSV_COLUMNS,
 )
+from crlsim.settlement import SettlementRecord
 from crlsim.simulator import SimConfig, run
 
 
@@ -20,6 +24,47 @@ def sample(step, policy="crl", idle=0.0, matched=0, deferred=0, migrated=0, mig_
     return StepSample(step=step, policy=policy, idle_capacity=idle, matched=matched,
                       deferred=deferred, migrated=migrated,
                       migrated_value_cum=mig_v, migrated_cycles_cum=mig_c)
+
+
+BIG = 2**53 + 1  # the first int a float cannot hold
+
+
+def edge_reports():
+    """A report holding the values emission must carry exactly (signed zero,
+    the least subnormal, a near-overflow float, ints beyond float precision),
+    and one with an empty ledger and no records."""
+    extremes = SimReport(
+        policy="crl",
+        seed=BIG,
+        samples=[sample(0, idle=-0.0, matched=BIG, mig_v=5e-324, mig_c=1e308),
+                 sample(BIG, idle=1e308, deferred=2**64, migrated=BIG, mig_v=-0.0, mig_c=5e-324)],
+        ledger_snapshot={BIG: -0.0, 3: 5e-324, -1: 1e308},
+        settlement_records=[
+            SettlementRecord(task_id=BIG, receiver_device=1, provider_device=2, amount=0.0, step=BIG, floored=True),
+            SettlementRecord(task_id=0, receiver_device=2, provider_device=1, amount=5e-324, step=0),
+        ],
+        assignment_records=[AssignmentRecord(BIG, BIG, 2**64, 5e-324, 1e308, -0.0, 1e308, 5e-324)],
+        arrived_tasks=BIG,
+        matched_tasks=BIG - 1,
+        migrated_tasks=1,
+    )
+    return [extremes, SimReport(policy="cloud", seed=0, samples=[sample(0)])]
+
+
+def asdict_payload(report):
+    """The JSON payload built the reference way, deep-copying each record with ``asdict``."""
+    return {
+        "policy": report.policy,
+        "seed": report.seed,
+        "samples": [asdict(s) for s in report.samples],
+        "ledger": {str(k): v for k, v in sorted(report.ledger_snapshot.items())},
+        "settlement_records": [asdict(r) for r in report.settlement_records],
+        "assignment_records": [asdict(r) for r in report.assignment_records],
+        "arrived_tasks": report.arrived_tasks,
+        "matched_tasks": report.matched_tasks,
+        "migrated_tasks": report.migrated_tasks,
+        "pending_tasks": report.pending_tasks,
+    }
 
 
 class TestIdleCapacity:
@@ -61,10 +106,11 @@ class TestEmit:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_csv_round_trip_exact(self, tmp_path):
-        report = run(SimConfig(steps=30, rng_seed=21))
-        path = tmp_path / "r.csv"
-        emit_report(report, "csv", path)
-        assert load_report_csv(path) == report.samples
+        for report in [run(SimConfig(steps=30, rng_seed=21)), *edge_reports()]:
+            path = tmp_path / "r.csv"
+            emit_report(report, "csv", path)
+            # repr tells -0.0 from 0.0, which == does not
+            assert repr(load_report_csv(path)) == repr(report.samples)
 
     def test_emit_parse_emit_fixed_point(self, tmp_path):
         report = run(SimConfig(steps=15, rng_seed=8))
@@ -76,14 +122,16 @@ class TestEmit:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_json_contains_ledger_and_records(self, tmp_path):
-        import json
-        report = run(SimConfig(steps=20, rng_seed=9))
+        simulated = run(SimConfig(steps=20, rng_seed=9))
         path = tmp_path / "r.json"
-        emit_report(report, "json", path)
+        emit_report(simulated, "json", path)
         data = json.loads(path.read_text())
         assert data["policy"] == "crl"
         assert len(data["samples"]) == 20
         assert "ledger" in data and "settlement_records" in data
+        for report in [simulated, *edge_reports()]:
+            emit_report(report, "json", path)
+            assert path.read_text() == json.dumps(asdict_payload(report), indent=2) + "\n"
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -123,6 +171,11 @@ class TestCompare:
         assert s.mean_idle_capacity_b == 15.0
         assert s.frac_idle_capacity_a_le_b == 0.5
         assert s.frac_migrated_a_le_b == 1.0
+
+    def test_means_add_left_to_right(self):
+        # A compensated sum, as the builtin sum of CPython >= 3.12, would give 1/3.
+        a = SimReport(policy="crl", seed=0, samples=[sample(k, idle=x) for k, x in enumerate((1e16, 1.0, -1e16))])
+        assert compare_reports(a, a).mean_idle_capacity_a == 0.0
 
     def test_mismatched_lengths_rejected(self):
         a = SimReport(policy="crl", seed=0, samples=[sample(0)])

@@ -84,11 +84,20 @@ class TestSourcePool:
         assert pool.ids.tolist() == [0, 4]
         assert pool.rate.tolist() == [2.0, 3.0]
 
+    def test_consume_after_extend_leaves_the_arrivals_alone(self):
+        # An empty pool adopts the arrivals' columns, so consume must not write them in place.
+        new = make_pool(5.0)
+        pool = SourcePool()
+        pool.extend(new)
+        pool.consume(np.array([0]), np.array([1.0]))
+        assert pool.idle.tolist() == [4.0]
+        assert new.idle.tolist() == [5.0]
+
 
 class TestTaskQueue:
     def test_of_keeps_order_and_tasks_round_trip(self):
         tasks = [make_task(task_id=tid, owner=tid + 1, deadline=2.5 * tid, cycles=3.0, value=0.5,
-                           arrival_step=4, rounds_deferred=tid % 2) for tid in (7, 2, 5)]
+                           rounds_deferred=tid % 2) for tid in (7, 2, 5)]
         queue = TaskQueue.of(tasks)
         assert queue.ids.tolist() == [7, 2, 5]
         assert tasks_of(queue) == tasks

@@ -40,7 +40,6 @@ def test_empty_batch_is_identity():
     records = settle([], [], ledger)
     assert records == []
     assert ledger.snapshot() == {1: 4.0}
-    assert ledger.batch_seq == 1
 
 
 def test_fresh_ledger_defaults_to_zero():
@@ -53,7 +52,6 @@ def test_length_mismatch_rejected_atomically():
     with pytest.raises(ValueError):
         settle(tasks, [source(0, owner=2)], ledger)
     assert ledger.snapshot() == {1: 4.0}
-    assert ledger.batch_seq == 0
 
 
 def test_simultaneous_semantics_for_dual_role_device():
@@ -107,7 +105,7 @@ def test_replay_determinism():
         ledger = PriorityLedger()
         for tasks, sources in batches:
             settle(tasks, sources, ledger)
-        return ledger.snapshot(), ledger.batch_seq
+        return ledger.snapshot()
 
     first = play()
     assert play() == first

@@ -17,7 +17,7 @@ from crlsim.simulator import (
 )
 
 from oracles import oracle_arrivals
-from records import nodes_of, tasks_of
+from records import nodes_of, rows_of, tasks_of
 
 QUIET = WorkloadConfig(task_arrival_rate=0.0, source_arrival_rate=0.0)
 
@@ -35,11 +35,7 @@ def as_objects(arrivals):
 def as_rows(arrivals):
     """generate_arrivals' columns as the rows oracle_arrivals returns."""
     tasks, sources = arrivals
-    return (
-        list(zip(*(col.tolist() for col in (tasks.ids, tasks.owners, tasks.deadline, tasks.cycles,
-                                             tasks.value, tasks.arrival, tasks.deferred)))),
-        list(zip(*(col.tolist() for col in (sources.ids, sources.owners, sources.idle, sources.rate)))),
-    )
+    return rows_of(tasks), rows_of(sources)
 
 
 class FixedCounts:
@@ -94,20 +90,20 @@ class TestSimConfig:
 class TestGenerateArrivals:
     def test_zero_rates_yield_nothing(self):
         rng = np.random.default_rng(0)
-        for step in range(20):
-            tasks, sources = as_objects(generate_arrivals(QUIET, rng, step))
+        for _ in range(20):
+            tasks, sources = as_objects(generate_arrivals(QUIET, rng))
             assert tasks == [] and sources == []
 
     def test_fixed_seed_reproducible(self):
         wl = WorkloadConfig()
-        a = as_objects(generate_arrivals(wl, np.random.default_rng(42), 0))
-        b = as_objects(generate_arrivals(wl, np.random.default_rng(42), 0))
+        a = as_objects(generate_arrivals(wl, np.random.default_rng(42)))
+        b = as_objects(generate_arrivals(wl, np.random.default_rng(42)))
         assert a == b
 
     def test_sample_mean_matches_poisson_rate(self):
         wl = WorkloadConfig(task_arrival_rate=3.0, source_arrival_rate=0.0)
         rng = np.random.default_rng(7)
-        total = sum(len(generate_arrivals(wl, rng, s)[0]) for s in range(10_000))
+        total = sum(len(generate_arrivals(wl, rng)[0]) for _ in range(10_000))
         assert 2.9 <= total / 10_000 <= 3.1
 
     def test_monotone_identifiers(self):
@@ -115,8 +111,8 @@ class TestGenerateArrivals:
         rng = np.random.default_rng(1)
         next_t, next_s = 0, 0
         seen_t, seen_s = [], []
-        for step in range(10):
-            tasks, sources = as_objects(generate_arrivals(wl, rng, step, next_t, next_s))
+        for _ in range(10):
+            tasks, sources = as_objects(generate_arrivals(wl, rng, next_t, next_s))
             seen_t += [t.task_id for t in tasks]
             seen_s += [s.source_id for s in sources]
             next_t += len(tasks)
@@ -127,7 +123,7 @@ class TestGenerateArrivals:
     def test_fields_within_ranges(self):
         wl = WorkloadConfig()
         rng = np.random.default_rng(3)
-        tasks, sources = as_objects(generate_arrivals(wl, rng, 0))
+        tasks, sources = as_objects(generate_arrivals(wl, rng))
         for t in tasks:
             assert wl.cycles_range[0] <= t.cycles_required <= wl.cycles_range[1]
             assert wl.deadline_range[0] <= t.deadline_s <= wl.deadline_range[1]
@@ -159,9 +155,9 @@ class TestArrivalReplay:
         for seed in range(20):
             fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
             next_t, next_s = 0, 0
-            for step in range(200):
-                tasks, sources = as_rows(generate_arrivals(wl, fast, step, next_t, next_s))
-                assert (tasks, sources) == oracle_arrivals(wl, slow, step, next_t, next_s)
+            for _ in range(200):
+                tasks, sources = as_rows(generate_arrivals(wl, fast, next_t, next_s))
+                assert (tasks, sources) == oracle_arrivals(wl, slow, next_t, next_s)
                 assert fast.bit_generator.state == slow.bit_generator.state
                 next_t += len(tasks)
                 next_s += len(sources)
@@ -182,9 +178,9 @@ class TestArrivalReplay:
         wl = WorkloadConfig(device_count=30)
         fast = np.random.Generator(np.random.PCG64(1).advance(133644978))
         slow = np.random.Generator(np.random.PCG64(1).advance(133644978))
-        tasks, sources = generate_arrivals(wl, FixedCounts(fast, 1, 2), 0)
+        tasks, sources = generate_arrivals(wl, FixedCounts(fast, 1, 2))
         assert tasks.owners.tolist()[0] == 18
-        assert as_rows((tasks, sources)) == oracle_arrivals(wl, FixedCounts(slow, 1, 2), 0)
+        assert as_rows((tasks, sources)) == oracle_arrivals(wl, FixedCounts(slow, 1, 2))
         assert fast.bit_generator.state == slow.bit_generator.state
 
     @pytest.mark.parametrize("make_rng", [
@@ -194,15 +190,15 @@ class TestArrivalReplay:
     def test_other_bit_generators_get_scalar_draws(self, make_rng):
         wl = WorkloadConfig()
         fast, slow = make_rng(), make_rng()
-        for step in range(50):
-            assert as_rows(generate_arrivals(wl, fast, step)) == oracle_arrivals(wl, slow, step)
+        for _ in range(50):
+            assert as_rows(generate_arrivals(wl, fast)) == oracle_arrivals(wl, slow)
         assert fast.bit_generator.random_raw(4).tolist() == slow.bit_generator.random_raw(4).tolist()
 
     def test_device_count_beyond_32_bits_gets_scalar_draws(self):
         wl = WorkloadConfig(device_count=2**32 + 5)
         fast, slow = np.random.default_rng(4), np.random.default_rng(4)
-        for step in range(20):
-            assert as_rows(generate_arrivals(wl, fast, step)) == oracle_arrivals(wl, slow, step)
+        for _ in range(20):
+            assert as_rows(generate_arrivals(wl, fast)) == oracle_arrivals(wl, slow)
         assert fast.bit_generator.state == slow.bit_generator.state
 
 
