@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field, fields
+from itertools import chain
+from operator import attrgetter
 from typing import get_type_hints
 
 import numpy as np
@@ -84,56 +86,72 @@ def idle_capacity(pool: SourcePool) -> float:
     return float(np.cumsum(pool.rate * pool.idle)[-1])
 
 
+REPORT_SLICE = 256  # records per C-encoder call, which bounds the temporary token list
+
+
+def _write_records(fh, records: list) -> None:
+    """Write a non-empty record list as ``json.dump(..., indent=2)`` does one level deep: from a
+    template of the record type's fields, filled per ``REPORT_SLICE`` records by one C-encoder call."""
+    names = [f.name for f in fields(records[0])]
+    template = "\n    {\n" + ",\n".join(f"      {json.dumps(name)}: %s" for name in names) + "\n    }"
+    for start in range(0, len(records), REPORT_SLICE):
+        values = list(chain.from_iterable(map(attrgetter(*names), records[start : start + REPORT_SLICE])))
+        # Without indent, json takes its C encoder; no JSON token holds a raw newline, so "\n" splits them exactly.
+        tokens = json.dumps(values, separators=("\n", ": "))[1:-1].split("\n")
+        fh.write(("," if start else "[") + ",".join([template] * (len(values) // len(names))) % tuple(tokens))
+    fh.write("\n  ]")
+
+
 def emit_report(report: SimReport, format: str, destination) -> None:
     """Write the report as CSV (per-step series only) or JSON (everything).
 
-    ``destination`` is a path or an open text file.  Emission is
-    deterministic: the same report always produces byte-identical output.
+    ``destination`` is a path or an open text file.  Emission is deterministic.
+    The CSV has one row per step and ``StepSample``'s fields as columns; the
+    JSON is byte-identical to ``json.dump(..., indent=2)``, with its record
+    lists filled from per-type templates by ``_write_records``.
     """
     if format not in ("csv", "json"):
         raise ValueError(f"unknown report format: {format!r}")
-    if hasattr(destination, "write"):
-        _emit(report, format, destination)
-        return
-    try:
-        with open(destination, "w", newline="") as fh:
-            _emit(report, format, fh)
-    except OSError as exc:
-        raise OSError(f"cannot write report to {destination}: {exc}") from exc
-
-
-def _emit(report: SimReport, format: str, fh) -> None:
+    if not hasattr(destination, "write"):
+        try:
+            with open(destination, "w", newline="") as fh:
+                return emit_report(report, format, fh)
+        except OSError as exc:
+            raise OSError(f"cannot write report to {destination}: {exc}") from exc
     if format == "csv":
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(destination, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         # csv writes a float as its repr(), which round-trips, and any other value as its str().
         writer.writerows(vars(s).values() for s in report.samples)
-    else:
-        # Every record field is a scalar, so each record's own field dict serves as its JSON object.
-        payload = {
-            "policy": report.policy,
-            "seed": report.seed,
-            "samples": [vars(s) for s in report.samples],
-            "ledger": {str(k): v for k, v in sorted(report.ledger_snapshot.items())},
-            "settlement_records": [vars(r) for r in report.settlement_records],
-            "assignment_records": [vars(r) for r in report.assignment_records],
-            "arrived_tasks": report.arrived_tasks,
-            "matched_tasks": report.matched_tasks,
-            "migrated_tasks": report.migrated_tasks,
-            "pending_tasks": report.pending_tasks,
-        }
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        return
+    # The JSON object holds SimReport's fields in order; the ledger, keyed by sorted id strings, as "ledger".
+    separator = "{"
+    for f in fields(report):
+        key, value = f.name, getattr(report, f.name)
+        if key == "ledger_snapshot":
+            key, value = "ledger", {str(k): v for k, v in sorted(value.items())}
+        destination.write(f'{separator}\n  "{key}": ')
+        if isinstance(value, list) and value:
+            _write_records(destination, value)
+        else:  # a scalar, [] or the ledger, one level deep: its lines after the first gain an indent
+            destination.write(json.dumps(value, indent=2).replace("\n", "\n  "))
+        separator = ","
+    destination.write("\n}\n")
 
 
 def load_report_csv(path) -> list[StepSample]:
     """Parse a CSV report back into step samples (round-trip inverse of emit)."""
-    types = get_type_hints(StepSample)
+    parsers = get_type_hints(StepSample).values()
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_COLUMNS:
-            raise ValueError(f"unexpected CSV columns in {path}: {reader.fieldnames}")
-        return [StepSample(**{name: parse(row[name]) for name, parse in types.items()}) for row in reader]
+        reader = csv.reader(fh)
+        if (header := next(reader, None)) != CSV_COLUMNS:
+            raise ValueError(f"unexpected CSV columns in {path}: {header}")
+        samples = []
+        for row in filter(None, reader):
+            if len(row) != len(CSV_COLUMNS):
+                raise ValueError(f"{path} line {reader.line_num}: {len(row)} fields, the header has {len(CSV_COLUMNS)}")
+            samples.append(StepSample(*(parse(text) for parse, text in zip(parsers, row))))
+    return samples
 
 
 def compare_reports(a: SimReport, b: SimReport) -> ComparisonSummary:

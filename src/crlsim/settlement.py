@@ -41,9 +41,6 @@ class PriorityLedger:
     def snapshot(self) -> dict[int, float]:
         return dict(self._balances)
 
-    def total(self) -> float:
-        return sum(self._balances.values())
-
     def _apply(self, deltas: dict[int, float]):
         for device_id, delta in deltas.items():
             self._balances[device_id] = self._balances.get(device_id, 0.0) + delta

@@ -5,6 +5,7 @@ lines as they complete.
 """
 
 import itertools
+import math
 import random
 import time
 
@@ -100,9 +101,9 @@ def test_criterion_2_priority_conservation():
         ]
         # task i leases source i
         providers = np.array([s.owner_id for s in sources], dtype=np.int64)
-        before = ledger.total()
+        before = math.fsum(ledger.snapshot().values())
         apply_settlement(TaskQueue.of(tasks), providers, ledger, WEIGHTS)
-        worst = max(worst, abs(ledger.total() - before))
+        worst = max(worst, abs(math.fsum(ledger.snapshot().values()) - before))
         assert worst <= 1e-9
     elapsed = time.monotonic() - start
     _report(2, elapsed < 5.0, f"(max drift {worst:.2e}, {elapsed:.2f}s)")

@@ -1,5 +1,8 @@
+import io
 import json
+import math
 import random
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -15,6 +18,7 @@ from crlsim.metrics import (
     load_report_csv,
     compare_reports,
     CSV_COLUMNS,
+    REPORT_SLICE,
 )
 from crlsim.settlement import SettlementRecord
 from crlsim.simulator import SimConfig, run
@@ -49,6 +53,23 @@ def edge_reports():
         migrated_tasks=1,
     )
     return [extremes, SimReport(policy="cloud", seed=0, samples=[sample(0)])]
+
+
+def awkward_report(n):
+    """A report whose JSON text a template writer could get wrong: a policy string
+    holding a list separator, a newline, a quote and a format directive; NaN and
+    infinities; a bool in an int field; and an empty record list next to one of
+    ``n`` records."""
+    policy = 'a, b\n"%s'
+    return SimReport(
+        policy=policy,
+        seed=n,
+        samples=[sample(k, policy=policy, idle=math.nan, matched=True, mig_v=math.inf, mig_c=-math.inf)
+                 for k in range(n)],
+        ledger_snapshot={1: math.nan, 2: -math.inf},
+        assignment_records=[AssignmentRecord(k, k, False, 0.5, math.inf, 2.0, -math.inf, math.nan) for k in range(n)],
+        pending_tasks=True,
+    )
 
 
 def asdict_payload(report):
@@ -132,6 +153,24 @@ class TestEmit:
         for report in [simulated, *edge_reports()]:
             emit_report(report, "json", path)
             assert path.read_text() == json.dumps(asdict_payload(report), indent=2) + "\n"
+
+    # one record, exactly one slice, and two slices plus one
+    @pytest.mark.parametrize("n", [1, REPORT_SLICE, 2 * REPORT_SLICE + 1])
+    def test_json_equals_indented_dump(self, n, tmp_path):
+        report = awkward_report(n)
+        path = tmp_path / "r.json"
+        emit_report(report, "json", path)
+        buffer = io.StringIO()
+        emit_report(report, "json", buffer)
+        assert path.read_bytes() == buffer.getvalue().encode()
+        assert buffer.getvalue() == json.dumps(asdict_payload(report), indent=2) + "\n"
+
+    @pytest.mark.parametrize("row", ["1,crl,0.0,0,0,0,0.0,0.0,7", "1,crl,0.0,0,0,0,0.0"], ids=["long", "short"])
+    def test_csv_row_of_wrong_width_rejected(self, row, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\n0,crl,0.0,0,0,0,0.0,0.0\n" + row + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path} line 3: ")):
+            load_report_csv(path)
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
