@@ -151,10 +151,7 @@ def _run_and_write(config: SimConfig, name: str, out_dir: Path, fmt: str):
     return report, path
 
 
-def cmd_run(args) -> int:
-    config, name = _prepare(args)
-    args.out.mkdir(parents=True, exist_ok=True)
-    _write_effective_config(config, args.out)
+def cmd_run(args, config: SimConfig, name: str) -> int:
     report, path = _run_and_write(config, name, args.out, args.format)
     final = report.samples[-1]
     print(f"policy={config.policy} steps={config.steps} seed={config.rng_seed}")
@@ -164,10 +161,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    config, name = _prepare(args)
-    args.out.mkdir(parents=True, exist_ok=True)
-    _write_effective_config(config, args.out)
+def cmd_compare(args, config: SimConfig, name: str) -> int:
     reports = {}
     for policy in POLICIES:
         cfg = dataclasses.replace(config, policy=policy)
@@ -199,10 +193,7 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_sweep_w(args) -> int:
-    config, name = _prepare(args)
-    args.out.mkdir(parents=True, exist_ok=True)
-    _write_effective_config(config, args.out)
+def cmd_sweep_w(args, config: SimConfig, name: str) -> int:
     print(f"W sweep seed={config.rng_seed} steps={config.steps} values={args.w_values}")
     for w in args.w_values:
         cfg = dataclasses.replace(
@@ -223,7 +214,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handlers = {"run": cmd_run, "compare": cmd_compare, "sweep-w": cmd_sweep_w}
     try:
-        return handlers[args.command](args)
+        config, name = _prepare(args)
+        args.out.mkdir(parents=True, exist_ok=True)
+        _write_effective_config(config, args.out)
+        return handlers[args.command](args, config, name)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

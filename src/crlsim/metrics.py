@@ -6,16 +6,14 @@ import csv
 import json
 from dataclasses import dataclass, field, fields
 from itertools import chain
-from operator import attrgetter
-from typing import get_type_hints
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
 from .model import SourcePool
 from .settlement import SettlementRecord
 
-@dataclass(frozen=True)
-class StepSample:
+class StepSample(NamedTuple):
     step: int
     policy: str
     idle_capacity: float
@@ -26,11 +24,10 @@ class StepSample:
     migrated_cycles_cum: float
 
 
-CSV_COLUMNS = [f.name for f in fields(StepSample)]
+CSV_COLUMNS = list(StepSample._fields)
 
 
-@dataclass(frozen=True)
-class AssignmentRecord:
+class AssignmentRecord(NamedTuple):
     """One lease with the match-time snapshot needed to audit feasibility."""
 
     step: int
@@ -90,12 +87,13 @@ REPORT_SLICE = 256  # records per C-encoder call, which bounds the temporary tok
 
 
 def _write_records(fh, records: list) -> None:
-    """Write a non-empty record list as ``json.dump(..., indent=2)`` does one level deep: from a
-    template of the record type's fields, filled per ``REPORT_SLICE`` records by one C-encoder call."""
-    names = [f.name for f in fields(records[0])]
+    """Write a non-empty list of named-tuple rows as ``json.dump(..., indent=2)`` writes their
+    ``_asdict()`` one level deep: from a template of the row type's ``_fields``, filled per
+    ``REPORT_SLICE`` rows by one C-encoder call over the slice's flattened values."""
+    names = records[0]._fields
     template = "\n    {\n" + ",\n".join(f"      {json.dumps(name)}: %s" for name in names) + "\n    }"
     for start in range(0, len(records), REPORT_SLICE):
-        values = list(chain.from_iterable(map(attrgetter(*names), records[start : start + REPORT_SLICE])))
+        values = list(chain.from_iterable(records[start : start + REPORT_SLICE]))
         # Without indent, json takes its C encoder; no JSON token holds a raw newline, so "\n" splits them exactly.
         tokens = json.dumps(values, separators=("\n", ": "))[1:-1].split("\n")
         fh.write(("," if start else "[") + ",".join([template] * (len(values) // len(names))) % tuple(tokens))
@@ -107,8 +105,9 @@ def emit_report(report: SimReport, format: str, destination) -> None:
 
     ``destination`` is a path or an open text file.  Emission is deterministic.
     The CSV has one row per step and ``StepSample``'s fields as columns; the
-    JSON is byte-identical to ``json.dump(..., indent=2)``, with its record
-    lists filled from per-type templates by ``_write_records``.
+    JSON is byte-identical to ``json.dump(..., indent=2)`` of the report's
+    fields with each row as its ``_asdict()``, its row lists filled from
+    per-type templates by ``_write_records``.
     """
     if format not in ("csv", "json"):
         raise ValueError(f"unknown report format: {format!r}")
@@ -122,7 +121,7 @@ def emit_report(report: SimReport, format: str, destination) -> None:
         writer = csv.writer(destination, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         # csv writes a float as its repr(), which round-trips, and any other value as its str().
-        writer.writerows(vars(s).values() for s in report.samples)
+        writer.writerows(report.samples)
         return
     # The JSON object holds SimReport's fields in order; the ledger, keyed by sorted id strings, as "ledger".
     separator = "{"
@@ -150,7 +149,10 @@ def load_report_csv(path) -> list[StepSample]:
         for row in filter(None, reader):
             if len(row) != len(CSV_COLUMNS):
                 raise ValueError(f"{path} line {reader.line_num}: {len(row)} fields, the header has {len(CSV_COLUMNS)}")
-            samples.append(StepSample(*(parse(text) for parse, text in zip(parsers, row))))
+            try:
+                samples.append(StepSample(*(parse(text) for parse, text in zip(parsers, row))))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from exc
     return samples
 
 

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import TaskQueue, WeightsConfig
 
 
-@dataclass(frozen=True)
-class SettlementRecord:
+class SettlementRecord(NamedTuple):
     """One receiver-to-provider priority transfer for a matched task.
 
     ``floored`` marks transfers whose raw amount came out negative (possible
@@ -70,16 +69,7 @@ def apply_settlement(
         floored = amount < 0.0
         if floored:
             amount = 0.0
-        records.append(
-            SettlementRecord(
-                task_id=task_id,
-                receiver_device=receiver,
-                provider_device=provider,
-                amount=amount,
-                step=step,
-                floored=floored,
-            )
-        )
+        records.append(SettlementRecord(task_id, receiver, provider, amount, step, floored))
         deltas[receiver] = deltas.get(receiver, 0.0) - amount
         deltas[provider] = deltas.get(provider, 0.0) + amount
 

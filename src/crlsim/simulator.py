@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .model import Task, SourceNode, SourcePool, TaskQueue, WeightsConfig, check_config_numbers
+from .model import SourcePool, TaskQueue, WeightsConfig, check_config_numbers
 from .matching import full_round, classify_unmatched
 from .settlement import PriorityLedger, SettlementRecord, apply_settlement
 from .metrics import SimReport, StepSample, AssignmentRecord, idle_capacity
@@ -83,7 +83,6 @@ class SimState:
     samples: list[StepSample] = field(default_factory=list)
     settlement_records: list[SettlementRecord] = field(default_factory=list)
     assignment_records: list[AssignmentRecord] = field(default_factory=list)
-    next_task_id: int = 0
     next_source_id: int = 0
     arrived_tasks: int = 0
     matched_tasks: int = 0
@@ -102,57 +101,42 @@ def generate_arrivals(
 
     Identifiers continue from the supplied counters, so a fixed seed yields an
     identical arrival sequence regardless of how the arrivals get handled.
-    ``_draw_objects`` defines the random stream; on a PCG64 generator
+    ``_draw_scalars`` defines the random stream; on a PCG64 generator
     ``_replay_pcg64`` reproduces it bit for bit, generator state included,
-    from one block of raw words.
+    from one block of raw words.  Both return the same columns.
     """
     n_tasks = int(rng.poisson(workload.task_arrival_rate))
     n_sources = int(rng.poisson(workload.source_arrival_rate))
-    drawn = _replay_pcg64(workload, rng.bit_generator, n_tasks, n_sources)
-    if drawn is None:
-        return _draw_objects(workload, rng, n_tasks, n_sources, next_task_id, next_source_id)
-    task_owners, (deadline, cycles, value), source_owners, (idle, rate) = drawn
-    tasks = TaskQueue(
-        ids=np.arange(next_task_id, next_task_id + n_tasks, dtype=np.int64),
-        owners=task_owners,
-        deadline=deadline,
-        cycles=cycles,
-        value=value,
-        deferred=np.zeros(n_tasks, dtype=np.int64),
+    task_owners, task_rows, source_owners, source_rows = (
+        _replay_pcg64(workload, rng.bit_generator, n_tasks, n_sources)
+        or _draw_scalars(workload, rng, n_tasks, n_sources)
     )
-    sources = SourcePool(
-        ids=np.arange(next_source_id, next_source_id + n_sources, dtype=np.int64),
-        owners=source_owners,
-        idle=idle,
-        rate=rate,
-    )
+    # The rows are the float columns in table order, between the owners and deferred.
+    tasks = TaskQueue(np.arange(next_task_id, next_task_id + n_tasks, dtype=np.int64), task_owners,
+                      *task_rows, np.zeros(n_tasks, dtype=np.int64))
+    sources = SourcePool(np.arange(next_source_id, next_source_id + n_sources, dtype=np.int64), source_owners,
+                         *source_rows)
     return tasks, sources
 
 
-def _draw_objects(workload, rng, n_tasks, n_sources, next_task_id, next_source_id):
-    """The arrival stream: one scalar draw per field, task by task, then source by source."""
-    tasks = []
-    for k in range(n_tasks):
-        tasks.append(
-            Task(
-                task_id=next_task_id + k,
-                owner_id=int(rng.integers(0, workload.device_count)),
-                deadline_s=float(rng.uniform(*workload.deadline_range)),
-                cycles_required=float(rng.uniform(*workload.cycles_range)),
-                value=float(rng.uniform(*workload.value_range)),
-            )
-        )
-    sources = []
-    for k in range(n_sources):
-        sources.append(
-            SourceNode(
-                source_id=next_source_id + k,
-                owner_id=int(rng.integers(0, workload.device_count)),
-                idle_seconds=float(rng.uniform(*workload.idle_range)),
-                cycles_per_second=float(rng.uniform(*workload.rate_range)),
-            )
-        )
-    return TaskQueue.of(tasks), SourcePool.of(sources)
+def _draw_scalars(workload, rng, n_tasks, n_sources):
+    """The arrival stream: one scalar draw per field, task by task, then source by source.
+
+    Each object draws its owner, then one uniform per float field in column
+    order.  Returns ``_replay_pcg64``'s columns: the task owners and the
+    tasks' (deadline, cycles, value) rows, then the same for the sources'
+    (idle, rate).
+    """
+    drawn = []
+    for count, ranges in ((n_tasks, (workload.deadline_range, workload.cycles_range, workload.value_range)),
+                          (n_sources, (workload.idle_range, workload.rate_range))):
+        owners, rows = np.empty(count, dtype=np.int64), np.empty((len(ranges), count))
+        for k in range(count):
+            owners[k] = rng.integers(0, workload.device_count)
+            for row, bounds in zip(rows, ranges):
+                row[k] = rng.uniform(*bounds)
+        drawn += owners, rows
+    return drawn
 
 
 # Offsets back from the end of an object's block of words to its uniforms.
@@ -161,7 +145,7 @@ _SOURCE_UNIFORMS = np.array([[2], [1]])
 
 
 def _replay_pcg64(workload, bitgen, n_tasks, n_sources):
-    """The columns ``_draw_objects`` would draw, from raw PCG64 words; None if it cannot.
+    """The columns ``_draw_scalars`` would draw, from raw PCG64 words; None if it cannot.
 
     Returns the task owners, the tasks' (deadline, cycles, value) rows, the
     source owners and the sources' (idle, rate) rows, and leaves ``bitgen``
@@ -247,9 +231,8 @@ def _step(state: SimState, config: SimConfig, policy_round) -> SimState:
     migrated_before = state.migrated_tasks
 
     new_tasks, new_sources = generate_arrivals(
-        config.workload, state.rng, state.next_task_id, state.next_source_id
+        config.workload, state.rng, state.arrived_tasks, state.next_source_id
     )
-    state.next_task_id += len(new_tasks)
     state.next_source_id += len(new_sources)
     state.arrived_tasks += len(new_tasks)
 

@@ -3,8 +3,6 @@ import json
 import math
 import random
 import re
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 
@@ -73,14 +71,14 @@ def awkward_report(n):
 
 
 def asdict_payload(report):
-    """The JSON payload built the reference way, deep-copying each record with ``asdict``."""
+    """The JSON payload built the reference way, each row as its ``_asdict()``."""
     return {
         "policy": report.policy,
         "seed": report.seed,
-        "samples": [asdict(s) for s in report.samples],
+        "samples": [s._asdict() for s in report.samples],
         "ledger": {str(k): v for k, v in sorted(report.ledger_snapshot.items())},
-        "settlement_records": [asdict(r) for r in report.settlement_records],
-        "assignment_records": [asdict(r) for r in report.assignment_records],
+        "settlement_records": [r._asdict() for r in report.settlement_records],
+        "assignment_records": [r._asdict() for r in report.assignment_records],
         "arrived_tasks": report.arrived_tasks,
         "matched_tasks": report.matched_tasks,
         "migrated_tasks": report.migrated_tasks,
@@ -165,7 +163,10 @@ class TestEmit:
         assert path.read_bytes() == buffer.getvalue().encode()
         assert buffer.getvalue() == json.dumps(asdict_payload(report), indent=2) + "\n"
 
-    @pytest.mark.parametrize("row", ["1,crl,0.0,0,0,0,0.0,0.0,7", "1,crl,0.0,0,0,0,0.0"], ids=["long", "short"])
+    # The last two rows have the right width but a value that does not parse.
+    @pytest.mark.parametrize("row", ["1,crl,0.0,0,0,0,0.0,0.0,7", "1,crl,0.0,0,0,0,0.0",
+                                     "0,crl,x,0,0,0,0.0,0.0", "0,crl,0.0,1.5,0,0,0.0,0.0"],
+                             ids=["long", "short", "bad-float", "bad-int"])
     def test_csv_row_of_wrong_width_rejected(self, row, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text(",".join(CSV_COLUMNS) + "\n0,crl,0.0,0,0,0,0.0,0.0\n" + row + "\n")

@@ -150,8 +150,8 @@ class TestArrivalReplay:
     def test_equals_scalar_draws_and_state(self, shape, monkeypatch):
         wl, may_fall_back = REPLAY_SHAPES[shape]
         fallbacks = []
-        scalar = simulator._draw_objects
-        monkeypatch.setattr(simulator, "_draw_objects", lambda *a: fallbacks.append(a) or scalar(*a))
+        scalar = simulator._draw_scalars
+        monkeypatch.setattr(simulator, "_draw_scalars", lambda *a: fallbacks.append(a) or scalar(*a))
         for seed in range(20):
             fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
             next_t, next_s = 0, 0
@@ -193,6 +193,19 @@ class TestArrivalReplay:
         for _ in range(50):
             assert as_rows(generate_arrivals(wl, fast)) == oracle_arrivals(wl, slow)
         assert fast.bit_generator.random_raw(4).tolist() == slow.bit_generator.random_raw(4).tolist()
+
+    @pytest.mark.parametrize("n_tasks, n_sources", [(0, 3), (4, 0), (0, 0), (4, 3)])
+    def test_scalar_draws_give_the_replay_columns(self, n_tasks, n_sources):
+        rng = FixedCounts(np.random.Generator(np.random.Philox(5)), n_tasks, n_sources)
+        tasks, sources = generate_arrivals(WorkloadConfig(), rng, 10, 20)
+        for table, n, ints in ((tasks, n_tasks, ("ids", "owners", "deferred")), (sources, n_sources, ("ids", "owners"))):
+            for name in table.__dataclass_fields__:
+                column = getattr(table, name)
+                assert column.shape == (n,), name
+                assert column.dtype == (np.int64 if name in ints else np.float64), name
+        assert tasks.ids.tolist() == list(range(10, 10 + n_tasks))
+        assert sources.ids.tolist() == list(range(20, 20 + n_sources))
+        assert not tasks.deferred.any()
 
     def test_device_count_beyond_32_bits_gets_scalar_draws(self):
         wl = WorkloadConfig(device_count=2**32 + 5)
