@@ -1,5 +1,6 @@
-"""One matching round: priority sort, feasibility-gated preference matrix,
-greedy source assignment, and deferral / big-task classification."""
+"""One matching round: priority sort, a shortlist of the sources that can win,
+feasibility-gated preference matrix over it, greedy source assignment, and
+deferral / big-task classification."""
 
 from __future__ import annotations
 
@@ -54,19 +55,12 @@ def build_prefer_matrix(pool: SourcePool, queue: TaskQueue) -> np.ndarray:
     """
     # Built task-major, one contiguous row per task as greedy_match scans it,
     # and returned as the m x n transpose of that.
-    prefer = np.zeros((len(queue), len(pool)))
-    if not len(pool):
-        return prefer.T
-    capacity = pool.rate * pool.idle
-    # Rounded division is monotonic, so a task the fastest source cannot
-    # finish by its deadline misses it on every source; one that needs more
-    # than the largest capacity fits nowhere.  Their rows stay all zero.
-    live = (queue.cycles / pool.rate.max() <= queue.deadline) & (queue.cycles <= capacity.max())
-    cycles = queue.cycles[live, None]
-    ok = cycles / pool.rate <= queue.deadline[live, None]
-    ok &= cycles <= capacity
-    prefer[live] = np.divide(pool.rate, cycles, out=np.zeros(ok.shape), where=ok)
-    return prefer.T
+    cycles = queue.cycles[:, None]
+    ok = cycles / pool.rate <= queue.deadline[:, None]
+    ok &= cycles <= pool.rate * pool.idle
+    # A masked divide, not a multiply by the mask: an overflowing quotient
+    # times a zero mask would be NaN.
+    return np.divide(pool.rate, cycles, out=np.zeros(ok.shape), where=ok).T
 
 
 def greedy_match(matrix: np.ndarray, pool: SourcePool, queue: TaskQueue) -> MatchResult:
@@ -114,11 +108,65 @@ def classify_unmatched(queue: TaskQueue, weights: WeightsConfig, step_seconds: f
     return bumped.take(~big), bumped.take(big)
 
 
+def contending_sources(pool: SourcePool, ordered: TaskQueue) -> np.ndarray:
+    """The pool rows, ascending, of every source greedy matching may pick this round.
+
+    A task is live if the fastest source meets its deadline and the largest
+    capacity holds its cycles; rounded division is monotonic, so no source
+    can serve any other task.  With ``k`` live tasks, ``cmax`` their largest
+    cycles and ``r_k`` the k-th largest rate among the universal sources
+    (those with ``rate * idle >= cmax``), the rows kept are those with
+    ``rate >= r_k * (1 - 2**-40)``.
+
+    Nothing dropped could win.  Only live tasks lease, so at most ``k - 1``
+    leases precede any live task, and one of the ``k`` fastest universal
+    sources is still free when it comes up.  That source holds the task's
+    cycles, and it meets the task's deadline whenever a slower source does,
+    as ``fl(c / r)`` falls as ``r`` grows; so it is feasible wherever a
+    dropped source is.  Its rate exceeds a dropped one's by a relative gap
+    of more than 2**-40, and any gap above 2**-41 makes ``fl(r / c)``
+    strictly larger while the quotients are normal and finite: the dropped
+    source loses ``argmax`` on value, never on a tie.  The sources tied with the winner are all kept, in pool order, so
+    ``argmax`` picks the same first maximum.
+
+    All rows are kept when fewer than ``k`` sources are universal, when
+    ``r_k / cmax`` is below the smallest normal float (subnormal quotients
+    lose the gap) or when ``rate.max() / cycles.min()`` overflows (quotients
+    of ``inf`` tie).  No live task gives no rows.
+    """
+    if not len(pool):
+        return np.arange(0)
+    rate, cycles = pool.rate, ordered.cycles
+    capacity = rate * pool.idle
+    fastest = rate.max()
+    live = (cycles / fastest <= ordered.deadline) & (cycles <= capacity.max())
+    k = np.count_nonzero(live)
+    if not k:
+        return np.arange(0)
+    cmax = cycles[live].max()
+    universal = rate[capacity >= cmax]
+    if len(universal) < k or not np.isfinite(fastest / cycles.min()):
+        return np.arange(len(pool))
+    r_k = np.partition(universal, -k)[-k]
+    if r_k / cmax < np.finfo(float).tiny:
+        return np.arange(len(pool))
+    return np.flatnonzero(rate >= r_k * (1 - 2**-40))
+
+
 def full_round(queue: TaskQueue, pool: SourcePool, ledger: PriorityLedger, weights: WeightsConfig) -> tuple[TaskQueue, MatchResult]:
     """Sort the queue by priority and match it greedily to the pool.
 
+    The matrix and the match cover only the ``contending_sources`` of the
+    pool, which hold every source greedy matching over the whole pool would
+    pick, with the same ties, so the leases are those of
+    ``greedy_match(build_prefer_matrix(pool, ordered), pool, ordered)``.
+
     Returns the priority-ordered queue, whose rows the result's assignments
-    index, and the match result.
+    index, and the match result, whose assignments index the whole pool.
     """
     ordered = sort_tasks_by_priority(queue, ledger, weights)
-    return ordered, greedy_match(build_prefer_matrix(pool, ordered), pool, ordered)
+    rows = contending_sources(pool, ordered)
+    short = pool.take(rows)
+    result = greedy_match(build_prefer_matrix(short, ordered), short, ordered)
+    result.assignments[:, 1] = rows[result.assignments[:, 1]]  # a fresh array, from shortlist to pool rows
+    return ordered, result

@@ -108,6 +108,16 @@ def test_sweep_w_outputs_non_increasing_final_migration(tmp_path):
     assert all(a >= b - 1e-9 for a, b in zip(finals, finals[1:]))
 
 
+@pytest.mark.parametrize("w_values", ["0", "2,-1"])
+def test_sweep_w_rejects_w_below_one(tmp_path, capsys, w_values):
+    out = tmp_path / "sweep"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-w", "--w-values", w_values, "--steps", "5", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "every W must be >= 1" in capsys.readouterr().err
+    assert not out.exists()  # rejected before any run or report
+
+
 def test_json_format_output(tmp_path):
     out = tmp_path / "o"
     assert main(["run", "--steps", "5", "--seed", "2", "--format", "json", "--out", str(out)]) == 0

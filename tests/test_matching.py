@@ -8,6 +8,7 @@ from crlsim.matching import (
     sort_tasks_by_priority,
     feasible,
     build_prefer_matrix,
+    contending_sources,
     greedy_match,
     classify_unmatched,
     full_round,
@@ -58,11 +59,15 @@ def tied_instance(rng, max_n=40, max_m=200):
 
     Rates, cycles and values come from short lists, so equal preference values
     and equal priorities recur; about one source in ten has no idle time.
-    Source ids ascend with gaps.
+    About half the instances draw rates from a near-tie list: one rate and
+    its float neighbours, whose quotients by one cycles value may or may not
+    round equal.  Source ids ascend with gaps.
     """
     n = rng.randint(0, max_n)
     m = rng.randint(0, max_m)
-    rates = [rng.uniform(1, 50) for _ in range(4)]
+    base = rng.uniform(1, 50)
+    near_tie = [base, float(np.nextafter(base, 0)), float(np.nextafter(base, 100)), rng.uniform(1, 50)]
+    rates = rng.choice(([rng.uniform(1, 50) for _ in range(4)], near_tie))
     cycles = [rng.uniform(1, 100) for _ in range(4)]
     tasks = [
         task(i, cycles=rng.choice(cycles), value=rng.choice((1.0, 2.0, rng.uniform(0, 10))),
@@ -76,6 +81,16 @@ def tied_instance(rng, max_n=40, max_m=200):
     ]
     balances = {d: rng.choice((0.0, rng.uniform(-5, 5))) for d in range(4)}
     return tasks, sources, balances
+
+
+def shortlisted_leases(tasks, sources):
+    """full_round's leases, checked against the unshortlisted match."""
+    p = pool(*sources)
+    ordered, result = full_round(queue(*tasks), p, PriorityLedger(), W)
+    reference = greedy_match(build_prefer_matrix(p, ordered), p, ordered)
+    assert np.array_equal(result.assignments, reference.assignments)
+    assert result.unmatched_task_ids == reference.unmatched_task_ids
+    return lease_ids(ordered, result, p)
 
 
 class TestSort:
@@ -189,6 +204,7 @@ class TestPreferMatrix:
                 for i, t in enumerate(tasks):
                     expected = s.cycles_per_second / t.cycles_required if feasible(s, t) else 0.0
                     assert m[j, i] == expected
+            shortlisted_leases(tasks, sources)  # the shortlist's live test sits on the same edges
 
 
 class TestGreedyMatch:
@@ -292,6 +308,52 @@ class TestGreedyMatch:
                 best = col.max(initial=0.0)
                 tied_columns += best > 0 and np.count_nonzero(col == best) > 1
         assert tied_columns > 0
+
+
+class TestContendingSources:
+    def test_keeps_the_fastest_universal_sources(self):
+        sources = [source(0, cal=10), source(1, cal=30), source(2, cal=20), source(3, cal=30, idle=0.1)]
+        rows = contending_sources(pool(*sources), queue(task(0, cycles=10)))
+        assert rows.tolist() == [1, 3]
+        assert shortlisted_leases([task(0, cycles=10)], sources) == [(0, 1)]
+
+    def test_near_tie_goes_to_lowest_source_id(self):
+        # One ulp apart in rate, equal in quotient: a shortlist without its
+        # relative margin would drop source 0, the first maximum.
+        sources = [source(0, cal=float(np.nextafter(100.0, 0)), idle=100), source(1, cal=100.0, idle=100)]
+        t = task(0, cycles=42.63658650225366, deadline=100)
+        assert sources[0].cycles_per_second / t.cycles_required == sources[1].cycles_per_second / t.cycles_required
+        assert shortlisted_leases([t], sources) == [(0, 0)]
+
+    def test_overflowing_quotients_tie(self):
+        # Both quotients are inf, so source 0 is the first maximum.
+        with np.errstate(over="ignore"):
+            assert shortlisted_leases([task(0, cycles=1e-10)], [source(0, cal=1e299, idle=1), source(1, cal=1e300, idle=1)]) == [(0, 0)]
+
+    def test_subnormal_quotients_tie(self):
+        # 3 and 4 ulps over 3 cycles both round to one subnormal ulp.
+        ulp = float(np.nextafter(0.0, 1.0))
+        sources = [source(0, cal=3 * ulp, idle=float("inf")), source(1, cal=4 * ulp, idle=float("inf"))]
+        with np.errstate(over="ignore"):
+            assert shortlisted_leases([task(0, cycles=3.0, deadline=float("inf"))], sources) == [(0, 0)]
+
+    def test_fewer_universal_sources_than_live_tasks_keeps_all(self):
+        sources = [source(0, cal=10, idle=100), source(1, cal=50, idle=1), source(2, cal=20, idle=1)]
+        tasks = [task(0, cycles=500), task(1, cycles=10), task(2, cycles=5)]
+        assert contending_sources(pool(*sources), queue(*tasks)).tolist() == [0, 1, 2]
+        assert shortlisted_leases(tasks, sources) == [(2, 1), (1, 2), (0, 0)]
+
+    def test_no_live_task_keeps_none(self):
+        tasks = [task(0, cycles=1000, deadline=0.1), task(1, cycles=5000)]
+        sources = [source(0, cal=1, idle=1), source(1, cal=100, idle=10)]
+        assert contending_sources(pool(*sources), queue(*tasks)).tolist() == []
+        assert shortlisted_leases(tasks, sources) == []
+
+    def test_empty_pool_or_queue(self):
+        assert contending_sources(pool(), queue(task(0))).tolist() == []
+        assert contending_sources(pool(source(0)), queue()).tolist() == []
+        assert shortlisted_leases([task(0)], []) == []
+        assert shortlisted_leases([], [source(0)]) == []
 
 
 class TestClassifyUnmatched:
