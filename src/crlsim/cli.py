@@ -50,7 +50,10 @@ def load_scenario(path: Path) -> dict:
         raise ConfigError(f"config {path} must hold a JSON object")
     _check_keys(raw, SimConfig, str(path))
     for section, cls in SECTIONS.items():
-        _check_keys(raw.get(section, {}), cls, f"{path}:{section}")
+        values = raw.get(section, {})
+        if not isinstance(values, dict):
+            raise ConfigError(f"{path}:{section} must hold a JSON object, got {json.dumps(values)}")
+        _check_keys(values, cls, f"{path}:{section}")
     return raw
 
 

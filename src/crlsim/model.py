@@ -156,15 +156,18 @@ class TaskQueue(_Table):
 
 
 def check_config_numbers(config) -> None:
-    """Make each range field (a field whose default is a tuple) a tuple, and
-    require every float field and range bound of ``config`` to be finite."""
+    """Make each range field (a field whose default is a tuple) a tuple,
+    require every float field and range bound of ``config`` to be finite, and
+    every int field to hold an int or numpy integer, not a bool."""
     for f in fields(config):
         if isinstance(f.default, tuple):
             object.__setattr__(config, f.name, tuple(getattr(config, f.name)))
+        value = getattr(config, f.name)
         if isinstance(f.default, (float, tuple)):
-            value = getattr(config, f.name)
             if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
                 raise ValueError(f"{f.name} must be finite, got {value}")
+        elif isinstance(f.default, int) and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

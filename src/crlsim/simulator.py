@@ -4,6 +4,7 @@ plus the all-to-cloud baseline policy."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from itertools import accumulate
 
 import numpy as np
 
@@ -70,9 +71,128 @@ class SimConfig:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
 
 
+# Steps of arrivals replayed together from one pass over their raw words.
+ARRIVAL_CHUNK = 16
+# Offsets back from the end of an object's words to its uniforms.
+_TASK_UNIFORMS = np.array([[3], [2], [1]])
+_SOURCE_UNIFORMS = np.array([[2], [1]])
+
+
+class ArrivalStream:
+    """The arrival draws of one run, handed out step by step.
+
+    ``_draw_scalars`` defines the stream.  On a PCG64 generator with
+    ``device_count < 2**32``, ``_replay`` draws up to ``ARRIVAL_CHUNK`` steps
+    at once, bit for bit the same, and no block reaches past ``steps`` steps
+    (later blocks are one step).  When no drawn step is left to hand out the
+    generator is where the scalar draws would have left it; in between it is
+    ahead, so the stream must be its only user.  Other bit generators, and
+    owner ranges of ``2**32`` or more, take ``_draw_scalars`` every step.
+    """
+
+    def __init__(self, workload: WorkloadConfig, rng: np.random.Generator, steps: int = 1):
+        self.workload = workload
+        self.rng = rng
+        self.steps_left = steps
+        self.buffered = []  # drawn steps not yet handed out, the next one last
+
+    def draw(self):
+        """The next step's task owners, the tasks' (deadline, cycles, value)
+        rows, source owners and the sources' (idle, rate) rows."""
+        if not self.buffered:
+            bitgen = self.rng.bit_generator
+            if type(bitgen) is np.random.PCG64 and self.workload.device_count < 2**32:
+                self.buffered = self._replay(bitgen, min(ARRIVAL_CHUNK, max(self.steps_left, 1)))[::-1]
+            else:
+                self.buffered = [_draw_scalars(self.workload, self.rng, *self._counts())]
+            self.steps_left -= len(self.buffered)
+        return self.buffered.pop()
+
+    def _counts(self):
+        rng, workload = self.rng, self.workload
+        return int(rng.poisson(workload.task_arrival_rate)), int(rng.poisson(workload.source_arrival_rate))
+
+    def _replay(self, bitgen, count):
+        """Up to ``count`` steps from raw PCG64 words, as ``_draw_scalars`` would draw them.
+
+        It follows numpy's Generator: ``uniform(lo, hi)`` takes one 64-bit
+        word ``w`` and gives ``lo + (hi - lo) * ((w >> 11) * 2**-53)``, and
+        ``poisson`` takes whole words too.  ``integers(0, n)`` takes one
+        32-bit half: the cached high half of an earlier word if there is one,
+        else the low half of a fresh word whose high half it caches.  Only
+        ``integers`` reads or writes that cache; ``random_raw`` leaves it
+        alone.  So each step draws its two counts, then with ``random_raw``
+        exactly the words its scalar draws would take, the cache's parity
+        carried from step to step; the owners of the whole block take the
+        halves in one sequence; and the cache is written back once.  The half
+        ``x`` gives ``(x * n) >> 32``, unless Lemire's test ``(x * n) mod
+        2**32 < 2**32 mod n`` rejects it and draws again; ``n == 1`` draws
+        nothing.  On a rejection (probability below n / 2**32 per owner) the
+        block is drawn again up to that step, and that step by
+        ``_draw_scalars``; the block ends there.  ``WorkloadConfig`` keeps
+        every bound finite and every low >= 0, so every width ``hi - lo`` is
+        finite too.
+        """
+        workload, raw = self.workload, bitgen.random_raw
+        n = workload.device_count
+        saved = bitgen.state
+        # Object k of the block (each step's tasks, then its sources) takes
+        # taken[k] words: its owner's fresh word, if any, then one word per
+        # uniform.  Owners alternate between a fresh word and the half it
+        # cached, so with the cache set at the start objects 1, 3, ... take
+        # fresh words, else objects 0, 2, ...
+        cached = saved["has_uint32"] if n > 1 else 0
+        parity, counts, words = cached, [], []
+        for _ in range(count):
+            n_tasks, n_sources = self._counts()
+            fresh = (n_tasks + n_sources + 1 - parity) >> 1 if n > 1 else 0
+            words.append(raw(3 * n_tasks + 2 * n_sources + fresh))
+            parity ^= (n_tasks + n_sources) & 1
+            counts += n_tasks, n_sources
+        words = np.concatenate(words)
+        taken = np.repeat(np.tile((3, 2), count), counts)
+        is_task = taken == 3
+        if n > 1:
+            taken[cached::2] += 1
+        end = taken.cumsum()
+        unit = (words >> np.uint64(11)) * 2.0**-53
+        bounds = np.array([workload.deadline_range, workload.cycles_range, workload.value_range,
+                           workload.idle_range, workload.rate_range], dtype=np.float64)
+        lows, widths = bounds[:, :1], bounds[:, 1:] - bounds[:, :1]
+        task_cols = lows[:3] + widths[:3] * unit[end[is_task] - _TASK_UNIFORMS]
+        source_cols = lows[3:] + widths[3:] * unit[end[~is_task] - _SOURCE_UNIFORMS]
+        owners = np.zeros(len(taken), dtype=np.int64)
+        if n > 1:
+            # The 32-bit halves in the order next_uint32 hands them out: the
+            # cached one, then low and high half of each fresh word.
+            fresh = words[(end - taken)[cached::2]].astype("<u8", copy=False).view("<u4")
+            halves = np.concatenate((np.array([saved["uinteger"]], dtype=np.uint64), fresh))
+            scaled = halves[1 - cached:][:len(taken)] * np.uint64(n)
+            rejected = np.flatnonzero((scaled & np.uint64(0xFFFFFFFF)) < np.uint64((2**32 - n) % n))
+            if len(rejected):
+                # Replay the steps before the rejected one again, then draw that one.
+                step = int(np.searchsorted(np.cumsum(counts)[1::2], rejected[0], "right"))
+                bitgen.state = saved
+                steps = self._replay(bitgen, step) if step else []
+                return steps + [_draw_scalars(workload, self.rng, *self._counts())]
+            state = bitgen.state
+            state["has_uint32"], state["uinteger"] = parity, int(halves[-1])
+            bitgen.state = state
+            owners = (scaled >> np.uint64(32)).astype(np.int64)
+        task_owners, source_owners = owners[is_task], owners[~is_task]
+        steps, t, s = [], 0, 0
+        for t_end, s_end in zip(accumulate(counts[0::2]), accumulate(counts[1::2])):
+            steps.append((task_owners[t:t_end], task_cols[:, t:t_end], source_owners[s:s_end], source_cols[:, s:s_end]))
+            t, s = t_end, s_end
+        return steps
+
+
 @dataclass
 class SimState:
-    """Mutable state threaded through the per-step loop of a single run."""
+    """Mutable state threaded through the per-step loop of a single run.
+
+    ``arrivals`` draws from ``rng`` at most ``config.steps`` steps ahead.
+    """
 
     config: SimConfig
     rng: np.random.Generator
@@ -89,28 +209,24 @@ class SimState:
     migrated_tasks: int = 0
     migrated_value_cum: float = 0.0
     migrated_cycles_cum: float = 0.0
+    arrivals: ArrivalStream = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.arrivals = ArrivalStream(self.config.workload, self.rng, self.config.steps)
 
 
 def generate_arrivals(
-    workload: WorkloadConfig,
-    rng: np.random.Generator,
+    stream: ArrivalStream,
     next_task_id: int = 0,
     next_source_id: int = 0,
 ) -> tuple[TaskQueue, SourcePool]:
-    """Draw one step's Poisson task and source arrivals.
+    """The next step of ``stream``: its Poisson task and source arrivals.
 
     Identifiers continue from the supplied counters, so a fixed seed yields an
     identical arrival sequence regardless of how the arrivals get handled.
-    ``_draw_scalars`` defines the random stream; on a PCG64 generator
-    ``_replay_pcg64`` reproduces it bit for bit, generator state included,
-    from one block of raw words.  Both return the same columns.
     """
-    n_tasks = int(rng.poisson(workload.task_arrival_rate))
-    n_sources = int(rng.poisson(workload.source_arrival_rate))
-    task_owners, task_rows, source_owners, source_rows = (
-        _replay_pcg64(workload, rng.bit_generator, n_tasks, n_sources)
-        or _draw_scalars(workload, rng, n_tasks, n_sources)
-    )
+    task_owners, task_rows, source_owners, source_rows = stream.draw()
+    n_tasks, n_sources = len(task_owners), len(source_owners)
     # The rows are the float columns in table order, between the owners and deferred.
     tasks = TaskQueue(np.arange(next_task_id, next_task_id + n_tasks, dtype=np.int64), task_owners,
                       *task_rows, np.zeros(n_tasks, dtype=np.int64))
@@ -123,9 +239,7 @@ def _draw_scalars(workload, rng, n_tasks, n_sources):
     """The arrival stream: one scalar draw per field, task by task, then source by source.
 
     Each object draws its owner, then one uniform per float field in column
-    order.  Returns ``_replay_pcg64``'s columns: the task owners and the
-    tasks' (deadline, cycles, value) rows, then the same for the sources'
-    (idle, rate).
+    order.  Returns the columns of one step of ``ArrivalStream.draw``.
     """
     drawn = []
     for count, ranges in ((n_tasks, (workload.deadline_range, workload.cycles_range, workload.value_range)),
@@ -137,70 +251,6 @@ def _draw_scalars(workload, rng, n_tasks, n_sources):
                 row[k] = rng.uniform(*bounds)
         drawn += owners, rows
     return drawn
-
-
-# Offsets back from the end of an object's block of words to its uniforms.
-_TASK_UNIFORMS = np.array([[3], [2], [1]])
-_SOURCE_UNIFORMS = np.array([[2], [1]])
-
-
-def _replay_pcg64(workload, bitgen, n_tasks, n_sources):
-    """The columns ``_draw_scalars`` would draw, from raw PCG64 words; None if it cannot.
-
-    Returns the task owners, the tasks' (deadline, cycles, value) rows, the
-    source owners and the sources' (idle, rate) rows, and leaves ``bitgen``
-    in the state the scalar draws would have left it in.  It follows numpy's
-    Generator: ``uniform(lo, hi)`` takes one 64-bit word ``w`` and gives ``lo
-    + (hi - lo) * ((w >> 11) * 2**-53)``.  ``integers(0, n)`` takes one 32-bit
-    half: the cached high half of an earlier word if there is one, else the
-    low half of a fresh word whose high half it caches; ``uniform`` leaves
-    that cache alone.  The half ``x`` gives ``(x * n) >> 32``, unless Lemire's
-    test ``(x * n) mod 2**32 < 2**32 mod n`` rejects it and draws again;
-    ``n == 1`` draws nothing.  A rejection (probability below n / 2**32 per
-    draw), another bit generator or ``n >= 2**32`` gives None, with the state
-    as it was.  ``WorkloadConfig`` keeps every bound finite and every low >=
-    0, so every width ``hi - lo`` is finite too.
-    """
-    n = workload.device_count
-    if type(bitgen) is not np.random.PCG64 or n >= 2**32:
-        return None
-    bounds = np.array([workload.deadline_range, workload.cycles_range, workload.value_range,
-                       workload.idle_range, workload.rate_range], dtype=np.float64)
-    lows, widths = bounds[:, :1], bounds[:, 1:] - bounds[:, :1]
-    saved = bitgen.state
-    n_objects = n_tasks + n_sources
-    draws_ints = n > 1 and n_objects > 0
-    cached = saved["has_uint32"] if draws_ints else 0
-
-    # Object k (tasks first) takes a block of words: its int's fresh word, if
-    # any, then one word per uniform.  Ints alternate between a fresh word and
-    # the half it cached, so objects cached, cached + 2, ... take fresh words.
-    block = np.repeat((3, 2), (n_tasks, n_sources))
-    if draws_ints:
-        block[cached::2] += 1
-    end = block.cumsum()
-    words = bitgen.random_raw(int(end[-1]) if n_objects else 0)
-    unit = (words >> np.uint64(11)) * 2.0**-53
-    task_cols = lows[:3] + widths[:3] * unit[end[:n_tasks] - _TASK_UNIFORMS]
-    source_cols = lows[3:] + widths[3:] * unit[end[n_tasks:] - _SOURCE_UNIFORMS]
-    if not draws_ints:
-        owners = np.zeros(n_objects, dtype=np.int64)
-        return owners[:n_tasks], task_cols, owners[n_tasks:], source_cols
-
-    # The 32-bit halves in the order next_uint32 hands them out: the cached
-    # one, then low and high half of each fresh word.
-    fresh = words[(end - block)[cached::2]].astype("<u8", copy=False).view("<u4")
-    halves = np.concatenate(([saved["uinteger"]], fresh)) if cached else fresh
-    scaled = halves[:n_objects].astype(np.uint64) * np.uint64(n)
-    if ((scaled & np.uint64(0xFFFFFFFF)) < np.uint64((2**32 - n) % n)).any():
-        bitgen.state = saved
-        return None
-    state = bitgen.state
-    state["has_uint32"] = len(halves) - n_objects
-    state["uinteger"] = int(halves[-1])
-    bitgen.state = state
-    owners = (scaled >> np.uint64(32)).astype(np.int64)
-    return owners[:n_tasks], task_cols, owners[n_tasks:], source_cols
 
 
 def _age_state(state: SimState) -> TaskQueue:
@@ -230,9 +280,7 @@ def _step(state: SimState, config: SimConfig, policy_round) -> SimState:
     """
     migrated_before = state.migrated_tasks
 
-    new_tasks, new_sources = generate_arrivals(
-        config.workload, state.rng, state.arrived_tasks, state.next_source_id
-    )
+    new_tasks, new_sources = generate_arrivals(state.arrivals, state.arrived_tasks, state.next_source_id)
     state.next_source_id += len(new_sources)
     state.arrived_tasks += len(new_tasks)
 

@@ -215,3 +215,28 @@ def test_non_finite_value_rejected(tmp_path, capsys, flag, value, field, section
     cls = {None: SimConfig, "weights": WeightsConfig, "workload": WorkloadConfig}[section]
     with pytest.raises(ValueError, match=field):
         cls(**{field: parsed})
+
+
+@pytest.mark.parametrize("body", [{"weights": 5}, {"weights": [1]}, {"workload": "fast"}])
+def test_section_that_is_not_an_object_rejected(tmp_path, capsys, body):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(body))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    section = next(iter(body))
+    assert f"{section} must hold a JSON object" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match=section):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("body, field", [
+    ({"workload": {"device_count": 2.5}}, "device_count"),
+    ({"steps": True}, "steps"),
+    ({"rng_seed": 1.0}, "rng_seed"),
+    ({"weights": {"max_rounds_w": "3"}}, "max_rounds_w"),
+])
+def test_non_int_value_rejected(tmp_path, capsys, body, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(body))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert f"{field} must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

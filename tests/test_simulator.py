@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import json
 
 import numpy as np
 import pytest
@@ -6,7 +8,9 @@ import pytest
 from crlsim import simulator
 from crlsim.model import Task, SourceNode, SourcePool, TaskQueue, WeightsConfig
 from crlsim.simulator import (
+    ARRIVAL_CHUNK,
     POISSON_LAM_MAX,
+    ArrivalStream,
     SimConfig,
     WorkloadConfig,
     SimState,
@@ -39,11 +43,12 @@ def as_rows(arrivals):
 
 
 class FixedCounts:
-    """A Generator whose Poisson draws return fixed counts and take no words."""
+    """A Generator whose Poisson draws return fixed counts in turn, over and
+    over, and take no words."""
 
     def __init__(self, generator, *counts):
         self.generator = generator
-        self.counts = iter(counts)
+        self.counts = itertools.cycle(counts)
 
     def poisson(self, lam):
         return next(self.counts)
@@ -86,33 +91,42 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(policy="edge")
 
+    def test_int_fields_take_ints_only(self):
+        config = SimConfig(steps=np.int32(3), rng_seed=np.uint64(7), workload=WorkloadConfig(device_count=np.int64(5)))
+        assert (config.steps, config.rng_seed, config.workload.device_count) == (3, 7, 5)
+        for make, value in ((lambda v: SimConfig(steps=v), True), (lambda v: SimConfig(rng_seed=v), 1.0),
+                            (lambda v: WorkloadConfig(device_count=v), 2.5),
+                            (lambda v: WeightsConfig(max_rounds_w=v), np.float64(3))):
+            with pytest.raises(ValueError, match="must be an integer"):
+                make(value)
+
 
 class TestGenerateArrivals:
     def test_zero_rates_yield_nothing(self):
-        rng = np.random.default_rng(0)
+        stream = ArrivalStream(QUIET, np.random.default_rng(0), 20)
         for _ in range(20):
-            tasks, sources = as_objects(generate_arrivals(QUIET, rng))
+            tasks, sources = as_objects(generate_arrivals(stream))
             assert tasks == [] and sources == []
 
     def test_fixed_seed_reproducible(self):
         wl = WorkloadConfig()
-        a = as_objects(generate_arrivals(wl, np.random.default_rng(42)))
-        b = as_objects(generate_arrivals(wl, np.random.default_rng(42)))
+        a = as_objects(generate_arrivals(ArrivalStream(wl, np.random.default_rng(42))))
+        b = as_objects(generate_arrivals(ArrivalStream(wl, np.random.default_rng(42))))
         assert a == b
 
     def test_sample_mean_matches_poisson_rate(self):
         wl = WorkloadConfig(task_arrival_rate=3.0, source_arrival_rate=0.0)
-        rng = np.random.default_rng(7)
-        total = sum(len(generate_arrivals(wl, rng)[0]) for _ in range(10_000))
+        stream = ArrivalStream(wl, np.random.default_rng(7), 10_000)
+        total = sum(len(generate_arrivals(stream)[0]) for _ in range(10_000))
         assert 2.9 <= total / 10_000 <= 3.1
 
     def test_monotone_identifiers(self):
         wl = WorkloadConfig()
-        rng = np.random.default_rng(1)
+        stream = ArrivalStream(wl, np.random.default_rng(1), 10)
         next_t, next_s = 0, 0
         seen_t, seen_s = [], []
         for _ in range(10):
-            tasks, sources = as_objects(generate_arrivals(wl, rng, next_t, next_s))
+            tasks, sources = as_objects(generate_arrivals(stream, next_t, next_s))
             seen_t += [t.task_id for t in tasks]
             seen_s += [s.source_id for s in sources]
             next_t += len(tasks)
@@ -122,8 +136,7 @@ class TestGenerateArrivals:
 
     def test_fields_within_ranges(self):
         wl = WorkloadConfig()
-        rng = np.random.default_rng(3)
-        tasks, sources = as_objects(generate_arrivals(wl, rng))
+        tasks, sources = as_objects(generate_arrivals(ArrivalStream(wl, np.random.default_rng(3))))
         for t in tasks:
             assert wl.cycles_range[0] <= t.cycles_required <= wl.cycles_range[1]
             assert wl.deadline_range[0] <= t.deadline_s <= wl.deadline_range[1]
@@ -145,59 +158,137 @@ REPLAY_SHAPES = {
 }
 
 
+def state_of(rng):
+    """The bit generator's state with its arrays as lists, so that states compare."""
+    return json.loads(json.dumps(rng.bit_generator.state, default=lambda value: value.tolist()))
+
+
+def check_stream(wl, fast, slow, steps):
+    """Draw ``steps`` steps of ``ArrivalStream(wl, fast, steps)`` and compare
+    each with the scalar oracle's on ``slow``, and the generator states at
+    every block end, where the stream has no drawn step left to hand out.
+
+    Returns each step's rows and the indices of the steps that end a block.
+    """
+    stream = ArrivalStream(wl, fast, steps)
+    next_t, next_s, rows, ends = 0, 0, [], []
+    for step in range(steps):
+        tasks, sources = as_rows(generate_arrivals(stream, next_t, next_s))
+        assert (tasks, sources) == oracle_arrivals(wl, slow, next_t, next_s)
+        if not stream.buffered:
+            assert state_of(fast) == state_of(slow)
+            ends.append(step)
+        rows.append((tasks, sources))
+        next_t += len(tasks)
+        next_s += len(sources)
+    assert ends[-1] == steps - 1
+    return rows, ends
+
+
+def count_fallbacks(monkeypatch):
+    """Record the (n_tasks, n_sources) of every ``_draw_scalars`` call."""
+    fallbacks = []
+    scalar = simulator._draw_scalars
+    monkeypatch.setattr(simulator, "_draw_scalars", lambda *a: fallbacks.append(a[2:]) or scalar(*a))
+    return fallbacks
+
+
+# The first word of PCG64(1) advanced this far has a low half that Lemire's
+# test rejects for integers(0, 30).
+REJECTED_WORD_AT = 133644978
+
+
 class TestArrivalReplay:
     @pytest.mark.parametrize("shape", sorted(REPLAY_SHAPES))
     def test_equals_scalar_draws_and_state(self, shape, monkeypatch):
         wl, may_fall_back = REPLAY_SHAPES[shape]
-        fallbacks = []
-        scalar = simulator._draw_scalars
-        monkeypatch.setattr(simulator, "_draw_scalars", lambda *a: fallbacks.append(a) or scalar(*a))
+        fallbacks = count_fallbacks(monkeypatch)
         for seed in range(20):
             fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-            next_t, next_s = 0, 0
-            for _ in range(200):
-                tasks, sources = as_rows(generate_arrivals(wl, fast, next_t, next_s))
-                assert (tasks, sources) == oracle_arrivals(wl, slow, next_t, next_s)
-                assert fast.bit_generator.state == slow.bit_generator.state
-                next_t += len(tasks)
-                next_s += len(sources)
+            _, ends = check_stream(wl, fast, slow, 200)
+            assert max(np.diff([-1] + ends)) <= ARRIVAL_CHUNK
         if may_fall_back:
             assert 0 < len(fallbacks) < 20 * 200
         else:
             assert fallbacks == []
 
+    @pytest.mark.parametrize("steps", [1, ARRIVAL_CHUNK - 1, ARRIVAL_CHUNK, ARRIVAL_CHUNK + 1, 2 * ARRIVAL_CHUNK + 1])
+    def test_run_draws_its_steps_and_no_more(self, steps, monkeypatch):
+        drawn, streams = [], []
+        draw = simulator.generate_arrivals
+
+        def record(stream, *ids):
+            arrivals = draw(stream, *ids)
+            drawn.append(as_rows(arrivals))
+            streams.append(stream)
+            return arrivals
+
+        monkeypatch.setattr(simulator, "generate_arrivals", record)
+        config = SimConfig(steps=steps, rng_seed=8, policy="cloud")
+        report = run(config)
+        slow = np.random.default_rng(8)
+        next_t = next_s = 0
+        for tasks, sources in drawn:
+            assert (tasks, sources) == oracle_arrivals(config.workload, slow, next_t, next_s)
+            next_t += len(tasks)
+            next_s += len(sources)
+        assert len(drawn) == steps and report.arrived_tasks == next_t
+        # The run drew nothing past its last step.
+        assert streams[-1].rng.bit_generator.state == slow.bit_generator.state
+
+    def test_block_starting_with_the_cache_set(self):
+        fast, slow = np.random.default_rng(5), np.random.default_rng(5)
+        fast.integers(0, 30)
+        slow.integers(0, 30)
+        assert fast.bit_generator.state["has_uint32"] == 1
+        check_stream(WorkloadConfig(), fast, slow, 2 * ARRIVAL_CHUNK + 1)
+
     def test_pinned_rejection_falls_back_to_scalar_draws(self):
-        word = int(np.random.PCG64(1).advance(133644978).random_raw())
+        word = int(np.random.PCG64(1).advance(REJECTED_WORD_AT).random_raw())
         low, high = word & 0xFFFFFFFF, word >> 32
         # Lemire's test rejects the low half, so integers(0, 30) takes the
         # high half and returns 18; a replay without the test would give 9.
         assert (low * 30) & 0xFFFFFFFF == 6 < (2**32 - 30) % 30 == 16
         assert ((low * 30) >> 32, (high * 30) >> 32) == (9, 18)
-        assert int(np.random.Generator(np.random.PCG64(1).advance(133644978)).integers(0, 30)) == 18
+        assert int(np.random.Generator(np.random.PCG64(1).advance(REJECTED_WORD_AT)).integers(0, 30)) == 18
 
         wl = WorkloadConfig(device_count=30)
-        fast = np.random.Generator(np.random.PCG64(1).advance(133644978))
-        slow = np.random.Generator(np.random.PCG64(1).advance(133644978))
-        tasks, sources = generate_arrivals(wl, FixedCounts(fast, 1, 2))
+        fast = np.random.Generator(np.random.PCG64(1).advance(REJECTED_WORD_AT))
+        slow = np.random.Generator(np.random.PCG64(1).advance(REJECTED_WORD_AT))
+        tasks, sources = generate_arrivals(ArrivalStream(wl, FixedCounts(fast, 1, 2)))
         assert tasks.owners.tolist()[0] == 18
         assert as_rows((tasks, sources)) == oracle_arrivals(wl, FixedCounts(slow, 1, 2))
         assert fast.bit_generator.state == slow.bit_generator.state
+
+    def test_rejection_mid_block_falls_back_for_that_step_only(self, monkeypatch):
+        # One task and two sources a step: each pair of steps takes 9 + 8
+        # words (the three owners take two fresh words, then one, as the
+        # cache alternates) and leaves the cache unset.  So step 6 starts at
+        # the pinned word, and its task's owner draw is rejected.
+        wl = WorkloadConfig(device_count=30)
+        fallbacks = count_fallbacks(monkeypatch)
+        fast, slow = (FixedCounts(np.random.Generator(np.random.PCG64(1).advance(REJECTED_WORD_AT - 3 * 17)), 1, 2)
+                      for _ in range(2))
+        rows, ends = check_stream(wl, fast, slow, 2 * ARRIVAL_CHUNK)
+        assert fallbacks == [(1, 2)]
+        assert rows[6][0][0][1] == 18
+        assert ends == [6, 6 + ARRIVAL_CHUNK, 2 * ARRIVAL_CHUNK - 1]
 
     @pytest.mark.parametrize("make_rng", [
         lambda: np.random.Generator(np.random.MT19937(3)),
         lambda: np.random.Generator(np.random.Philox(3)),
     ], ids=["mt19937", "philox"])
-    def test_other_bit_generators_get_scalar_draws(self, make_rng):
-        wl = WorkloadConfig()
+    def test_other_bit_generators_get_scalar_draws(self, make_rng, monkeypatch):
+        fallbacks = count_fallbacks(monkeypatch)
         fast, slow = make_rng(), make_rng()
-        for _ in range(50):
-            assert as_rows(generate_arrivals(wl, fast)) == oracle_arrivals(wl, slow)
+        _, ends = check_stream(WorkloadConfig(), fast, slow, 50)
+        assert ends == list(range(50)) and len(fallbacks) == 50
         assert fast.bit_generator.random_raw(4).tolist() == slow.bit_generator.random_raw(4).tolist()
 
     @pytest.mark.parametrize("n_tasks, n_sources", [(0, 3), (4, 0), (0, 0), (4, 3)])
     def test_scalar_draws_give_the_replay_columns(self, n_tasks, n_sources):
         rng = FixedCounts(np.random.Generator(np.random.Philox(5)), n_tasks, n_sources)
-        tasks, sources = generate_arrivals(WorkloadConfig(), rng, 10, 20)
+        tasks, sources = generate_arrivals(ArrivalStream(WorkloadConfig(), rng), 10, 20)
         for table, n, ints in ((tasks, n_tasks, ("ids", "owners", "deferred")), (sources, n_sources, ("ids", "owners"))):
             for name in table.__dataclass_fields__:
                 column = getattr(table, name)
@@ -207,12 +298,12 @@ class TestArrivalReplay:
         assert sources.ids.tolist() == list(range(20, 20 + n_sources))
         assert not tasks.deferred.any()
 
-    def test_device_count_beyond_32_bits_gets_scalar_draws(self):
+    def test_device_count_beyond_32_bits_gets_scalar_draws(self, monkeypatch):
+        fallbacks = count_fallbacks(monkeypatch)
         wl = WorkloadConfig(device_count=2**32 + 5)
         fast, slow = np.random.default_rng(4), np.random.default_rng(4)
-        for _ in range(20):
-            assert as_rows(generate_arrivals(wl, fast)) == oracle_arrivals(wl, slow)
-        assert fast.bit_generator.state == slow.bit_generator.state
+        check_stream(wl, fast, slow, 20)
+        assert len(fallbacks) == 20
 
 
 class TestStepCrl:
