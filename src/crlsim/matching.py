@@ -31,7 +31,7 @@ def sort_tasks_by_priority(queue: TaskQueue, ledger: PriorityLedger, weights: We
     The priority is ``compute_matching_priority``'s expression, evaluated
     column-wise with the same float operations.
     """
-    balances = np.array([ledger.balance_of(owner) for owner in queue.owners.tolist()], dtype=np.float64)
+    balances = ledger.balances_of(queue.owners.tolist())
     priority = weights.gamma_t * (queue.value / queue.cycles) + weights.gamma_p * balances
     return queue.take(np.lexsort((queue.ids, -priority)))
 

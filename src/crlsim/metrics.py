@@ -5,12 +5,11 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field, fields
-from itertools import chain
 from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
-from .model import SourcePool
+from .model import ColumnLog, SourcePool
 from .settlement import SettlementRecord
 
 class StepSample(NamedTuple):
@@ -42,14 +41,18 @@ class AssignmentRecord(NamedTuple):
 
 @dataclass
 class SimReport:
-    """Full outcome of one simulation run."""
+    """Full outcome of one simulation run.
+
+    The record fields hold lists of rows or ``ColumnLog``s of them; ``run``
+    gives logs.
+    """
 
     policy: str
     seed: int
     samples: list[StepSample] = field(default_factory=list)
     ledger_snapshot: dict[int, float] = field(default_factory=dict)
-    settlement_records: list[SettlementRecord] = field(default_factory=list)
-    assignment_records: list[AssignmentRecord] = field(default_factory=list)
+    settlement_records: ColumnLog | list[SettlementRecord] = field(default_factory=list)
+    assignment_records: ColumnLog | list[AssignmentRecord] = field(default_factory=list)
     arrived_tasks: int = 0
     matched_tasks: int = 0
     migrated_tasks: int = 0
@@ -86,18 +89,30 @@ def idle_capacity(pool: SourcePool) -> float:
 REPORT_SLICE = 256  # records per C-encoder call, which bounds the temporary token list
 
 
-def _write_records(fh, records: list) -> None:
-    """Write a non-empty list of named-tuple rows as ``json.dump(..., indent=2)`` writes their
-    ``_asdict()`` one level deep: from a template of the row type's ``_fields``, filled per
-    ``REPORT_SLICE`` rows by one C-encoder call over the slice's flattened values."""
-    names = records[0]._fields
-    template = "\n    {\n" + ",\n".join(f"      {json.dumps(name)}: %s" for name in names) + "\n    }"
-    for start in range(0, len(records), REPORT_SLICE):
-        values = list(chain.from_iterable(records[start : start + REPORT_SLICE]))
-        # Without indent, json takes its C encoder; no JSON token holds a raw newline, so "\n" splits them exactly.
-        tokens = json.dumps(values, separators=("\n", ": "))[1:-1].split("\n")
-        fh.write(("," if start else "[") + ",".join([template] * (len(values) // len(names))) % tuple(tokens))
-    fh.write("\n  ]")
+def _write_records(fh, log: ColumnLog) -> None:
+    """Write a log as ``json.dump(..., indent=2)`` writes its rows' ``_asdict()`` one level
+    deep.  Per ``REPORT_SLICE`` rows, one C-encoder call per column gives that column's
+    tokens, and slice assignment interleaves them with the fixed text between them."""
+    if not len(log):
+        fh.write("[]")
+        return
+    width = 2 * len(log.columns)
+    keys = [f"      {json.dumps(name)}: " for name in log.row._fields]
+    # Part 2k of a row is the text before field k, part 2k + 1 its value; a row's
+    # first label closes the row before it.
+    labels = ["\n    },\n    {\n" + keys[0], *(",\n" + key for key in keys[1:])]
+    frame = [None] * (width * min(REPORT_SLICE, len(log)))
+    for k, label in enumerate(labels):
+        frame[2 * k :: width] = [label] * (len(frame) // width)
+    for start in range(0, len(log), REPORT_SLICE):
+        parts = frame[: width * min(REPORT_SLICE, len(log) - start)]
+        for k, column in enumerate(log.columns):
+            # Without indent, json takes its C encoder; no JSON token holds a raw newline, so "\n" splits them exactly.
+            parts[2 * k + 1 :: width] = json.dumps(column[start : start + REPORT_SLICE], separators=("\n", ":"))[1:-1].split("\n")
+        if not start:
+            parts[0] = "[\n    {\n" + keys[0]
+        fh.write("".join(parts))
+    fh.write("\n    }\n  ]")
 
 
 def emit_report(report: SimReport, format: str, destination) -> None:
@@ -106,8 +121,8 @@ def emit_report(report: SimReport, format: str, destination) -> None:
     ``destination`` is a path or an open text file.  Emission is deterministic.
     The CSV has one row per step and ``StepSample``'s fields as columns; the
     JSON is byte-identical to ``json.dump(..., indent=2)`` of the report's
-    fields with each row as its ``_asdict()``, its row lists filled from
-    per-type templates by ``_write_records``.
+    fields with each row as its ``_asdict()``; ``_write_records`` writes each
+    log, and each non-empty row list, from its columns.
     """
     if format not in ("csv", "json"):
         raise ValueError(f"unknown report format: {format!r}")
@@ -131,6 +146,8 @@ def emit_report(report: SimReport, format: str, destination) -> None:
             key, value = "ledger", {str(k): v for k, v in sorted(value.items())}
         destination.write(f'{separator}\n  "{key}": ')
         if isinstance(value, list) and value:
+            value = ColumnLog(type(value[0]), zip(*value))
+        if isinstance(value, ColumnLog):
             _write_records(destination, value)
         else:  # a scalar, [] or the ledger, one level deep: its lines after the first gain an indent
             destination.write(json.dumps(value, indent=2).replace("\n", "\n  "))

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import astuple, dataclass, field, fields
+from itertools import chain
+from numbers import Real
 
 import numpy as np
 
@@ -155,19 +158,72 @@ class TaskQueue(_Table):
         return gone
 
 
+def _real(x) -> bool:
+    return isinstance(x, Real) and not isinstance(x, bool)
+
+
 def check_config_numbers(config) -> None:
-    """Make each range field (a field whose default is a tuple) a tuple,
-    require every float field and range bound of ``config`` to be finite, and
-    every int field to hold an int or numpy integer, not a bool."""
+    """Make each range field (a field whose default is a tuple) a tuple of two
+    real numbers, require every float field and range bound of ``config`` to
+    be a finite real number, and every int field to hold an int or numpy
+    integer; a bool is neither.  Each error names its field."""
     for f in fields(config):
-        if isinstance(f.default, tuple):
-            object.__setattr__(config, f.name, tuple(getattr(config, f.name)))
         value = getattr(config, f.name)
-        if isinstance(f.default, (float, tuple)):
-            if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
-                raise ValueError(f"{f.name} must be finite, got {value}")
-        elif isinstance(f.default, int) and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
-            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if isinstance(f.default, tuple):
+            numbers = tuple(value) if isinstance(value, Iterable) else ()
+            if len(numbers) != 2 or not all(map(_real, numbers)):
+                raise ValueError(f"{f.name} must be a [low, high] pair of real numbers, got {value!r}")
+            object.__setattr__(config, f.name, numbers)
+        elif isinstance(f.default, float):
+            if not _real(value):
+                raise ValueError(f"{f.name} must be a real number, got {value!r}")
+            numbers = (value,)
+        else:
+            if isinstance(f.default, int) and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            continue
+        if not all(map(math.isfinite, numbers)):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
+class ColumnLog:
+    """Rows of the NamedTuple type ``row``, held as one sequence per field.
+
+    It reads as a list of rows: ``len``, iteration and indexing give ``row``
+    instances, and it equals a list or log holding the same rows.
+    """
+
+    def __init__(self, row, columns):
+        self.row = row
+        self.columns = tuple(columns)
+
+    @classmethod
+    def join(cls, row, chunks) -> ColumnLog:
+        """One log of ``chunks``, each a tuple of ``row``'s columns as numpy
+        arrays or lists, in order; every column becomes one list."""
+        if not chunks:
+            return cls(row, ([] for _ in row._fields))
+        return cls(row, (np.concatenate(parts).tolist() if isinstance(parts[0], np.ndarray)
+                         else list(chain.from_iterable(parts)) for parts in zip(*chunks)))
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self):
+        return map(self.row, *self.columns)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return list(self)[k]
+        return self.row._make(column[k] for column in self.columns)
+
+    def __eq__(self, other):
+        if isinstance(other, (ColumnLog, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.row.__name__}, {list(self)!r})"
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import TaskQueue, WeightsConfig
+from .model import ColumnLog, TaskQueue, WeightsConfig
 
 
 class SettlementRecord(NamedTuple):
@@ -37,6 +38,10 @@ class PriorityLedger:
     def balance_of(self, device_id: int) -> float:
         return self._balances.get(device_id, 0.0)
 
+    def balances_of(self, device_ids: list) -> np.ndarray:
+        """The balances of ``device_ids``, in order, as one float64 array."""
+        return np.fromiter(map(self._balances.get, device_ids, repeat(0.0)), dtype=np.float64, count=len(device_ids))
+
     def snapshot(self) -> dict[int, float]:
         return dict(self._balances)
 
@@ -51,27 +56,32 @@ def apply_settlement(
     ledger: PriorityLedger,
     weights: WeightsConfig,
     step: int = 0,
-) -> list[SettlementRecord]:
+) -> ColumnLog:
     """Settle one round's leases as a single simultaneous batch.
 
     Row k of ``leased`` is a leased task and ``providers[k]`` the owner of
     the source serving it.  Every amount is ``compute_settlement_amount`` of
     the task and its receiver's pre-batch balance, floored at 0, taken
     before any balance moves, so the result does not depend on lease order.
-    Columns of unequal length raise ValueError with the ledger untouched.
+    Returns the batch's ``SettlementRecord`` rows as list columns.  Columns
+    of unequal length raise ValueError with the ledger untouched.
     """
-    records: list[SettlementRecord] = []
+    receivers, providers = leased.owners.tolist(), providers.tolist()
+    amounts, floors = [], []
     deltas: dict[int, float] = {}
-    columns = (leased.ids.tolist(), leased.owners.tolist(), leased.value.tolist(), providers.tolist())
-    for task_id, receiver, value, provider in zip(*columns, strict=True):
+    balance = ledger._balances.get
+    gamma_n, gamma_m, conversion = weights.gamma_n, weights.gamma_m, weights.conversion_rate_r
+    # A loop, not an array expression: the deltas fold per device in lease order.
+    for receiver, value, provider in zip(receivers, leased.value.tolist(), providers, strict=True):
         # compute_settlement_amount's expression, on the same floats.
-        amount = (weights.gamma_n * value + weights.gamma_m * ledger.balance_of(receiver)) * weights.conversion_rate_r
+        amount = (gamma_n * value + gamma_m * balance(receiver, 0.0)) * conversion
         floored = amount < 0.0
         if floored:
             amount = 0.0
-        records.append(SettlementRecord(task_id, receiver, provider, amount, step, floored))
+        amounts.append(amount)
+        floors.append(floored)
         deltas[receiver] = deltas.get(receiver, 0.0) - amount
         deltas[provider] = deltas.get(provider, 0.0) + amount
 
     ledger._apply(deltas)
-    return records
+    return ColumnLog(SettlementRecord, (leased.ids.tolist(), receivers, providers, amounts, [step] * len(amounts), floors))

@@ -8,7 +8,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .model import SourcePool, TaskQueue, WeightsConfig, check_config_numbers
+from .model import ColumnLog, SourcePool, TaskQueue, WeightsConfig, check_config_numbers
 from .matching import full_round, classify_unmatched
 from .settlement import PriorityLedger, SettlementRecord, apply_settlement
 from .metrics import SimReport, StepSample, AssignmentRecord, idle_capacity
@@ -65,6 +65,8 @@ class SimConfig:
         check_config_numbers(self)
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.step_seconds <= 0:
             raise ValueError(f"step_seconds must be > 0, got {self.step_seconds}")
         if self.policy not in POLICIES:
@@ -192,6 +194,9 @@ class SimState:
     """Mutable state threaded through the per-step loop of a single run.
 
     ``arrivals`` draws from ``rng`` at most ``config.steps`` steps ahead.
+    ``settlement_log`` and ``lease_log`` hold one tuple of columns per lease
+    round, in the field order of ``SettlementRecord`` and
+    ``AssignmentRecord``; ``report`` joins them.
     """
 
     config: SimConfig
@@ -201,8 +206,8 @@ class SimState:
     pool: SourcePool = field(default_factory=SourcePool)
     ledger: PriorityLedger = field(default_factory=PriorityLedger)
     samples: list[StepSample] = field(default_factory=list)
-    settlement_records: list[SettlementRecord] = field(default_factory=list)
-    assignment_records: list[AssignmentRecord] = field(default_factory=list)
+    settlement_log: list[tuple] = field(default_factory=list)
+    lease_log: list[tuple] = field(default_factory=list)
     next_source_id: int = 0
     arrived_tasks: int = 0
     matched_tasks: int = 0
@@ -213,6 +218,21 @@ class SimState:
 
     def __post_init__(self):
         self.arrivals = ArrivalStream(self.config.workload, self.rng, self.config.steps)
+
+    def report(self) -> SimReport:
+        """The run so far as a report."""
+        return SimReport(
+            policy=self.config.policy,
+            seed=self.config.rng_seed,
+            samples=self.samples,
+            ledger_snapshot=self.ledger.snapshot(),
+            settlement_records=ColumnLog.join(SettlementRecord, self.settlement_log),
+            assignment_records=ColumnLog.join(AssignmentRecord, self.lease_log),
+            arrived_tasks=self.arrived_tasks,
+            matched_tasks=self.matched_tasks,
+            migrated_tasks=self.migrated_tasks,
+            pending_tasks=len(self.pending),
+        )
 
 
 def generate_arrivals(
@@ -310,15 +330,14 @@ def _lease_round(state: SimState, config: SimConfig) -> tuple[int, int]:
     ordered, result = full_round(state.pending, pool, state.ledger, config.weights)
     task_rows, rows = result.assignments.T
     leased = ordered.take(task_rows)
-    busy = leased.cycles / pool.rate[rows]
+    rate = pool.rate[rows]
+    busy = leased.cycles / rate
 
-    records = apply_settlement(leased, pool.owners[rows], state.ledger, config.weights, step=state.step)
-    state.settlement_records.extend(records)
-    # Columns in AssignmentRecord's field order, read before consume moves the idle times.
-    lease_columns = (leased.ids, pool.ids[rows], busy, leased.cycles, leased.deadline, pool.idle[rows], pool.rate[rows])
-    state.assignment_records.extend(
-        AssignmentRecord(state.step, *lease) for lease in zip(*(column.tolist() for column in lease_columns))
-    )
+    settled = apply_settlement(leased, pool.owners[rows], state.ledger, config.weights, step=state.step)
+    state.settlement_log.append(settled.columns)
+    # AssignmentRecord's columns, read before consume moves the idle times.
+    state.lease_log.append(([state.step] * len(leased), leased.ids, pool.ids[rows], busy, leased.cycles,
+                            leased.deadline, pool.idle[rows], rate))
     state.matched_tasks += len(leased)
     pool.consume(rows, busy)
 
@@ -358,15 +377,4 @@ def run(config: SimConfig) -> SimReport:
     step_fn = step_crl if config.policy == "crl" else step_cloud
     for _ in range(config.steps):
         step_fn(state, config)
-    return SimReport(
-        policy=config.policy,
-        seed=config.rng_seed,
-        samples=state.samples,
-        ledger_snapshot=state.ledger.snapshot(),
-        settlement_records=state.settlement_records,
-        assignment_records=state.assignment_records,
-        arrived_tasks=state.arrived_tasks,
-        matched_tasks=state.matched_tasks,
-        migrated_tasks=state.migrated_tasks,
-        pending_tasks=len(state.pending),
-    )
+    return state.report()

@@ -1,8 +1,18 @@
-"""Independent straight-line reference for one matching round.
+"""Independent straight-line references for one matching round, one step's
+arrivals and a run's settlements.
 
-Deliberately naive: explicit matrices, bubble sort, row zeroing.  Kept free of
-any code from crlsim.matching so it can serve as an oracle for it.
+Deliberately naive: explicit matrices, bubble sort, row zeroing, one scalar
+formula call per lease.  Kept free of any code from crlsim.matching and
+crlsim.simulator so they can serve as oracles for them.
 """
+
+from itertools import groupby
+from operator import attrgetter
+
+import numpy as np
+
+from crlsim.model import Task, compute_settlement_amount
+from crlsim.settlement import SettlementRecord
 
 
 def oracle_round(tasks, sources, balances, weights):
@@ -79,3 +89,36 @@ def oracle_arrivals(workload, rng, next_task_id=0, next_source_id=0):
         for k in range(n_sources)
     ]
     return tasks, sources
+
+
+def oracle_settlements(config, leases):
+    """The settlement rows of a run of ``config`` whose leases, in lease order,
+    are ``leases`` (rows with ``step``, ``task_id`` and ``source_id``).
+
+    The run's arrivals are drawn again with ``oracle_arrivals`` to find each
+    task's owner and value and each source's owner.  Each step's leases
+    settle as one batch over a dict ledger: every amount is
+    ``compute_settlement_amount`` of the task and its owner's balance before
+    the batch, floored at 0; then each device's debits and credits, summed in
+    lease order, are added to its balance.  Returns the rows and the ledger.
+    """
+    rng = np.random.default_rng(config.rng_seed)
+    tasks, source_owner = {}, {}
+    for _ in range(config.steps):
+        new_tasks, new_sources = oracle_arrivals(config.workload, rng, len(tasks), len(source_owner))
+        tasks.update((row[0], Task(*row)) for row in new_tasks)
+        source_owner.update((row[0], row[1]) for row in new_sources)
+    balances, rows = {}, []
+    for step, batch in groupby(leases, key=attrgetter("step")):
+        deltas = {}
+        for lease in batch:
+            task = tasks[lease.task_id]
+            receiver, provider = task.owner_id, source_owner[lease.source_id]
+            raw = compute_settlement_amount(task, balances.get(receiver, 0.0), config.weights)
+            amount = 0.0 if raw < 0.0 else raw
+            rows.append(SettlementRecord(task.task_id, receiver, provider, amount, step, raw < 0.0))
+            deltas[receiver] = deltas.get(receiver, 0.0) - amount
+            deltas[provider] = deltas.get(provider, 0.0) + amount
+        for device, delta in deltas.items():
+            balances[device] = balances.get(device, 0.0) + delta
+    return rows, balances

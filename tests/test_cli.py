@@ -240,3 +240,23 @@ def test_non_int_value_rejected(tmp_path, capsys, body, field):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert f"{field} must be an integer" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_negative_seed_rejected_before_writing(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", "--seed", "-1", "--steps", "2", "--out", str(out)]) == 2
+    assert "rng_seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("body, message", [
+    ({"workload": {"cycles_range": 5}}, "cycles_range must be a [low, high] pair of real numbers, got 5"),
+    ({"workload": {"cycles_range": [1]}}, "cycles_range must be a [low, high] pair of real numbers, got [1]"),
+    ({"workload": {"task_arrival_rate": "3"}}, "task_arrival_rate must be a real number, got '3'"),
+], ids=["range-int", "range-short", "float-str"])
+def test_malformed_number_names_its_field(tmp_path, capsys, body, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(body))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -6,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from crlsim.model import SourceNode, SourcePool
+from crlsim.model import ColumnLog, SourceNode, SourcePool
 from crlsim.metrics import (
     AssignmentRecord,
     SimReport,
@@ -19,7 +20,7 @@ from crlsim.metrics import (
     REPORT_SLICE,
 )
 from crlsim.settlement import SettlementRecord
-from crlsim.simulator import SimConfig, run
+from crlsim.simulator import SimConfig, WorkloadConfig, run
 
 
 def sample(step, policy="crl", idle=0.0, matched=0, deferred=0, migrated=0, mig_v=0.0, mig_c=0.0):
@@ -33,8 +34,8 @@ BIG = 2**53 + 1  # the first int a float cannot hold
 
 def edge_reports():
     """A report holding the values emission must carry exactly (signed zero,
-    the least subnormal, a near-overflow float, ints beyond float precision),
-    and one with an empty ledger and no records."""
+    the least subnormal, a near-overflow float, ints beyond float precision,
+    NaN, infinities and bools), and one with an empty ledger and no records."""
     extremes = SimReport(
         policy="crl",
         seed=BIG,
@@ -44,8 +45,10 @@ def edge_reports():
         settlement_records=[
             SettlementRecord(task_id=BIG, receiver_device=1, provider_device=2, amount=0.0, step=BIG, floored=True),
             SettlementRecord(task_id=0, receiver_device=2, provider_device=1, amount=5e-324, step=0),
+            SettlementRecord(task_id=True, receiver_device=2**64, provider_device=-1, amount=math.nan, step=1, floored=True),
         ],
-        assignment_records=[AssignmentRecord(BIG, BIG, 2**64, 5e-324, 1e308, -0.0, 1e308, 5e-324)],
+        assignment_records=[AssignmentRecord(BIG, BIG, 2**64, 5e-324, 1e308, -0.0, 1e308, 5e-324),
+                            AssignmentRecord(0, False, 1, math.inf, -math.inf, math.nan, -0.0, 2.0)],
         arrived_tasks=BIG,
         matched_tasks=BIG - 1,
         migrated_tasks=1,
@@ -68,6 +71,23 @@ def awkward_report(n):
         assignment_records=[AssignmentRecord(k, k, False, 0.5, math.inf, 2.0, -math.inf, math.nan) for k in range(n)],
         pending_tasks=True,
     )
+
+
+def held_as(report, hold):
+    """``report`` with each of its record fields held by ``hold(row type, rows)``."""
+    return dataclasses.replace(report, **{
+        name: hold(row, list(getattr(report, name)))
+        for name, row in (("samples", StepSample), ("settlement_records", SettlementRecord),
+                          ("assignment_records", AssignmentRecord))
+    })
+
+
+def as_rows(row, rows):
+    return rows
+
+
+def as_columns(row, rows):
+    return ColumnLog(row, zip(*rows)) if rows else ColumnLog.join(row, [])
 
 
 def asdict_payload(report):
@@ -151,6 +171,18 @@ class TestEmit:
         for report in [simulated, *edge_reports()]:
             emit_report(report, "json", path)
             assert path.read_text() == json.dumps(asdict_payload(report), indent=2) + "\n"
+
+    def test_rows_and_columns_emit_the_same_bytes(self):
+        simulated = [run(SimConfig(steps=25, rng_seed=seed, workload=workload))
+                     for seed, workload in ((4, WorkloadConfig()), (5, WorkloadConfig(task_arrival_rate=30.0, rate_range=(50.0, 400.0))))]
+        assert len(simulated[1].settlement_records) > REPORT_SLICE
+        for report in [*simulated, *edge_reports(), awkward_report(REPORT_SLICE + 1)]:
+            texts = []
+            for hold in (as_rows, as_columns):
+                buffer = io.StringIO()
+                emit_report(held_as(report, hold), "json", buffer)
+                texts.append(buffer.getvalue())
+            assert texts[0] == texts[1] == json.dumps(asdict_payload(report), indent=2) + "\n"
 
     # one record, exactly one slice, and two slices plus one
     @pytest.mark.parametrize("n", [1, REPORT_SLICE, 2 * REPORT_SLICE + 1])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from crlsim.model import (
+    ColumnLog,
     Task,
     SourceNode,
     SourcePool,
@@ -12,6 +13,8 @@ from crlsim.model import (
     compute_matching_priority,
     compute_settlement_amount,
 )
+
+from crlsim.settlement import SettlementRecord
 
 from records import nodes_of, tasks_of
 
@@ -207,3 +210,29 @@ class TestSettlementAmount:
             assert compute_settlement_amount(make_task(value=v1), b1, w2) == pytest.approx(
                 2 * compute_settlement_amount(make_task(value=v1), b1, w), rel=1e-12
             )
+
+
+class TestColumnLog:
+    ROWS = [SettlementRecord(7, 1, 2, 0.5, 3), SettlementRecord(8, 2, 1, -0.0, 3, True)]
+
+    def log(self):
+        return ColumnLog(SettlementRecord, ([7, 8], [1, 2], [2, 1], [0.5, -0.0], [3, 3], [False, True]))
+
+    def test_reads_as_its_rows(self):
+        log = self.log()
+        assert len(log) == 2
+        assert repr(list(log)) == repr(self.ROWS)
+        assert repr((log[0], log[-1])) == repr(tuple(self.ROWS))
+        assert log[1:] == self.ROWS[1:] and log[1].floored
+        assert log == self.ROWS and log == ColumnLog(SettlementRecord, zip(*self.ROWS))
+        assert log != self.ROWS[:1] and log != [self.ROWS[1], self.ROWS[0]]
+
+    def test_join_concatenates_arrays_and_lists_into_lists(self):
+        chunk = (np.array([7]), np.array([1]), [2], np.array([0.5]), [3], [False])
+        log = ColumnLog.join(SettlementRecord, [chunk, (np.array([8]), np.array([2]), [1], np.array([-0.0]), [3], [True])])
+        assert all(type(column) is list for column in log.columns)
+        assert repr(list(log)) == repr(self.ROWS)
+
+    def test_join_of_no_chunks_is_empty(self):
+        log = ColumnLog.join(SettlementRecord, [])
+        assert len(log) == 0 and list(log) == [] and log == []

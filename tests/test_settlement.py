@@ -47,6 +47,14 @@ def test_fresh_ledger_defaults_to_zero():
     assert PriorityLedger().balance_of(123) == 0.0
 
 
+def test_balances_of_gathers_in_order():
+    ledger = PriorityLedger({1: 4.0, 2: -0.5})
+    balances = ledger.balances_of([2, 9, 1, 2])
+    assert balances.dtype == np.float64
+    assert balances.tolist() == [-0.5, 0.0, 4.0, -0.5]
+    assert ledger.balances_of([]).shape == (0,)
+
+
 def test_length_mismatch_rejected_atomically():
     ledger = PriorityLedger({1: 4.0})
     tasks = [task(0, owner=1), task(1, owner=2)]

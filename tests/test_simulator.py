@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from crlsim import simulator
-from crlsim.model import Task, SourceNode, SourcePool, TaskQueue, WeightsConfig
+from crlsim.metrics import AssignmentRecord
+from crlsim.model import ColumnLog, Task, SourceNode, SourcePool, TaskQueue, WeightsConfig
+from crlsim.settlement import SettlementRecord
 from crlsim.simulator import (
     ARRIVAL_CHUNK,
     POISSON_LAM_MAX,
@@ -20,10 +22,11 @@ from crlsim.simulator import (
     run,
 )
 
-from oracles import oracle_arrivals
+from oracles import oracle_arrivals, oracle_settlements
 from records import nodes_of, rows_of, tasks_of
 
 QUIET = WorkloadConfig(task_arrival_rate=0.0, source_arrival_rate=0.0)
+LEASE_HEAVY = WorkloadConfig(task_arrival_rate=30.0, rate_range=(50.0, 400.0))
 
 
 def make_state(config):
@@ -81,6 +84,17 @@ class TestWorkloadConfig:
         with pytest.raises(ValueError, match=field):
             WorkloadConfig(**{field: above})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("cycles_range", 5, "cycles_range must be a \\[low, high\\] pair"),
+        ("cycles_range", [1], "cycles_range must be a \\[low, high\\] pair"),
+        ("rate_range", (1.0, "2"), "rate_range must be a \\[low, high\\] pair"),
+        ("task_arrival_rate", "3", "task_arrival_rate must be a real number"),
+        ("source_arrival_rate", True, "source_arrival_rate must be a real number"),
+    ])
+    def test_malformed_number_names_its_field(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            WorkloadConfig(**{field: value})
+
 
 class TestSimConfig:
     def test_rejects_zero_steps(self):
@@ -90,6 +104,12 @@ class TestSimConfig:
     def test_rejects_bad_policy(self):
         with pytest.raises(ValueError):
             SimConfig(policy="edge")
+
+    def test_rejects_negative_seed(self):
+        assert SimConfig(rng_seed=0).rng_seed == 0
+        for seed in (-1, np.int64(-7)):
+            with pytest.raises(ValueError, match="rng_seed must be >= 0"):
+                SimConfig(rng_seed=seed)
 
     def test_int_fields_take_ints_only(self):
         config = SimConfig(steps=np.int32(3), rng_seed=np.uint64(7), workload=WorkloadConfig(device_count=np.int64(5)))
@@ -315,14 +335,15 @@ class TestStepCrl:
         step_crl(state, config)
         assert state.matched_tasks == 1
         assert state.migrated_tasks == 0
+        report = state.report()
         # B = (0.5 * 10 + 0.5 * 0) * 1
         expected_b = 5.0
-        assert state.settlement_records[0].amount == pytest.approx(expected_b)
+        assert report.settlement_records[0].amount == pytest.approx(expected_b)
         assert state.ledger.balance_of(2) == pytest.approx(expected_b)
         assert state.ledger.balance_of(1) == pytest.approx(-expected_b)
         # 100 cycles at 10/s consumes 10 of the 49 idle seconds left after aging
         assert state.pool.idle[0] == pytest.approx(39.0)
-        assert state.assignment_records[0].busy_seconds == 10.0
+        assert report.assignment_records[0].busy_seconds == 10.0
 
     def test_no_sources_w1_escalates_immediately(self):
         config = SimConfig(workload=QUIET, weights=WeightsConfig(max_rounds_w=1))
@@ -398,6 +419,32 @@ class TestRun:
         cloud = run(SimConfig(steps=100, rng_seed=3, policy="cloud"))
         for sa, sb in zip(crl.samples, cloud.samples):
             assert sa.idle_capacity <= sb.idle_capacity + 1e-6
+
+    @pytest.mark.parametrize("workload", [WorkloadConfig(), LEASE_HEAVY], ids=["default", "lease-heavy"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_settlement_log_equals_oracle(self, workload, seed):
+        config = SimConfig(steps=30, rng_seed=seed, workload=workload)
+        report = run(config)
+        rows, balances = oracle_settlements(config, report.assignment_records)
+        assert len(rows) > 10
+        # repr tells a numpy scalar or -0.0 from the plain float or int the rows must hold
+        assert list(map(repr, report.settlement_records)) == list(map(repr, rows))
+        assert list(map(repr, sorted(report.ledger_snapshot.items()))) == list(map(repr, sorted(balances.items())))
+
+    def test_run_builds_no_rows(self, monkeypatch):
+        built = []
+        for row in (SettlementRecord, AssignmentRecord):
+            def counting(cls, *args, _new=row.__new__, **kwargs):
+                built.append(cls)
+                return _new(cls, *args, **kwargs)
+            monkeypatch.setattr(row, "__new__", counting)
+        report = run(SimConfig(steps=30, rng_seed=1, workload=LEASE_HEAVY))
+        assert built == []
+        assert isinstance(report.settlement_records, ColumnLog)
+        assert isinstance(report.assignment_records, ColumnLog)
+        n = len(report.assignment_records)
+        assert n == len(report.settlement_records) == report.matched_tasks > 0
+        assert len(list(report.assignment_records)) == n and built == [AssignmentRecord] * n
 
     def test_lease_busy_seconds_are_cycles_over_rate(self):
         report = run(SimConfig(steps=60, rng_seed=6))
