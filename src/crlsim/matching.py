@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import Task, SourceNode, SourcePool, TaskQueue, WeightsConfig
+from .model import SourcePool, TaskQueue, WeightsConfig
 from .settlement import PriorityLedger
 
 
@@ -28,20 +28,12 @@ class MatchResult:
 def sort_tasks_by_priority(queue: TaskQueue, ledger: PriorityLedger, weights: WeightsConfig) -> TaskQueue:
     """The queue in descending matching-priority order, ties broken by ascending task_id.
 
-    The priority is ``compute_matching_priority``'s expression, evaluated
-    column-wise with the same float operations.
+    The priority is gamma_t * (value / cycles) + gamma_p * the owner's
+    balance, evaluated column-wise.
     """
     balances = ledger.balances_of(queue.owners.tolist())
     priority = weights.gamma_t * (queue.value / queue.cycles) + weights.gamma_p * balances
     return queue.take(np.lexsort((queue.ids, -priority)))
-
-
-def feasible(source: SourceNode, task: Task) -> bool:
-    """True iff the source has enough total cycles and finishes before the deadline."""
-    return (
-        task.cycles_required <= source.cycles_per_second * source.idle_seconds
-        and task.cycles_required / source.cycles_per_second <= task.deadline_s
-    )
 
 
 def build_prefer_matrix(pool: SourcePool, queue: TaskQueue) -> np.ndarray:
@@ -50,8 +42,9 @@ def build_prefer_matrix(pool: SourcePool, queue: TaskQueue) -> np.ndarray:
     Row j is the pool's j-th source (ascending source_id), column i the
     queue's i-th task.  A cell holds cycles_per_second / cycles_required
     where the source can finish the task within both its idle window and the
-    task deadline (the test of ``feasible``), else 0.  An empty pool or
-    queue yields a degenerate matrix that matches nothing.
+    task deadline (``cycles <= rate * idle`` and ``cycles / rate <=
+    deadline``), else 0.  An empty pool or queue yields a degenerate matrix
+    that matches nothing.
     """
     # Built task-major, one contiguous row per task as greedy_match scans it,
     # and returned as the m x n transpose of that.

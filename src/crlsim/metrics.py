@@ -61,10 +61,9 @@ class SimReport:
 
 @dataclass(frozen=True)
 class ComparisonSummary:
-    """Per-step deltas (a - b) and aggregates for two equal-length runs."""
+    """Aggregates for two equal-length runs, and the share of steps where a's
+    value is at most b's."""
 
-    idle_capacity_delta: list[float]
-    migrated_value_cum_delta: list[float]
     mean_idle_capacity_a: float
     mean_idle_capacity_b: float
     mean_migrated_value_cum_a: float
@@ -174,7 +173,7 @@ def load_report_csv(path) -> list[StepSample]:
 
 
 def compare_reports(a: SimReport, b: SimReport) -> ComparisonSummary:
-    """Per-step deltas and sign summary for two runs of equal length."""
+    """Means and sign summary of the per-step deltas (a - b) for two runs of equal length."""
     if len(a.samples) != len(b.samples):
         raise ValueError(f"step count mismatch: {len(a.samples)} vs {len(b.samples)}")
     n = len(a.samples)
@@ -189,8 +188,6 @@ def compare_reports(a: SimReport, b: SimReport) -> ComparisonSummary:
         return total / len(xs) if xs else 0.0
 
     return ComparisonSummary(
-        idle_capacity_delta=idle_delta,
-        migrated_value_cum_delta=mig_delta,
         mean_idle_capacity_a=mean([s.idle_capacity for s in a.samples]),
         mean_idle_capacity_b=mean([s.idle_capacity for s in b.samples]),
         mean_migrated_value_cum_a=mean([s.migrated_value_cum for s in a.samples]),

@@ -1,55 +1,15 @@
-"""Domain types and the two scalar formulas shared by every other module."""
+"""Domain types: the source pool and task queue as column tables, the column
+log that holds report rows, and the weights config with its number checks."""
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from numbers import Real
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Task:
-    """One unit of computation demand owned by a device.
-
-    ``deadline_s`` is seconds remaining until the task must complete; it is
-    positive at creation and shrinks while the task waits in the queue.
-    ``rounds_deferred`` counts matching rounds the task has already failed.
-    """
-
-    task_id: int
-    owner_id: int
-    deadline_s: float
-    cycles_required: float
-    value: float
-    rounds_deferred: int = 0
-
-    def __post_init__(self):
-        if self.cycles_required <= 0:
-            raise ValueError(f"task {self.task_id}: cycles_required must be > 0")
-        if self.value < 0:
-            raise ValueError(f"task {self.task_id}: value must be >= 0")
-        if self.rounds_deferred < 0:
-            raise ValueError(f"task {self.task_id}: rounds_deferred must be >= 0")
-
-
-@dataclass(frozen=True)
-class SourceNode:
-    """One idle or semi-idle provider offering compute time."""
-
-    source_id: int
-    owner_id: int
-    idle_seconds: float
-    cycles_per_second: float
-
-    def __post_init__(self):
-        if self.cycles_per_second <= 0:
-            raise ValueError(f"source {self.source_id}: cycles_per_second must be > 0")
-        if self.idle_seconds < 0:
-            raise ValueError(f"source {self.source_id}: idle_seconds must be >= 0")
 
 
 def _column(dtype):
@@ -60,19 +20,11 @@ def _column(dtype):
 class _Table:
     """Parallel numpy columns, one per dataclass field of the subclass, one row per record.
 
-    The fields follow those of the record class in order, ``ids`` first, so
-    ``of`` fills column k from field k of each record.  Columns are replaced,
-    never written in place, so tables taken from or extended by one another
-    may share them.  They are reached by name, never through ``vars``, which
-    would turn off CPython's inline attribute values and slow every access.
+    ``ids`` is the first field.  Columns are replaced, never written in
+    place, so tables taken from or extended by one another may share them.
+    They are reached by name, never through ``vars``, which would turn off
+    CPython's inline attribute values and slow every access.
     """
-
-    @classmethod
-    def of(cls, records):
-        """A table of the dataclass ``records``, in the given order."""
-        rows = [astuple(r) for r in records]
-        return cls(*(np.array([row[k] for row in rows], dtype=getattr(cls(), name).dtype)
-                     for k, name in enumerate(cls.__dataclass_fields__)))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -108,11 +60,6 @@ class SourcePool(_Table):
     idle: np.ndarray = _column(np.float64)
     rate: np.ndarray = _column(np.float64)
 
-    @classmethod
-    def of(cls, sources) -> SourcePool:
-        """A pool of the SourceNodes ``sources``, sorted by id."""
-        return super().of(sorted(sources, key=lambda s: s.source_id))
-
     def age(self, seconds: float) -> None:
         """Let ``seconds`` of idle time pass; sources left with none leave the pool."""
         self.idle = self.idle - seconds
@@ -134,10 +81,10 @@ class SourcePool(_Table):
 class TaskQueue(_Table):
     """The pending tasks as six parallel columns, one row per task, in queue order.
 
-    The columns follow the fields of ``Task``: ``ids``, ``owners``,
-    ``deadline`` (seconds left), ``cycles``, ``value`` and ``deferred``
-    (rounds already failed).  Row order matters: escalated tasks add to the
-    cumulative migration sums in that order.
+    Row i is one task: ``ids[i]``, ``owners[i]``, ``deadline[i]`` (seconds
+    left), ``cycles[i]``, ``value[i]`` and ``deferred[i]`` (rounds already
+    failed).  Row order matters: escalated tasks add to the cumulative
+    migration sums in that order.
     """
 
     ids: np.ndarray = _column(np.int64)
@@ -230,12 +177,12 @@ class ColumnLog:
 class WeightsConfig:
     """Tunable weights and limits for matching, settlement and escalation.
 
-    gamma_t / gamma_p weight the value-per-cycle term and the owner balance in
-    the matching priority; gamma_n / gamma_m weight task value and owner
-    balance in the settlement amount.  conversion_rate_r converts the weighted
-    sum into priority units.  max_rounds_w is the number of failed matching
-    rounds before a task escalates to the cloud.  tau_s is the network
-    membership latency threshold; it is informational and never simulated.
+    A task's matching priority is gamma_t * (value / cycles) + gamma_p *
+    balance, with balance its owner's; a lease settles for the amount
+    (gamma_n * value + gamma_m * balance) * conversion_rate_r, with balance the
+    receiver's.  max_rounds_w is the number of failed matching rounds before
+    a task escalates to the cloud.  tau_s is the network membership latency
+    threshold; it is informational and never simulated.
     """
 
     gamma_t: float = 0.5
@@ -257,19 +204,3 @@ class WeightsConfig:
         if self.max_rounds_w < 1:
             raise ValueError(f"max_rounds_w must be >= 1, got {self.max_rounds_w}")
 
-
-def compute_matching_priority(task: Task, owner_priority: float, weights: WeightsConfig) -> float:
-    """Composite priority ordering tasks each round.
-
-    Combines the task's value per required cycle with the accumulated balance
-    of its owner: gamma_t * (value / cycles) + gamma_p * balance.
-    """
-    return weights.gamma_t * (task.value / task.cycles_required) + weights.gamma_p * owner_priority
-
-
-def compute_settlement_amount(task: Task, owner_priority: float, weights: WeightsConfig) -> float:
-    """Priority amount the receiver owes the provider for one completed lease.
-
-    (gamma_n * value + gamma_m * receiver balance) * conversion_rate_r.
-    """
-    return (weights.gamma_n * task.value + weights.gamma_m * owner_priority) * weights.conversion_rate_r

@@ -60,11 +60,12 @@ def apply_settlement(
     """Settle one round's leases as a single simultaneous batch.
 
     Row k of ``leased`` is a leased task and ``providers[k]`` the owner of
-    the source serving it.  Every amount is ``compute_settlement_amount`` of
-    the task and its receiver's pre-batch balance, floored at 0, taken
-    before any balance moves, so the result does not depend on lease order.
-    Returns the batch's ``SettlementRecord`` rows as list columns.  Columns
-    of unequal length raise ValueError with the ledger untouched.
+    the source serving it.  Every amount is (gamma_n * value + gamma_m *
+    balance) * conversion_rate_r, with the receiver's pre-batch balance,
+    floored at 0 and taken before any balance moves, so the result does not
+    depend on lease order.  Returns the batch's ``SettlementRecord`` rows as
+    list columns.  Columns of unequal length raise ValueError with the
+    ledger untouched.
     """
     receivers, providers = leased.owners.tolist(), providers.tolist()
     amounts, floors = [], []
@@ -73,7 +74,6 @@ def apply_settlement(
     gamma_n, gamma_m, conversion = weights.gamma_n, weights.gamma_m, weights.conversion_rate_r
     # A loop, not an array expression: the deltas fold per device in lease order.
     for receiver, value, provider in zip(receivers, leased.value.tolist(), providers, strict=True):
-        # compute_settlement_amount's expression, on the same floats.
         amount = (gamma_n * value + gamma_m * balance(receiver, 0.0)) * conversion
         floored = amount < 0.0
         if floored:

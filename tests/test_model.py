@@ -3,20 +3,11 @@ import random
 import numpy as np
 import pytest
 
-from crlsim.model import (
-    ColumnLog,
-    Task,
-    SourceNode,
-    SourcePool,
-    TaskQueue,
-    WeightsConfig,
-    compute_matching_priority,
-    compute_settlement_amount,
-)
-
+from crlsim.model import ColumnLog, SourcePool, TaskQueue, WeightsConfig
 from crlsim.settlement import SettlementRecord
 
-from records import nodes_of, tasks_of
+from oracles import compute_matching_priority, compute_settlement_amount
+from records import SourceNode, Task, nodes_of, table_of, tasks_of
 
 
 def make_task(task_id=0, owner=0, deadline=10.0, cycles=1.0, value=1.0, **kw):
@@ -27,45 +18,19 @@ def make_task(task_id=0, owner=0, deadline=10.0, cycles=1.0, value=1.0, **kw):
 HALVES = WeightsConfig(gamma_t=0.5, gamma_p=0.5, gamma_n=0.5, gamma_m=0.5, conversion_rate_r=1.0)
 
 
-class TestTaskInvariants:
-    def test_rejects_zero_cycles(self):
-        with pytest.raises(ValueError):
-            make_task(cycles=0.0)
-
-    def test_rejects_negative_value(self):
-        with pytest.raises(ValueError):
-            make_task(value=-1.0)
-
-    def test_rejects_negative_deferral(self):
-        with pytest.raises(ValueError):
-            make_task(rounds_deferred=-1)
-
-
-class TestSourceInvariants:
-    def test_rejects_zero_rate(self):
-        with pytest.raises(ValueError):
-            SourceNode(source_id=0, owner_id=0, idle_seconds=1.0, cycles_per_second=0.0)
-
-    def test_rejects_negative_idle(self):
-        with pytest.raises(ValueError):
-            SourceNode(source_id=0, owner_id=0, idle_seconds=-1.0, cycles_per_second=1.0)
-
-
 def make_pool(*idle):
-    return SourcePool.of(
-        SourceNode(source_id=i, owner_id=10 + i, idle_seconds=e, cycles_per_second=2.0)
-        for i, e in enumerate(idle)
-    )
+    return table_of(SourcePool, [SourceNode(source_id=i, owner_id=10 + i, idle_seconds=e, cycles_per_second=2.0)
+                                 for i, e in enumerate(idle)])
 
 
 class TestSourcePool:
     def test_of_sorts_by_id_and_nodes_round_trip(self):
         nodes = [SourceNode(source_id=sid, owner_id=sid + 1, idle_seconds=1.5 * sid, cycles_per_second=2.0)
                  for sid in (7, 2, 5)]
-        pool = SourcePool.of(nodes)
+        pool = table_of(SourcePool, nodes)
         assert pool.ids.tolist() == [2, 5, 7]
         assert nodes_of(pool) == sorted(nodes, key=lambda s: s.source_id)
-        assert len(SourcePool()) == 0 and len(SourcePool.of([])) == 0
+        assert len(SourcePool()) == 0 and len(table_of(SourcePool, [])) == 0
 
     def test_age_drops_sources_left_with_no_time(self):
         pool = make_pool(0.5, 1.0, 3.0)
@@ -83,7 +48,7 @@ class TestSourcePool:
 
     def test_extend_appends_in_id_order(self):
         pool = make_pool(1.0)
-        pool.extend(SourcePool.of([SourceNode(source_id=4, owner_id=0, idle_seconds=2.0, cycles_per_second=3.0)]))
+        pool.extend(table_of(SourcePool, [SourceNode(source_id=4, owner_id=0, idle_seconds=2.0, cycles_per_second=3.0)]))
         assert pool.ids.tolist() == [0, 4]
         assert pool.rate.tolist() == [2.0, 3.0]
 
@@ -101,27 +66,27 @@ class TestTaskQueue:
     def test_of_keeps_order_and_tasks_round_trip(self):
         tasks = [make_task(task_id=tid, owner=tid + 1, deadline=2.5 * tid, cycles=3.0, value=0.5,
                            rounds_deferred=tid % 2) for tid in (7, 2, 5)]
-        queue = TaskQueue.of(tasks)
+        queue = table_of(TaskQueue, tasks)
         assert queue.ids.tolist() == [7, 2, 5]
         assert tasks_of(queue) == tasks
-        assert len(TaskQueue()) == 0 and len(TaskQueue.of([])) == 0 and tasks_of(TaskQueue()) == []
+        assert len(TaskQueue()) == 0 and len(table_of(TaskQueue, [])) == 0 and tasks_of(TaskQueue()) == []
 
     def test_take_by_mask_and_by_rows(self):
-        queue = TaskQueue.of([make_task(task_id=tid) for tid in range(4)])
+        queue = table_of(TaskQueue, [make_task(task_id=tid) for tid in range(4)])
         assert queue.take(queue.ids % 2 == 1).ids.tolist() == [1, 3]
         assert queue.take([3, 0]).ids.tolist() == [3, 0]
         assert len(queue) == 4
 
     def test_age_returns_expired_in_queue_order(self):
-        queue = TaskQueue.of([make_task(task_id=tid, deadline=d) for tid, d in ((4, 1.0), (1, 3.0), (2, 0.5))])
+        queue = table_of(TaskQueue, [make_task(task_id=tid, deadline=d) for tid, d in ((4, 1.0), (1, 3.0), (2, 0.5))])
         expired = queue.age(1.0)
         assert expired.ids.tolist() == [4, 2]
         assert queue.ids.tolist() == [1] and queue.deadline.tolist() == [2.0]
         assert len(queue.age(1.0)) == 0 and queue.deadline.tolist() == [1.0]
 
     def test_extend_appends_after_current_rows(self):
-        queue = TaskQueue.of([make_task(task_id=9)])
-        queue.extend(TaskQueue.of([make_task(task_id=3, cycles=2.0)]))
+        queue = table_of(TaskQueue, [make_task(task_id=9)])
+        queue.extend(table_of(TaskQueue, [make_task(task_id=3, cycles=2.0)]))
         assert queue.ids.tolist() == [9, 3]
         assert queue.cycles.tolist() == [1.0, 2.0]
 

@@ -4,8 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from crlsim.model import Task, SourceNode, TaskQueue, WeightsConfig, compute_settlement_amount
+from crlsim.model import TaskQueue, WeightsConfig
 from crlsim.settlement import PriorityLedger, apply_settlement
+
+from oracles import compute_settlement_amount
+from records import SourceNode, Task, table_of
 
 W = WeightsConfig()
 
@@ -21,7 +24,7 @@ def source(sid, owner):
 def settle(tasks, sources, ledger, weights=W):
     """Settle one batch in which task k leases source k."""
     providers = np.array([s.owner_id for s in sources], dtype=np.int64)
-    return apply_settlement(TaskQueue.of(tasks), providers, ledger, weights)
+    return apply_settlement(table_of(TaskQueue, tasks), providers, ledger, weights)
 
 
 def test_single_transfer():

@@ -7,7 +7,7 @@ import pytest
 
 from crlsim import simulator
 from crlsim.metrics import AssignmentRecord
-from crlsim.model import ColumnLog, Task, SourceNode, SourcePool, TaskQueue, WeightsConfig
+from crlsim.model import ColumnLog, SourcePool, TaskQueue, WeightsConfig
 from crlsim.settlement import SettlementRecord
 from crlsim.simulator import (
     ARRIVAL_CHUNK,
@@ -23,7 +23,7 @@ from crlsim.simulator import (
 )
 
 from oracles import oracle_arrivals, oracle_settlements
-from records import nodes_of, rows_of, tasks_of
+from records import SourceNode, Task, nodes_of, rows_of, table_of, tasks_of
 
 QUIET = WorkloadConfig(task_arrival_rate=0.0, source_arrival_rate=0.0)
 LEASE_HEAVY = WorkloadConfig(task_arrival_rate=30.0, rate_range=(50.0, 400.0))
@@ -83,6 +83,17 @@ class TestWorkloadConfig:
             rng.poisson(above)
         with pytest.raises(ValueError, match=field):
             WorkloadConfig(**{field: above})
+
+    def test_device_count_limit_is_numpys_integers_limit(self):
+        # Owners are drawn from integers(0, device_count): 2**63 is the largest bound it takes.
+        rng = np.random.default_rng(0)
+        rng.integers(0, 2**63)
+        run(SimConfig(steps=2, workload=WorkloadConfig(device_count=2**63)))
+        with pytest.raises(ValueError):
+            rng.integers(0, 2**63 + 1)
+        for value in (0, 2**63 + 1, np.uint64(2**64 - 1)):
+            with pytest.raises(ValueError, match="device_count must be in \\[1, 2\\*\\*63\\]"):
+                WorkloadConfig(device_count=value)
 
     @pytest.mark.parametrize("field, value, message", [
         ("cycles_range", 5, "cycles_range must be a \\[low, high\\] pair"),
@@ -330,8 +341,8 @@ class TestStepCrl:
     def test_single_feasible_pair_matches_and_settles(self):
         config = SimConfig(workload=QUIET, weights=WeightsConfig(max_rounds_w=1))
         state = make_state(config)
-        state.pending = TaskQueue.of([Task(task_id=0, owner_id=1, deadline_s=50.0, cycles_required=100.0, value=10.0)])
-        state.pool = SourcePool.of([SourceNode(source_id=0, owner_id=2, idle_seconds=50.0, cycles_per_second=10.0)])
+        state.pending = table_of(TaskQueue, [Task(task_id=0, owner_id=1, deadline_s=50.0, cycles_required=100.0, value=10.0)])
+        state.pool = table_of(SourcePool, [SourceNode(source_id=0, owner_id=2, idle_seconds=50.0, cycles_per_second=10.0)])
         step_crl(state, config)
         assert state.matched_tasks == 1
         assert state.migrated_tasks == 0
@@ -348,7 +359,7 @@ class TestStepCrl:
     def test_no_sources_w1_escalates_immediately(self):
         config = SimConfig(workload=QUIET, weights=WeightsConfig(max_rounds_w=1))
         state = make_state(config)
-        state.pending = TaskQueue.of([Task(task_id=0, owner_id=1, deadline_s=50.0, cycles_required=100.0, value=4.0)])
+        state.pending = table_of(TaskQueue, [Task(task_id=0, owner_id=1, deadline_s=50.0, cycles_required=100.0, value=4.0)])
         step_crl(state, config)
         assert state.migrated_tasks == 1
         assert state.migrated_value_cum == pytest.approx(4.0)
@@ -357,7 +368,7 @@ class TestStepCrl:
     def test_no_sources_w3_defers_twice_then_escalates(self):
         config = SimConfig(workload=QUIET, weights=WeightsConfig(max_rounds_w=3))
         state = make_state(config)
-        state.pending = TaskQueue.of([Task(task_id=0, owner_id=1, deadline_s=50.0, cycles_required=100.0, value=4.0)])
+        state.pending = table_of(TaskQueue, [Task(task_id=0, owner_id=1, deadline_s=50.0, cycles_required=100.0, value=4.0)])
         step_crl(state, config)
         assert state.migrated_tasks == 0 and len(state.pending) == 1
         assert state.pending.deferred[0] == 1
@@ -369,7 +380,7 @@ class TestStepCrl:
     def test_expired_pending_task_escalates(self):
         config = SimConfig(workload=QUIET, weights=WeightsConfig(max_rounds_w=5))
         state = make_state(config)
-        state.pending = TaskQueue.of([Task(task_id=0, owner_id=1, deadline_s=1.5, cycles_required=100.0, value=4.0)])
+        state.pending = table_of(TaskQueue, [Task(task_id=0, owner_id=1, deadline_s=1.5, cycles_required=100.0, value=4.0)])
         step_crl(state, config)  # unmatched; deadline lookahead escalates
         assert state.migrated_tasks == 1
 
