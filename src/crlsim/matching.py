@@ -4,12 +4,12 @@ deferral / big-task classification."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .model import SourcePool, TaskQueue, WeightsConfig
-from .settlement import PriorityLedger
 
 
 @dataclass(frozen=True, eq=False)  # a generated __eq__ would compare arrays elementwise
@@ -25,13 +25,14 @@ class MatchResult:
     unmatched_task_ids: list[int]
 
 
-def sort_tasks_by_priority(queue: TaskQueue, ledger: PriorityLedger, weights: WeightsConfig) -> TaskQueue:
+def sort_tasks_by_priority(queue: TaskQueue, ledger: dict[int, float], weights: WeightsConfig) -> TaskQueue:
     """The queue in descending matching-priority order, ties broken by ascending task_id.
 
     The priority is gamma_t * (value / cycles) + gamma_p * the owner's
-    balance, evaluated column-wise.
+    balance in ``ledger`` (0 if absent), evaluated column-wise.
     """
-    balances = ledger.balances_of(queue.owners.tolist())
+    owners = queue.owners.tolist()
+    balances = np.fromiter(map(ledger.get, owners, repeat(0.0)), dtype=np.float64, count=len(owners))
     priority = weights.gamma_t * (queue.value / queue.cycles) + weights.gamma_p * balances
     return queue.take(np.lexsort((queue.ids, -priority)))
 
@@ -82,23 +83,29 @@ def greedy_match(matrix: np.ndarray, pool: SourcePool, queue: TaskQueue) -> Matc
     return MatchResult(assignments=assignments, unmatched_task_ids=queue.ids[unmatched].tolist())
 
 
-def classify_unmatched(queue: TaskQueue, weights: WeightsConfig, step_seconds: float = 0.0) -> tuple[TaskQueue, TaskQueue]:
+def classify_unmatched(queue: TaskQueue, matched_rows: np.ndarray, weights: WeightsConfig, step_seconds: float) -> tuple[TaskQueue, TaskQueue]:
     """Split this round's losers into deferred tasks and cloud-bound big tasks.
 
-    Every task's rounds_deferred is incremented.  Tasks hitting the retry
-    limit, and tasks whose deadline cannot survive another step's wait,
-    escalate immediately; the rest re-enter the queue for the next round.
-    Both parts keep the queue's order.
+    The losers are the rows of the round's ordered ``queue`` not in
+    ``matched_rows``; ``queue`` itself is left as it is.  Every loser's
+    rounds_deferred is incremented.  Losers hitting the retry limit, and those
+    whose deadline cannot survive another step's wait, escalate immediately;
+    the rest re-enter the queue for the next round.  Both keep queue order.
     """
-    over = np.flatnonzero(queue.deferred >= weights.max_rounds_w)
+    lost = np.ones(len(queue), dtype=bool)
+    lost[matched_rows] = False
+    over = np.flatnonzero(lost & (queue.deferred >= weights.max_rounds_w))
     if len(over):
         raise ValueError(
             f"task {queue.ids[over[0]]}: rounds_deferred {queue.deferred[over[0]]} "
             f"already at limit {weights.max_rounds_w}"
         )
-    bumped = replace(queue, deferred=queue.deferred + 1)
-    big = (bumped.deferred >= weights.max_rounds_w) | (bumped.deadline - step_seconds <= 0)
-    return bumped.take(~big), bumped.take(big)
+    bumped = queue.deferred + 1
+    big = (bumped >= weights.max_rounds_w) | (queue.deadline - step_seconds <= 0)
+    stay, go = lost & ~big, lost & big
+    deferred, escalated = queue.take(stay), queue.take(go)
+    deferred.deferred, escalated.deferred = bumped[stay], bumped[go]
+    return deferred, escalated
 
 
 def contending_sources(pool: SourcePool, ordered: TaskQueue) -> np.ndarray:
@@ -146,7 +153,7 @@ def contending_sources(pool: SourcePool, ordered: TaskQueue) -> np.ndarray:
     return np.flatnonzero(rate >= r_k * (1 - 2**-40))
 
 
-def full_round(queue: TaskQueue, pool: SourcePool, ledger: PriorityLedger, weights: WeightsConfig) -> tuple[TaskQueue, MatchResult]:
+def full_round(queue: TaskQueue, pool: SourcePool, ledger: dict[int, float], weights: WeightsConfig) -> tuple[TaskQueue, MatchResult]:
     """Sort the queue by priority and match it greedily to the pool.
 
     The matrix and the match cover only the ``contending_sources`` of the

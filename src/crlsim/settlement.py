@@ -1,8 +1,7 @@
-"""Priority ledger and batch settlement of completed leases."""
+"""Batch settlement of completed leases against the priority ledger."""
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -25,35 +24,10 @@ class SettlementRecord(NamedTuple):
     floored: bool = False
 
 
-class PriorityLedger:
-    """Per-device priority balances, mutated only by settlement batches.
-
-    Unknown devices implicitly hold balance 0.  The sum of all balances is
-    conserved by every batch: each debit has an equal credit.
-    """
-
-    def __init__(self, initial=None):
-        self._balances: dict[int, float] = dict(initial) if initial else {}
-
-    def balance_of(self, device_id: int) -> float:
-        return self._balances.get(device_id, 0.0)
-
-    def balances_of(self, device_ids: list) -> np.ndarray:
-        """The balances of ``device_ids``, in order, as one float64 array."""
-        return np.fromiter(map(self._balances.get, device_ids, repeat(0.0)), dtype=np.float64, count=len(device_ids))
-
-    def snapshot(self) -> dict[int, float]:
-        return dict(self._balances)
-
-    def _apply(self, deltas: dict[int, float]):
-        for device_id, delta in deltas.items():
-            self._balances[device_id] = self._balances.get(device_id, 0.0) + delta
-
-
 def apply_settlement(
     leased: TaskQueue,
     providers: np.ndarray,
-    ledger: PriorityLedger,
+    ledger: dict[int, float],
     weights: WeightsConfig,
     step: int = 0,
 ) -> ColumnLog:
@@ -65,12 +39,14 @@ def apply_settlement(
     floored at 0 and taken before any balance moves, so the result does not
     depend on lease order.  Returns the batch's ``SettlementRecord`` rows as
     list columns.  Columns of unequal length raise ValueError with the
-    ledger untouched.
+    ledger untouched.  ``ledger`` maps a device to its balance, 0 if absent;
+    each batch conserves the sum of all balances, as every debit has an
+    equal credit.
     """
     receivers, providers = leased.owners.tolist(), providers.tolist()
     amounts, floors = [], []
     deltas: dict[int, float] = {}
-    balance = ledger._balances.get
+    balance = ledger.get
     gamma_n, gamma_m, conversion = weights.gamma_n, weights.gamma_m, weights.conversion_rate_r
     # A loop, not an array expression: the deltas fold per device in lease order.
     for receiver, value, provider in zip(receivers, leased.value.tolist(), providers, strict=True):
@@ -83,5 +59,6 @@ def apply_settlement(
         deltas[receiver] = deltas.get(receiver, 0.0) - amount
         deltas[provider] = deltas.get(provider, 0.0) + amount
 
-    ledger._apply(deltas)
+    for device_id, delta in deltas.items():
+        ledger[device_id] = balance(device_id, 0.0) + delta
     return ColumnLog(SettlementRecord, (leased.ids.tolist(), receivers, providers, amounts, [step] * len(amounts), floors))

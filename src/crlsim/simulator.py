@@ -10,7 +10,7 @@ import numpy as np
 
 from .model import ColumnLog, SourcePool, TaskQueue, WeightsConfig, check_config_numbers
 from .matching import full_round, classify_unmatched
-from .settlement import PriorityLedger, SettlementRecord, apply_settlement
+from .settlement import SettlementRecord, apply_settlement
 from .metrics import SimReport, StepSample, AssignmentRecord, idle_capacity
 
 POLICIES = ("crl", "cloud")
@@ -194,18 +194,19 @@ class ArrivalStream:
 class SimState:
     """Mutable state threaded through the per-step loop of a single run.
 
-    ``arrivals`` draws from ``rng`` at most ``config.steps`` steps ahead.
-    ``settlement_log`` and ``lease_log`` hold one tuple of columns per lease
-    round, in the field order of ``SettlementRecord`` and
+    ``arrivals`` draws from ``rng``, seeded with ``config.rng_seed``, at most
+    ``config.steps`` steps ahead.  ``ledger`` maps a device to its priority
+    balance.  ``settlement_log`` and ``lease_log`` hold one tuple of columns
+    per lease round, in the field order of ``SettlementRecord`` and
     ``AssignmentRecord``; ``report`` joins them.
     """
 
     config: SimConfig
-    rng: np.random.Generator
+    rng: np.random.Generator = field(init=False)
     step: int = 0
     pending: TaskQueue = field(default_factory=TaskQueue)
     pool: SourcePool = field(default_factory=SourcePool)
-    ledger: PriorityLedger = field(default_factory=PriorityLedger)
+    ledger: dict[int, float] = field(default_factory=dict)
     samples: list[StepSample] = field(default_factory=list)
     settlement_log: list[tuple] = field(default_factory=list)
     lease_log: list[tuple] = field(default_factory=list)
@@ -218,15 +219,16 @@ class SimState:
     arrivals: ArrivalStream = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.rng = np.random.default_rng(self.config.rng_seed)
         self.arrivals = ArrivalStream(self.config.workload, self.rng, self.config.steps)
 
     def report(self) -> SimReport:
-        """The run so far as a report."""
+        """The run so far as a report; later steps leave it as it is."""
         return SimReport(
             policy=self.config.policy,
             seed=self.config.rng_seed,
-            samples=self.samples,
-            ledger_snapshot=self.ledger.snapshot(),
+            samples=list(self.samples),
+            ledger_snapshot=dict(self.ledger),
             settlement_records=ColumnLog.join(SettlementRecord, self.settlement_log),
             assignment_records=ColumnLog.join(AssignmentRecord, self.lease_log),
             arrived_tasks=self.arrived_tasks,
@@ -277,8 +279,9 @@ def _draw_scalars(workload, rng, n_tasks, n_sources):
 def _age_state(state: SimState) -> TaskQueue:
     """Advance wall-clock by one step for carried-over tasks and sources.
 
-    Returns pending tasks whose deadline expired while waiting; they can no
-    longer be finished by any source and escalate straight to the cloud.
+    Returns pending tasks whose deadline expired while waiting, to escalate
+    straight to the cloud.  Under ``run`` there are none: the round before
+    escalated every task whose deadline this same subtraction ends at <= 0.
     """
     dt = state.config.step_seconds
     state.pool.age(dt)
@@ -293,10 +296,10 @@ def _escalate(state: SimState, tasks: TaskQueue):
         state.migrated_cycles_cum += cycles
 
 
-def _step(state: SimState, config: SimConfig, policy_round) -> SimState:
+def _step(state: SimState, policy_round) -> SimState:
     """One step: arrivals, aging, the policy's round, then the step's sample.
 
-    ``policy_round(state, config)`` empties or replaces ``state.pending`` and
+    ``policy_round(state)`` empties or replaces ``state.pending`` and
     returns how many tasks it matched and how many it deferred.
     """
     migrated_before = state.migrated_tasks
@@ -309,7 +312,7 @@ def _step(state: SimState, config: SimConfig, policy_round) -> SimState:
     state.pending.extend(new_tasks)
     state.pool.extend(new_sources)
 
-    matched, deferred = policy_round(state, config)
+    matched, deferred = policy_round(state)
     state.samples.append(
         StepSample(
             step=state.step,
@@ -326,8 +329,8 @@ def _step(state: SimState, config: SimConfig, policy_round) -> SimState:
     return state
 
 
-def _lease_round(state: SimState, config: SimConfig) -> tuple[int, int]:
-    pool = state.pool
+def _lease_round(state: SimState) -> tuple[int, int]:
+    pool, config = state.pool, state.config
     ordered, result = full_round(state.pending, pool, state.ledger, config.weights)
     task_rows, rows = result.assignments.T
     leased = ordered.take(task_rows)
@@ -342,15 +345,13 @@ def _lease_round(state: SimState, config: SimConfig) -> tuple[int, int]:
     state.matched_tasks += len(leased)
     pool.consume(rows, busy)
 
-    left = np.ones(len(ordered), dtype=bool)
-    left[task_rows] = False
-    deferred, big = classify_unmatched(ordered.take(left), config.weights, config.step_seconds)
+    deferred, big = classify_unmatched(ordered, task_rows, config.weights, config.step_seconds)
     _escalate(state, big)
     state.pending = deferred
     return len(leased), len(deferred)
 
 
-def _cloud_round(state: SimState, config: SimConfig) -> tuple[int, int]:
+def _cloud_round(state: SimState) -> tuple[int, int]:
     # Pending held nothing before this step's arrivals, so they escalate in
     # arrival order.
     _escalate(state, state.pending)
@@ -358,24 +359,24 @@ def _cloud_round(state: SimState, config: SimConfig) -> tuple[int, int]:
     return 0, 0
 
 
-def step_crl(state: SimState, config: SimConfig) -> SimState:
+def step_crl(state: SimState) -> SimState:
     """Run one leasing round: age, match, settle, consume, defer or escalate."""
-    return _step(state, config, _lease_round)
+    return _step(state, _lease_round)
 
 
-def step_cloud(state: SimState, config: SimConfig) -> SimState:
+def step_cloud(state: SimState) -> SimState:
     """Baseline: every arriving task migrates to the cloud immediately.
 
     Sources are never leased, so the pool only ages; under a stationary
     workload its capacity settles to a roughly constant level.
     """
-    return _step(state, config, _cloud_round)
+    return _step(state, _cloud_round)
 
 
 def run(config: SimConfig) -> SimReport:
     """Execute a full run from a fresh state; deterministic for a fixed seed."""
-    state = SimState(config=config, rng=np.random.default_rng(config.rng_seed))
+    state = SimState(config)
     step_fn = step_crl if config.policy == "crl" else step_cloud
     for _ in range(config.steps):
-        step_fn(state, config)
+        step_fn(state)
     return state.report()

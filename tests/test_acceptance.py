@@ -13,13 +13,14 @@ import numpy as np
 import pytest
 
 from crlsim.model import TaskQueue, WeightsConfig
-from crlsim.settlement import PriorityLedger, apply_settlement
-from crlsim.simulator import SimConfig, WorkloadConfig, run
+from crlsim.settlement import apply_settlement
+from crlsim.simulator import SimConfig, run
 from crlsim.cli import main
 from crlsim.metrics import load_report_csv
 
 from oracles import compute_matching_priority, compute_settlement_amount, oracle_round
 from records import SourceNode, Task, round_ids, table_of
+from scenarios import random_configs
 
 WEIGHTS = WeightsConfig()
 
@@ -31,7 +32,7 @@ def _report(criterion, ok, detail=""):
 
 
 def _check_instance(tasks, sources, balances):
-    _, got, unmatched = round_ids(tasks, sources, PriorityLedger(balances), WEIGHTS)
+    _, got, unmatched = round_ids(tasks, sources, dict(balances), WEIGHTS)
     expected_assign, expected_unmatched = oracle_round(tasks, sources, balances, WEIGHTS)
     return got == expected_assign and unmatched == expected_unmatched
 
@@ -85,7 +86,7 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_priority_conservation():
     start = time.monotonic()
     rng = random.Random(7)
-    ledger = PriorityLedger()
+    ledger = {}
     worst = 0.0
     for _ in range(1000):
         k = rng.randint(0, 6)
@@ -101,9 +102,9 @@ def test_criterion_2_priority_conservation():
         ]
         # task i leases source i
         providers = np.array([s.owner_id for s in sources], dtype=np.int64)
-        before = math.fsum(ledger.snapshot().values())
+        before = math.fsum(ledger.values())
         apply_settlement(table_of(TaskQueue, tasks), providers, ledger, WEIGHTS)
-        worst = max(worst, abs(math.fsum(ledger.snapshot().values()) - before))
+        worst = max(worst, abs(math.fsum(ledger.values()) - before))
         assert worst <= 1e-9
     elapsed = time.monotonic() - start
     _report(2, elapsed < 5.0, f"(max drift {worst:.2e}, {elapsed:.2f}s)")
@@ -168,23 +169,7 @@ def test_criterion_6_byte_identical_cli_outputs(tmp_path):
 
 
 def test_criterion_7_task_accounting():
-    rng = random.Random(4242)
-    for i in range(50):
-        workload = WorkloadConfig(
-            task_arrival_rate=rng.uniform(0, 12),
-            source_arrival_rate=rng.uniform(0, 20),
-            cycles_range=(100.0, rng.uniform(500, 4000)),
-            deadline_range=(2.0, rng.uniform(10, 60)),
-            idle_range=(5.0, rng.uniform(20, 80)),
-            rate_range=(2.0, rng.uniform(10, 50)),
-            device_count=rng.randint(2, 40),
-        )
-        cfg = SimConfig(
-            steps=rng.randint(10, 40),
-            rng_seed=rng.randint(0, 10_000),
-            weights=WeightsConfig(max_rounds_w=rng.randint(1, 5)),
-            workload=workload,
-        )
+    for cfg in random_configs():
         report = run(cfg)
         assert report.arrived_tasks == report.matched_tasks + report.migrated_tasks + report.pending_tasks
     _report(7, True, "(50 random scenarios, exact)")
@@ -205,7 +190,7 @@ def test_criterion_8_formula_unit_values():
     for weights, value, balance, expected in ((halves, 10.0, 4.0, 7.0), (w, 6.0, 2.0, 3.0)):
         t = Task(task_id=0, owner_id=0, deadline_s=10.0, cycles_required=1.0, value=value)
         assert compute_settlement_amount(t, balance, weights) == pytest.approx(expected, abs=1e-12)
-        records = apply_settlement(table_of(TaskQueue, [t]), np.array([1]), PriorityLedger({0: balance}), weights)
+        records = apply_settlement(table_of(TaskQueue, [t]), np.array([1]), {0: balance}, weights)
         assert records[0].amount == pytest.approx(expected, abs=1e-12)
 
     _report(8, True, "(2.0 / 2.75 / 7.0 / 3.0 at 1e-12)")

@@ -12,7 +12,6 @@ from crlsim.matching import (
     classify_unmatched,
     full_round,
 )
-from crlsim.settlement import PriorityLedger
 
 from oracles import compute_matching_priority, feasible, oracle_round
 from records import SourceNode, Task, lease_ids, round_ids, table_of
@@ -85,7 +84,7 @@ def tied_instance(rng, max_n=40, max_m=200):
 def shortlisted_leases(tasks, sources):
     """full_round's leases, checked against the unshortlisted match."""
     p = pool(*sources)
-    ordered, result = full_round(queue(*tasks), p, PriorityLedger(), W)
+    ordered, result = full_round(queue(*tasks), p, {}, W)
     reference = greedy_match(build_prefer_matrix(p, ordered), p, ordered)
     assert np.array_equal(result.assignments, reference.assignments)
     assert result.unmatched_task_ids == reference.unmatched_task_ids
@@ -95,17 +94,25 @@ def shortlisted_leases(tasks, sources):
 class TestSort:
     def test_descending(self):
         tasks = [task(0, value=1), task(1, value=3), task(2, value=2)]
-        out = sort_tasks_by_priority(queue(*tasks), PriorityLedger(), W)
+        out = sort_tasks_by_priority(queue(*tasks), {}, W)
         assert out.ids.tolist() == [1, 2, 0]
 
     def test_tie_break_ascending_id(self):
         tasks = [task(2), task(0), task(1)]
-        out = sort_tasks_by_priority(queue(*tasks), PriorityLedger(), W)
+        out = sort_tasks_by_priority(queue(*tasks), {}, W)
         assert out.ids.tolist() == [0, 1, 2]
+
+    def test_gathers_owner_balances_in_order(self):
+        # Equal value per cycle, so the owners' balances alone order the
+        # tasks; owner 9 holds none and reads 0.
+        ledger = {1: 4.0, 2: -0.5}
+        tasks = [task(i, owner=owner) for i, owner in enumerate([2, 9, 1, 2])]
+        assert sort_tasks_by_priority(queue(*tasks), ledger, W).ids.tolist() == [2, 1, 0, 3]
+        assert len(sort_tasks_by_priority(queue(), ledger, W)) == 0
 
     def test_against_selection_sort_oracle(self):
         rng = random.Random(42)
-        ledger = PriorityLedger({0: 1.5, 1: -0.5, 2: 0.0, 3: 2.0})
+        ledger = {0: 1.5, 1: -0.5, 2: 0.0, 3: 2.0}
         tasks = [
             task(i, cycles=rng.uniform(1, 50), value=rng.uniform(0, 10), owner=rng.randint(0, 3))
             for i in range(100)
@@ -118,8 +125,8 @@ class TestSort:
         while remaining:
             best = remaining[0]
             for t in remaining[1:]:
-                pb = compute_matching_priority(best, ledger.balance_of(best.owner_id), W)
-                pt = compute_matching_priority(t, ledger.balance_of(t.owner_id), W)
+                pb = compute_matching_priority(best, ledger.get(best.owner_id, 0.0), W)
+                pt = compute_matching_priority(t, ledger.get(t.owner_id, 0.0), W)
                 if pt > pb or (pt == pb and t.task_id < best.task_id):
                     best = t
             expected.append(best)
@@ -134,10 +141,10 @@ class TestSort:
             if not tasks:
                 continue
             target = rng.choice(tasks)
-            before = sort_tasks_by_priority(queue(*tasks), PriorityLedger(balances), W)
+            before = sort_tasks_by_priority(queue(*tasks), dict(balances), W)
             bumped = dict(balances)
             bumped[target.owner_id] = bumped.get(target.owner_id, 0.0) + rng.uniform(0, 5)
-            after = sort_tasks_by_priority(queue(*tasks), PriorityLedger(bumped), W)
+            after = sort_tasks_by_priority(queue(*tasks), dict(bumped), W)
             ids_b = before.ids.tolist()
             ids_a = after.ids.tolist()
             # all tasks sharing the bumped owner move together; check the target
@@ -245,7 +252,7 @@ class TestGreedyMatch:
         rng = random.Random(17)
         for _ in range(200):
             tasks, sources, balances = random_instance(rng)
-            _, leases, _ = round_ids(tasks, sources, PriorityLedger(balances), W)
+            _, leases, _ = round_ids(tasks, sources, dict(balances), W)
             ids = list(leases.values())
             assert len(ids) == len(set(ids))
 
@@ -255,7 +262,7 @@ class TestGreedyMatch:
             tasks, sources, balances = random_instance(rng)
             src = {s.source_id: s for s in sources}
             tsk = {t.task_id: t for t in tasks}
-            _, leases, _ = round_ids(tasks, sources, PriorityLedger(balances), W)
+            _, leases, _ = round_ids(tasks, sources, dict(balances), W)
             for task_id, source_id in leases.items():
                 assert feasible(src[source_id], tsk[task_id])
 
@@ -265,7 +272,7 @@ class TestGreedyMatch:
             tasks, sources, balances = random_instance(rng)
             if len(tasks) < 2:
                 continue
-            ledger = PriorityLedger(balances)
+            ledger = dict(balances)
             ordered, leases, _ = round_ids(tasks, sources, ledger, W)
             drop = ordered[-1]
             kept = [t for t in tasks if t.task_id != drop]
@@ -277,7 +284,7 @@ class TestGreedyMatch:
         rng = random.Random(99)
         for _ in range(300):
             tasks, sources, balances = random_instance(rng)
-            _, leases, unmatched = round_ids(tasks, sources, PriorityLedger(balances), W)
+            _, leases, unmatched = round_ids(tasks, sources, dict(balances), W)
             expected_assign, expected_unmatched = oracle_round(tasks, sources, balances, W)
             assert leases == expected_assign
             assert unmatched == expected_unmatched
@@ -292,7 +299,7 @@ class TestGreedyMatch:
             elif k % 10 == 1:
                 tasks = []
             shuffled = pool(*rng.sample(sources, len(sources)))
-            ordered, result = full_round(queue(*tasks), shuffled, PriorityLedger(balances), W)
+            ordered, result = full_round(queue(*tasks), shuffled, dict(balances), W)
             expected_assign, expected_unmatched = oracle_round(tasks, sources, balances, W)
             assert dict(lease_ids(ordered, result, shuffled)) == expected_assign
             assert result.unmatched_task_ids == expected_unmatched
@@ -363,34 +370,54 @@ class TestContendingSources:
 class TestClassifyUnmatched:
     def test_threshold_escalates(self):
         w = WeightsConfig(max_rounds_w=3)
-        deferred, big = classify_unmatched(queue(task(0, deferred=2)), w)
+        deferred, big = classify_unmatched(queue(task(0, deferred=2)), [], w, 1.0)
         assert len(deferred) == 0 and big.ids.tolist() == [0]
         assert big.deferred[0] == 3
 
     def test_increments_and_defers(self):
         w = WeightsConfig(max_rounds_w=3)
-        deferred, big = classify_unmatched(queue(task(0, deferred=0)), w)
+        deferred, big = classify_unmatched(queue(task(0, deferred=0)), [], w, 1.0)
         assert len(big) == 0 and deferred.deferred[0] == 1
 
     def test_expired_deadline_escalates(self):
         w = WeightsConfig(max_rounds_w=5)
-        deferred, big = classify_unmatched(queue(task(0, deadline=1.0, deferred=0)), w, step_seconds=1.0)
+        deferred, big = classify_unmatched(queue(task(0, deadline=1.0, deferred=0)), [], w, step_seconds=1.0)
         assert len(deferred) == 0 and len(big) == 1
 
     def test_rejects_over_limit_entry(self):
         w = WeightsConfig(max_rounds_w=2)
         with pytest.raises(ValueError):
-            classify_unmatched(queue(task(0, deferred=2)), w)
+            classify_unmatched(queue(task(0, deferred=2)), [], w, 1.0)
 
     def test_mixed_batch_matches_per_element_rule(self):
         w = WeightsConfig(max_rounds_w=2)
         rng = random.Random(55)
         batch = [task(i, deadline=rng.uniform(0.5, 20), deferred=rng.randint(0, 1)) for i in range(5)]
-        deferred, big = classify_unmatched(queue(*batch), w, step_seconds=1.0)
+        deferred, big = classify_unmatched(queue(*batch), [], w, step_seconds=1.0)
         for t in batch:
-            d1, b1 = classify_unmatched(queue(t), w, step_seconds=1.0)
+            d1, b1 = classify_unmatched(queue(t), [], w, step_seconds=1.0)
             if len(b1):
                 assert t.task_id in big.ids.tolist()
             else:
                 assert t.task_id in deferred.ids.tolist()
         assert len(deferred) + len(big) == len(batch)
+
+    def test_matched_rows_are_left_out(self):
+        # Rows 1 and 3 leased; row 3 is over the limit, which only a loser
+        # may not be.
+        w = WeightsConfig(max_rounds_w=2)
+        q = queue(task(5, deferred=0), task(2, deferred=1), task(7, deadline=0.5), task(1, deferred=2), task(4, deferred=1))
+        deferred, big = classify_unmatched(q, np.array([3, 1]), w, 1.0)
+        assert deferred.ids.tolist() == [5] and deferred.deferred.tolist() == [1]
+        assert big.ids.tolist() == [7, 4] and big.deferred.tolist() == [1, 2]
+        with pytest.raises(ValueError, match="task 1: rounds_deferred 2 already at limit 2"):
+            classify_unmatched(q, np.array([1]), w, 1.0)
+
+    def test_leaves_queue_unchanged(self):
+        w = WeightsConfig(max_rounds_w=3)
+        q = queue(task(0, deferred=1), task(1, deadline=0.5), task(2, deferred=2), task(3))
+        columns = {name: getattr(q, name) for name in q.__dataclass_fields__}
+        copies = {name: column.copy() for name, column in columns.items()}
+        classify_unmatched(q, np.array([3]), w, 1.0)
+        for name, column in columns.items():
+            assert getattr(q, name) is column and np.array_equal(column, copies[name])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from crlsim.model import TaskQueue, WeightsConfig
-from crlsim.settlement import PriorityLedger, apply_settlement
+from crlsim.settlement import apply_settlement
 
 from oracles import compute_settlement_amount
 from records import SourceNode, Task, table_of
@@ -28,68 +28,64 @@ def settle(tasks, sources, ledger, weights=W):
 
 
 def test_single_transfer():
-    ledger = PriorityLedger({1: 4.0})
+    ledger = {1: 4.0}
     tasks = [task(0, owner=1, value=10.0)]
     sources = [source(0, owner=2)]
     records = settle(tasks, sources, ledger)
     assert len(records) == 1
     assert records[0].amount == pytest.approx(7.0, abs=1e-12)
-    assert ledger.balance_of(1) == pytest.approx(-3.0)
-    assert ledger.balance_of(2) == pytest.approx(7.0)
+    assert ledger.get(1, 0.0) == pytest.approx(-3.0)
+    assert ledger.get(2, 0.0) == pytest.approx(7.0)
     assert not records[0].floored
 
 
 def test_empty_batch_is_identity():
-    ledger = PriorityLedger({1: 4.0})
+    ledger = {1: 4.0}
     records = settle([], [], ledger)
     assert records == []
-    assert ledger.snapshot() == {1: 4.0}
+    assert ledger == {1: 4.0}
 
 
 def test_fresh_ledger_defaults_to_zero():
-    assert PriorityLedger().balance_of(123) == 0.0
-
-
-def test_balances_of_gathers_in_order():
-    ledger = PriorityLedger({1: 4.0, 2: -0.5})
-    balances = ledger.balances_of([2, 9, 1, 2])
-    assert balances.dtype == np.float64
-    assert balances.tolist() == [-0.5, 0.0, 4.0, -0.5]
-    assert ledger.balances_of([]).shape == (0,)
+    # A device the ledger lacks pays from balance 0: B = 0.5 * 10 + 0.5 * 0.
+    ledger = {}
+    records = settle([task(0, owner=123, value=10.0)], [source(0, owner=2)], ledger)
+    assert records[0].amount == 5.0
+    assert ledger == {123: -5.0, 2: 5.0}
 
 
 def test_length_mismatch_rejected_atomically():
-    ledger = PriorityLedger({1: 4.0})
+    ledger = {1: 4.0}
     tasks = [task(0, owner=1), task(1, owner=2)]
     with pytest.raises(ValueError):
         settle(tasks, [source(0, owner=2)], ledger)
-    assert ledger.snapshot() == {1: 4.0}
+    assert ledger == {1: 4.0}
 
 
 def test_simultaneous_semantics_for_dual_role_device():
     # device 1 receives for task 0 and provides for task 1 in the same batch;
     # both amounts must come from pre-batch balances
-    ledger = PriorityLedger({1: 4.0, 2: 2.0})
+    ledger = {1: 4.0, 2: 2.0}
     tasks = [task(0, owner=1, value=10.0), task(1, owner=2, value=6.0)]
     sources = [source(0, owner=2), source(1, owner=1)]
     b_own = compute_settlement_amount(tasks[0], 4.0, W)     # 1 pays for task 0
     b_earned = compute_settlement_amount(tasks[1], 2.0, W)  # 1 earns from task 1
     records = settle(tasks, sources, ledger)
     assert [r.amount for r in records] == [pytest.approx(b_own), pytest.approx(b_earned)]
-    assert ledger.balance_of(1) == pytest.approx(4.0 - b_own + b_earned)
-    assert ledger.balance_of(2) == pytest.approx(2.0 + b_own - b_earned)
+    assert ledger.get(1, 0.0) == pytest.approx(4.0 - b_own + b_earned)
+    assert ledger.get(2, 0.0) == pytest.approx(2.0 + b_own - b_earned)
 
 
 def test_negative_amount_floored_and_flagged():
     w = WeightsConfig(gamma_n=0.5, gamma_m=0.5, conversion_rate_r=1.0)
-    ledger = PriorityLedger({1: -10.0})
+    ledger = {1: -10.0}
     tasks = [task(0, owner=1, value=0.0)]
     sources = [source(0, owner=2)]
     records = settle(tasks, sources, ledger, w)
     assert records[0].floored
     assert records[0].amount == 0.0
-    assert ledger.balance_of(1) == pytest.approx(-10.0)
-    assert ledger.balance_of(2) == 0.0
+    assert ledger.get(1, 0.0) == pytest.approx(-10.0)
+    assert ledger.get(2, 0.0) == 0.0
 
 
 def _random_batch(rng, n_devices=6):
@@ -101,12 +97,12 @@ def _random_batch(rng, n_devices=6):
 
 def test_conservation_over_random_batches():
     rng = random.Random(2024)
-    ledger = PriorityLedger()
+    ledger = {}
     for _ in range(500):
         tasks, sources = _random_batch(rng)
-        before = math.fsum(ledger.snapshot().values())
+        before = math.fsum(ledger.values())
         settle(tasks, sources, ledger)
-        assert abs(math.fsum(ledger.snapshot().values()) - before) <= 1e-9
+        assert abs(math.fsum(ledger.values()) - before) <= 1e-9
 
 
 def test_replay_determinism():
@@ -114,16 +110,16 @@ def test_replay_determinism():
     batches = [_random_batch(rng) for _ in range(100)]
 
     def play():
-        ledger = PriorityLedger()
+        ledger = {}
         for tasks, sources in batches:
             settle(tasks, sources, ledger)
-        return ledger.snapshot()
+        return ledger
 
     first = play()
     assert play() == first
 
     # event-sourced oracle: recompute every balance from the recorded amounts
-    ledger = PriorityLedger()
+    ledger = {}
     all_records = []
     for tasks, sources in batches:
         all_records.extend(settle(tasks, sources, ledger))
@@ -131,7 +127,7 @@ def test_replay_determinism():
     for r in all_records:
         replayed[r.receiver_device] = replayed.get(r.receiver_device, 0.0) - r.amount
         replayed[r.provider_device] = replayed.get(r.provider_device, 0.0) + r.amount
-    for device, bal in ledger.snapshot().items():
+    for device, bal in ledger.items():
         assert bal == pytest.approx(replayed.get(device, 0.0), abs=1e-9)
 
 
@@ -139,15 +135,15 @@ def test_provider_only_never_decreases():
     rng = random.Random(13)
     for _ in range(100):
         tasks, sources = _random_batch(rng)
-        ledger = PriorityLedger({d: rng.uniform(0, 5) for d in range(6)})
-        before = ledger.snapshot()
+        ledger = {d: rng.uniform(0, 5) for d in range(6)}
+        before = dict(ledger)
         records = settle(tasks, sources, ledger)
         receivers = {r.receiver_device for r in records}
         providers = {r.provider_device for r in records}
         for d in providers - receivers:
-            assert ledger.balance_of(d) >= before.get(d, 0.0) - 1e-12
+            assert ledger.get(d, 0.0) >= before.get(d, 0.0) - 1e-12
         for d in receivers - providers:
-            assert ledger.balance_of(d) <= before.get(d, 0.0) + 1e-12
+            assert ledger.get(d, 0.0) <= before.get(d, 0.0) + 1e-12
 
 
 def test_amounts_equal_scalar_formula_bit_for_bit():
@@ -157,8 +153,8 @@ def test_amounts_equal_scalar_formula_bit_for_bit():
     floored = 0
     for _ in range(300):
         w = WeightsConfig(gamma_n=rng.random(), gamma_m=rng.random(), conversion_rate_r=rng.uniform(0.1, 5))
-        ledger = PriorityLedger({d: rng.uniform(-20, 10) for d in range(4)})
-        before = ledger.snapshot()
+        ledger = {d: rng.uniform(-20, 10) for d in range(4)}
+        before = dict(ledger)
         tasks, sources = _random_batch(rng)
         records = settle(tasks, sources, ledger, w)
         assert [r.task_id for r in records] == [t.task_id for t in tasks]

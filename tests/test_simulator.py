@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import itertools
 import json
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from crlsim import simulator
-from crlsim.metrics import AssignmentRecord
+from crlsim.metrics import AssignmentRecord, emit_report
 from crlsim.model import ColumnLog, SourcePool, TaskQueue, WeightsConfig
 from crlsim.settlement import SettlementRecord
 from crlsim.simulator import (
@@ -24,13 +25,10 @@ from crlsim.simulator import (
 
 from oracles import oracle_arrivals, oracle_settlements
 from records import SourceNode, Task, nodes_of, rows_of, table_of, tasks_of
+from scenarios import random_configs
 
 QUIET = WorkloadConfig(task_arrival_rate=0.0, source_arrival_rate=0.0)
 LEASE_HEAVY = WorkloadConfig(task_arrival_rate=30.0, rate_range=(50.0, 400.0))
-
-
-def make_state(config):
-    return SimState(config=config, rng=np.random.default_rng(config.rng_seed))
 
 
 def as_objects(arrivals):
@@ -224,6 +222,21 @@ def count_fallbacks(monkeypatch):
     return fallbacks
 
 
+def record_aging(monkeypatch):
+    """Record (pending tasks aged, ids of those that expired) per ``_age_state`` call."""
+    calls = []
+    age = simulator._age_state
+
+    def recording(state):
+        aged = len(state.pending)
+        expired = age(state)
+        calls.append((aged, expired.ids.tolist()))
+        return expired
+
+    monkeypatch.setattr(simulator, "_age_state", recording)
+    return calls
+
+
 # The first word of PCG64(1) advanced this far has a low half that Lemire's
 # test rejects for integers(0, 30).
 REJECTED_WORD_AT = 133644978
@@ -340,54 +353,70 @@ class TestArrivalReplay:
 class TestStepCrl:
     def test_single_feasible_pair_matches_and_settles(self):
         config = SimConfig(workload=QUIET, weights=WeightsConfig(max_rounds_w=1))
-        state = make_state(config)
+        state = SimState(config)
         state.pending = table_of(TaskQueue, [Task(task_id=0, owner_id=1, deadline_s=50.0, cycles_required=100.0, value=10.0)])
         state.pool = table_of(SourcePool, [SourceNode(source_id=0, owner_id=2, idle_seconds=50.0, cycles_per_second=10.0)])
-        step_crl(state, config)
+        step_crl(state)
         assert state.matched_tasks == 1
         assert state.migrated_tasks == 0
         report = state.report()
         # B = (0.5 * 10 + 0.5 * 0) * 1
         expected_b = 5.0
         assert report.settlement_records[0].amount == pytest.approx(expected_b)
-        assert state.ledger.balance_of(2) == pytest.approx(expected_b)
-        assert state.ledger.balance_of(1) == pytest.approx(-expected_b)
+        assert state.ledger.get(2, 0.0) == pytest.approx(expected_b)
+        assert state.ledger.get(1, 0.0) == pytest.approx(-expected_b)
         # 100 cycles at 10/s consumes 10 of the 49 idle seconds left after aging
         assert state.pool.idle[0] == pytest.approx(39.0)
         assert report.assignment_records[0].busy_seconds == 10.0
 
     def test_no_sources_w1_escalates_immediately(self):
         config = SimConfig(workload=QUIET, weights=WeightsConfig(max_rounds_w=1))
-        state = make_state(config)
+        state = SimState(config)
         state.pending = table_of(TaskQueue, [Task(task_id=0, owner_id=1, deadline_s=50.0, cycles_required=100.0, value=4.0)])
-        step_crl(state, config)
+        step_crl(state)
         assert state.migrated_tasks == 1
         assert state.migrated_value_cum == pytest.approx(4.0)
         assert len(state.pending) == 0
 
     def test_no_sources_w3_defers_twice_then_escalates(self):
         config = SimConfig(workload=QUIET, weights=WeightsConfig(max_rounds_w=3))
-        state = make_state(config)
+        state = SimState(config)
         state.pending = table_of(TaskQueue, [Task(task_id=0, owner_id=1, deadline_s=50.0, cycles_required=100.0, value=4.0)])
-        step_crl(state, config)
+        step_crl(state)
         assert state.migrated_tasks == 0 and len(state.pending) == 1
         assert state.pending.deferred[0] == 1
-        step_crl(state, config)
+        step_crl(state)
         assert state.migrated_tasks == 0 and state.pending.deferred[0] == 2
-        step_crl(state, config)
+        step_crl(state)
         assert state.migrated_tasks == 1 and len(state.pending) == 0
 
     def test_expired_pending_task_escalates(self):
         config = SimConfig(workload=QUIET, weights=WeightsConfig(max_rounds_w=5))
-        state = make_state(config)
+        state = SimState(config)
         state.pending = table_of(TaskQueue, [Task(task_id=0, owner_id=1, deadline_s=1.5, cycles_required=100.0, value=4.0)])
-        step_crl(state, config)  # unmatched; deadline lookahead escalates
+        step_crl(state)  # unmatched; deadline lookahead escalates
         assert state.migrated_tasks == 1
+
+    @pytest.mark.parametrize("deadline", [1.5, 2.0])
+    def test_task_past_its_deadline_escalates_at_aging(self, deadline, monkeypatch):
+        # Only a task put into pending by hand can reach aging with a deadline
+        # <= step_seconds; it leaves at aging, so the round never sees it,
+        # though the pool's source could have served it.
+        config = SimConfig(workload=QUIET, step_seconds=2.0, weights=WeightsConfig(max_rounds_w=5))
+        state = SimState(config)
+        state.pending = table_of(TaskQueue, [Task(task_id=0, owner_id=1, deadline_s=deadline, cycles_required=10.0, value=4.0)])
+        state.pool = table_of(SourcePool, [SourceNode(source_id=0, owner_id=2, idle_seconds=50.0, cycles_per_second=100.0)])
+        aging = record_aging(monkeypatch)
+        step_crl(state)
+        assert aging == [(1, [0])]
+        assert state.migrated_tasks == 1 and state.migrated_value_cum == 4.0
+        assert (state.samples[0].matched, state.samples[0].deferred, state.samples[0].migrated) == (0, 0, 1)
+        assert state.matched_tasks == 0 and len(state.pending) == 0
 
     def test_empty_step_records_sample(self):
         config = SimConfig(workload=QUIET)
-        state = make_state(config)
-        step_crl(state, config)
+        state = SimState(config)
+        step_crl(state)
         assert len(state.samples) == 1
         assert state.samples[0].idle_capacity == 0.0
 
@@ -395,15 +424,15 @@ class TestStepCrl:
 class TestStepCloud:
     def test_all_arrivals_migrate(self):
         config = SimConfig(workload=WorkloadConfig(), policy="cloud")
-        state = make_state(config)
-        step_cloud(state, config)
+        state = SimState(config)
+        step_cloud(state)
         assert state.migrated_tasks == state.arrived_tasks
         assert state.matched_tasks == 0
 
     def test_zero_tasks_no_change(self):
         config = SimConfig(workload=QUIET, policy="cloud")
-        state = make_state(config)
-        step_cloud(state, config)
+        state = SimState(config)
+        step_cloud(state)
         assert state.migrated_tasks == 0
         assert state.samples[0].migrated_value_cum == 0.0
 
@@ -430,6 +459,35 @@ class TestRun:
         cloud = run(SimConfig(steps=100, rng_seed=3, policy="cloud"))
         for sa, sb in zip(crl.samples, cloud.samples):
             assert sa.idle_capacity <= sb.idle_capacity + 1e-6
+
+    def test_mid_run_report_stays_as_taken(self):
+        config = SimConfig(steps=10, rng_seed=1)
+        state, stopped = SimState(config), SimState(config)
+        for _ in range(3):
+            step_crl(state)
+            step_crl(stopped)
+        report = state.report()
+        for _ in range(3):
+            step_crl(state)
+        assert len(state.samples) == 6 and state.matched_tasks > report.matched_tasks
+        assert report == stopped.report() and len(report.samples) == 3
+        for format in ("csv", "json"):
+            taken, expected = io.StringIO(), io.StringIO()
+            emit_report(report, format, taken)
+            emit_report(stopped.report(), format, expected)
+            assert taken.getvalue() == expected.getvalue()
+
+    def test_no_task_expires_in_the_queue(self, monkeypatch):
+        # A round escalates every loser whose deadline the next aging would
+        # take to 0 or below, with the same float expression, so under run()
+        # aging expires nothing, whatever the step length.
+        aging = record_aging(monkeypatch)
+        for k, config in enumerate(random_configs()):
+            step_seconds = (0.1, 0.3, 0.7, 1.0, 2.5)[k % 5]
+            for policy in ("crl", "cloud"):
+                run(dataclasses.replace(config, step_seconds=step_seconds, policy=policy))
+        assert [ids for _, ids in aging if ids] == []
+        assert sum(aged for aged, _ in aging) > 1000
 
     @pytest.mark.parametrize("workload", [WorkloadConfig(), LEASE_HEAVY], ids=["default", "lease-heavy"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
