@@ -11,14 +11,16 @@ import numpy as np
 
 from .model import SourcePool, TaskQueue, WeightsConfig
 
+_TINY = np.finfo(float).tiny  # the smallest normal float
+
 
 @dataclass(frozen=True, eq=False)  # a generated __eq__ would compare arrays elementwise
 class MatchResult:
     """Outcome of one greedy round over a priority-ordered queue and a pool.
 
-    ``assignments`` is a (k, 2) int array of (queue row, pool row) pairs in
-    priority order; ``unmatched_task_ids`` holds the ids of the other tasks,
-    in priority order.
+    ``assignments`` is a fresh, writable (k, 2) intp array of (queue row,
+    pool row) pairs in priority order; ``unmatched_task_ids`` holds the ids
+    of the other tasks, in priority order.
     """
 
     assignments: np.ndarray
@@ -69,18 +71,19 @@ def greedy_match(matrix: np.ndarray, pool: SourcePool, queue: TaskQueue) -> Matc
     by_task = matrix.T  # one row per task
     # Zeroing never makes a value positive, so only tasks with a positive
     # value somewhere can match; only their rows are copied and scanned.
-    candidates = np.flatnonzero(by_task.max(axis=1, initial=0.0) > 0.0)
+    candidates = (np.maximum.reduce(by_task, axis=1, initial=0.0) > 0.0).nonzero()[0]
     free = by_task[candidates]
-    pairs = []
+    cols, rows = [], []
     for k, col in enumerate(candidates.tolist()):
-        row = int(free[k].argmax())
-        if free[k, row] > 0.0:
+        row = free[k].argmax()
+        if free.item(k, row) > 0.0:
             free[k + 1:, row] = 0.0
-            pairs.append((col, row))
-    assignments = np.array(pairs, dtype=np.intp).reshape(-1, 2)
-    unmatched = np.ones(len(queue), dtype=bool)
-    unmatched[assignments[:, 0]] = False
-    return MatchResult(assignments=assignments, unmatched_task_ids=queue.ids[unmatched].tolist())
+            cols.append(col)
+            rows.append(row)
+    unmatched = queue.ids.tolist()
+    for col in reversed(cols):  # ascending, so each deletion leaves the earlier rows in place
+        del unmatched[col]
+    return MatchResult(assignments=np.array((cols, rows), dtype=np.intp).T, unmatched_task_ids=unmatched)
 
 
 def classify_unmatched(queue: TaskQueue, matched_rows: np.ndarray, weights: WeightsConfig, step_seconds: float) -> tuple[TaskQueue, TaskQueue]:
@@ -94,15 +97,15 @@ def classify_unmatched(queue: TaskQueue, matched_rows: np.ndarray, weights: Weig
     """
     lost = np.ones(len(queue), dtype=bool)
     lost[matched_rows] = False
-    over = np.flatnonzero(lost & (queue.deferred >= weights.max_rounds_w))
+    bumped = queue.deferred + 1
+    over = (lost & (bumped > weights.max_rounds_w)).nonzero()[0]
     if len(over):
         raise ValueError(
             f"task {queue.ids[over[0]]}: rounds_deferred {queue.deferred[over[0]]} "
             f"already at limit {weights.max_rounds_w}"
         )
-    bumped = queue.deferred + 1
-    big = (bumped >= weights.max_rounds_w) | (queue.deadline - step_seconds <= 0)
-    stay, go = lost & ~big, lost & big
+    big = (bumped >= weights.max_rounds_w) | (queue.deadline - step_seconds <= 0.0)
+    stay, go = (lost & ~big).nonzero()[0], (lost & big).nonzero()[0]
     deferred, escalated = queue.take(stay), queue.take(go)
     deferred.deferred, escalated.deferred = bumped[stay], bumped[go]
     return deferred, escalated
@@ -138,19 +141,20 @@ def contending_sources(pool: SourcePool, ordered: TaskQueue) -> np.ndarray:
         return np.arange(0)
     rate, cycles = pool.rate, ordered.cycles
     capacity = rate * pool.idle
-    fastest = rate.max()
-    live = (cycles / fastest <= ordered.deadline) & (cycles <= capacity.max())
-    k = np.count_nonzero(live)
+    fastest = np.maximum.reduce(rate)
+    live = ((cycles / fastest <= ordered.deadline) & (cycles <= np.maximum.reduce(capacity))).nonzero()[0]
+    k = len(live)
     if not k:
         return np.arange(0)
-    cmax = cycles[live].max()
-    universal = rate[capacity >= cmax]
-    if len(universal) < k or not np.isfinite(fastest / cycles.min()):
+    cmax = np.maximum.reduce(cycles[live])
+    universal = rate[capacity >= cmax]  # a fresh gather, so it may be partitioned in place
+    if len(universal) < k or not np.isfinite(fastest / np.minimum.reduce(cycles)):
         return np.arange(len(pool))
-    r_k = np.partition(universal, -k)[-k]
-    if r_k / cmax < np.finfo(float).tiny:
+    universal.partition(-k)
+    r_k = universal[-k]
+    if r_k / cmax < _TINY:
         return np.arange(len(pool))
-    return np.flatnonzero(rate >= r_k * (1 - 2**-40))
+    return (rate >= r_k * (1 - 2**-40)).nonzero()[0]
 
 
 def full_round(queue: TaskQueue, pool: SourcePool, ledger: dict[int, float], weights: WeightsConfig) -> tuple[TaskQueue, MatchResult]:

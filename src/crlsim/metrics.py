@@ -76,13 +76,13 @@ def idle_capacity(pool: SourcePool) -> float:
     """Total deliverable cycles left in the unassigned source pool.
 
     The products are added left to right in ascending source_id order by
-    ``np.cumsum``, as the builtin ``sum`` of CPython <= 3.11 adds them;
+    ``cumsum``, as the builtin ``sum`` of CPython <= 3.11 adds them;
     ``np.sum`` adds pairwise and would change the last bits of the reports.
     An empty pool gives the int 0.
     """
     if not len(pool):
         return 0
-    return float(np.cumsum(pool.rate * pool.idle)[-1])
+    return float((pool.rate * pool.idle).cumsum()[-1])
 
 
 REPORT_SLICE = 256  # records per C-encoder call, which bounds the temporary token list

@@ -6,8 +6,9 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
-from itertools import chain
+from itertools import chain, repeat
 from numbers import Real
+from operator import attrgetter, getitem
 
 import numpy as np
 
@@ -23,7 +24,8 @@ class _Table:
     ``ids`` is the first field.  Columns are replaced, never written in
     place, so tables taken from or extended by one another may share them.
     They are reached by name, never through ``vars``, which would turn off
-    CPython's inline attribute values and slow every access.
+    CPython's inline attribute values and slow every access; the class's
+    ``_columns``, set by ``_table``, reads them all in field order.
     """
 
     def __len__(self) -> int:
@@ -31,7 +33,7 @@ class _Table:
 
     def take(self, rows):
         """A new table of ``rows``, a row mask or row indices, in that order."""
-        return type(self)(*(getattr(self, name)[rows] for name in self.__dataclass_fields__))
+        return type(self)(*map(getitem, self._columns(self), repeat(rows)))
 
     def extend(self, new) -> None:
         """Append the rows of ``new`` after the current rows."""
@@ -45,7 +47,14 @@ class _Table:
             setattr(self, name, getattr(self, name)[rows])
 
 
-@dataclass(eq=False)  # the generated __eq__ would compare arrays elementwise and raise
+def _table(cls):
+    """Make the ``_Table`` subclass ``cls`` a dataclass and give it ``_columns``."""
+    cls = dataclass(eq=False)(cls)  # the generated __eq__ would compare arrays elementwise and raise
+    cls._columns = attrgetter(*cls.__dataclass_fields__)
+    return cls
+
+
+@_table
 class SourcePool(_Table):
     """The idle-source pool as four parallel columns in ascending source_id order.
 
@@ -63,21 +72,21 @@ class SourcePool(_Table):
     def age(self, seconds: float) -> None:
         """Let ``seconds`` of idle time pass; sources left with none leave the pool."""
         self.idle = self.idle - seconds
-        self._keep(self.idle > 0)
+        self._keep(self.idle > 0.0)
 
     def consume(self, rows: np.ndarray, busy_seconds: np.ndarray) -> None:
         """Subtract leased seconds from the row indices ``rows``; of those, drop the ones left with none."""
         idle = self.idle.copy()
         idle[rows] -= busy_seconds
         self.idle = idle
-        spent = rows[idle[rows] <= 0]
+        spent = rows[idle[rows] <= 0.0]
         if len(spent):
             keep = np.ones(len(self), dtype=bool)
             keep[spent] = False
             self._keep(keep)
 
 
-@dataclass(eq=False)  # as for SourcePool
+@_table
 class TaskQueue(_Table):
     """The pending tasks as six parallel columns, one row per task, in queue order.
 
@@ -95,14 +104,16 @@ class TaskQueue(_Table):
     deferred: np.ndarray = _column(np.int64)
 
     def age(self, seconds: float) -> TaskQueue:
-        """Let ``seconds`` pass; tasks whose deadline ran out leave the queue and are returned."""
-        self.deadline = self.deadline - seconds
-        expired = self.deadline <= 0
-        if not expired.any():
-            return TaskQueue()
-        gone = self.take(expired)
-        self._keep(~expired)
-        return gone
+        """Let ``seconds`` pass; tasks whose deadline ran out leave the queue and
+        are returned as a new table, which a later ``extend`` of this one leaves alone."""
+        if len(self):
+            self.deadline = self.deadline - seconds
+            expired = self.deadline <= 0.0
+            if np.count_nonzero(expired):
+                gone = self.take(expired)
+                self._keep(~expired)
+                return gone
+        return TaskQueue()
 
 
 def _real(x) -> bool:

@@ -289,8 +289,11 @@ def _age_state(state: SimState) -> TaskQueue:
 
 
 def _escalate(state: SimState, tasks: TaskQueue):
+    count = len(tasks)
+    if not count:
+        return
     # One float add at a time, in queue order: the reports pin every bit.
-    state.migrated_tasks += len(tasks)
+    state.migrated_tasks += count
     for value, cycles in zip(tasks.value.tolist(), tasks.cycles.tolist()):
         state.migrated_value_cum += value
         state.migrated_cycles_cum += cycles

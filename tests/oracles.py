@@ -1,5 +1,6 @@
 """Independent straight-line references for the scalar formulas, one
-matching round, one step's arrivals and a run's settlements.
+matching round, the split of its losers, one step's arrivals and a run's
+settlements.
 
 Deliberately naive: one record at a time, explicit matrices, bubble sort,
 row zeroing, one scalar formula call per lease.  Kept free of any code from
@@ -91,6 +92,27 @@ def oracle_round(tasks, sources, balances, weights):
         for i2 in range(n):
             prefer[best_j][i2] = 0.0
     return assignments, unmatched
+
+
+def oracle_classify(tasks, matched_rows, max_rounds_w, step_seconds):
+    """Split a round's losers the literal way, one task at a time.
+
+    ``tasks`` are the round's ordered Tasks and ``matched_rows`` the rows
+    that leased.  Every other task fails one more round; it escalates if that
+    brings rounds_deferred to ``max_rounds_w`` or if its deadline minus
+    ``step_seconds`` is <= 0, else it is deferred.  Returns the deferred and
+    the escalated Tasks, each in queue order, with rounds_deferred bumped.
+    """
+    deferred, escalated = [], []
+    for row, t in enumerate(tasks):
+        if row in matched_rows:
+            continue
+        t = t._replace(rounds_deferred=t.rounds_deferred + 1)
+        if t.rounds_deferred >= max_rounds_w or t.deadline_s - step_seconds <= 0:
+            escalated.append(t)
+        else:
+            deferred.append(t)
+    return deferred, escalated
 
 
 def oracle_arrivals(workload, rng, next_task_id=0, next_source_id=0):

@@ -13,8 +13,8 @@ from crlsim.matching import (
     full_round,
 )
 
-from oracles import compute_matching_priority, feasible, oracle_round
-from records import SourceNode, Task, lease_ids, round_ids, table_of
+from oracles import compute_matching_priority, feasible, oracle_classify, oracle_round
+from records import SourceNode, Task, lease_ids, round_ids, table_of, tasks_of
 
 W = WeightsConfig()
 
@@ -248,6 +248,27 @@ class TestGreedyMatch:
         result = greedy_match(m, sources, tasks)
         assert lease_ids(tasks, result, sources) == [(0, 0)]
 
+    def test_result_owns_its_memory(self):
+        # full_round writes column 1 of the assignments in place, so they
+        # must be a fresh, writable array, never a view of the matrix.
+        rng = random.Random(61)
+        seen_empty = seen_leases = False
+        for _ in range(100):
+            tasks, sources, balances = tied_instance(rng, max_n=10, max_m=20)
+            p = pool(*sources)
+            ordered = sort_tasks_by_priority(queue(*tasks), balances, W)
+            matrix = build_prefer_matrix(p, ordered)
+            result = greedy_match(matrix, p, ordered)
+            a = result.assignments
+            assert a.dtype == np.intp and a.shape == (len(a), 2) and a.flags.writeable
+            assert not np.shares_memory(a, matrix) and not np.shares_memory(a, ordered.ids)
+            matched = set(a[:, 0].tolist())
+            assert result.unmatched_task_ids == [tid for row, tid in enumerate(ordered.ids.tolist()) if row not in matched]
+            assert all(type(tid) is int for tid in result.unmatched_task_ids)
+            seen_empty |= len(a) == 0
+            seen_leases |= len(a) > 0
+        assert seen_empty and seen_leases
+
     def test_no_source_double_booked(self):
         rng = random.Random(17)
         for _ in range(200):
@@ -348,6 +369,24 @@ class TestContendingSources:
         with np.errstate(over="ignore"):
             assert shortlisted_leases([task(0, cycles=3.0, deadline=float("inf"))], sources) == [(0, 0)]
 
+    def test_leaves_its_inputs_alone(self):
+        # The k-th largest rate is found by partitioning in place, which must
+        # touch only the shortlist's own gather of the rates.
+        rng = random.Random(8)
+        ulp = float(np.nextafter(0.0, 1.0))
+        cases = [tied_instance(rng)[:2] for _ in range(100)]
+        cases.append(([task(0, cycles=1e-10)], [source(0, cal=1e299, idle=1), source(1, cal=1e300, idle=1)]))
+        cases.append(([task(0, cycles=3.0, deadline=float("inf"))],
+                      [source(0, cal=3 * ulp, idle=float("inf")), source(1, cal=4 * ulp, idle=float("inf"))]))
+        for tasks, sources in cases:
+            p, q = pool(*rng.sample(sources, len(sources))), queue(*tasks)
+            columns = [(table, name, getattr(table, name)) for table in (p, q) for name in table.__dataclass_fields__]
+            copies = [column.copy() for _, _, column in columns]
+            with np.errstate(over="ignore"):
+                contending_sources(p, q)
+            for (table, name, column), copy in zip(columns, copies):
+                assert getattr(table, name) is column and np.array_equal(column, copy)
+
     def test_fewer_universal_sources_than_live_tasks_keeps_all(self):
         sources = [source(0, cal=10, idle=100), source(1, cal=50, idle=1), source(2, cal=20, idle=1)]
         tasks = [task(0, cycles=500), task(1, cycles=10), task(2, cycles=5)]
@@ -390,17 +429,24 @@ class TestClassifyUnmatched:
             classify_unmatched(queue(task(0, deferred=2)), [], w, 1.0)
 
     def test_mixed_batch_matches_per_element_rule(self):
-        w = WeightsConfig(max_rounds_w=2)
+        # Random matched rows, deadlines on and either side of step_seconds,
+        # and every deferred count a loser may hold; both tables are compared
+        # row by row, all six columns, with the straight-line rule.
         rng = random.Random(55)
-        batch = [task(i, deadline=rng.uniform(0.5, 20), deferred=rng.randint(0, 1)) for i in range(5)]
-        deferred, big = classify_unmatched(queue(*batch), [], w, step_seconds=1.0)
-        for t in batch:
-            d1, b1 = classify_unmatched(queue(t), [], w, step_seconds=1.0)
-            if len(b1):
-                assert t.task_id in big.ids.tolist()
-            else:
-                assert t.task_id in deferred.ids.tolist()
-        assert len(deferred) + len(big) == len(batch)
+        for _ in range(300):
+            w = WeightsConfig(max_rounds_w=rng.randint(1, 4))
+            step = rng.choice((1.0, 0.5, 2.5))
+            ids = rng.sample(range(100), rng.randint(0, 12))
+            batch = [task(tid, cycles=rng.uniform(1, 100), value=rng.uniform(0, 10), owner=rng.randint(0, 5),
+                          deadline=rng.choice((step, float(np.nextafter(step, 0)), float(np.nextafter(step, 9)),
+                                               rng.uniform(0.1, 3 * step))),
+                          deferred=rng.randint(0, w.max_rounds_w - 1))
+                     for tid in ids]
+            matched = rng.sample(range(len(batch)), rng.randint(0, len(batch)))
+            deferred, big = classify_unmatched(queue(*batch), np.array(matched, dtype=np.intp), w, step)
+            expected_deferred, expected_big = oracle_classify(batch, matched, w.max_rounds_w, step)
+            assert tasks_of(deferred) == expected_deferred
+            assert tasks_of(big) == expected_big
 
     def test_matched_rows_are_left_out(self):
         # Rows 1 and 3 leased; row 3 is over the limit, which only a loser
