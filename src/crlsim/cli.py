@@ -23,7 +23,7 @@ FIELDS = {f.name: (None, f) for f in dataclasses.fields(SimConfig) if f.name not
 FIELDS.update((f.name, (section, f)) for section, cls in SECTIONS.items() for f in dataclasses.fields(cls))
 # The flags not spelled as their field's name with dashes.
 FLAG_NAMES = {
-    "rng_seed": "--seed", "conversion_rate_r": "--conversion-rate", "tau_s": "--tau",
+    "rng_seed": "--seed", "conversion_rate_r": "--conversion-rate",
     "task_arrival_rate": "--task-rate", "source_arrival_rate": "--source-rate",
 }
 
@@ -124,34 +124,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _gather_overrides(args) -> dict:
-    return {k: getattr(args, k) for k in FIELDS if getattr(args, k, None) is not None}
-
-
 def _prepare(args) -> tuple[SimConfig, str]:
     scenario: dict = {}
     name = "default"
     if args.config is not None:
-        if not args.config.exists():
-            raise ConfigError(f"config file not found: {args.config}")
         scenario = load_scenario(args.config)
         name = args.config.stem
-    return build_config(scenario, _gather_overrides(args)), name
-
-
-def _write_effective_config(config: SimConfig, out_dir: Path):
-    (out_dir / "effective_config.json").write_text(
-        json.dumps(dataclasses.asdict(config), indent=2) + "\n"
-    )
-
-
-def _report_path(out_dir: Path, name: str, policy: str, seed: int, fmt: str) -> Path:
-    return out_dir / f"{name}_{policy}_seed{seed}.{fmt}"
+    # build_config skips None, the value of every flag not given (run alone has --policy).
+    return build_config(scenario, {k: getattr(args, k, None) for k in FIELDS}), name
 
 
 def _run_and_write(config: SimConfig, name: str, out_dir: Path, fmt: str):
     report = run(config)
-    path = _report_path(out_dir, name, config.policy, config.rng_seed, fmt)
+    path = out_dir / f"{name}_{config.policy}_seed{config.rng_seed}.{fmt}"
     emit_report(report, fmt, path)
     return report, path
 
@@ -221,7 +206,7 @@ def main(argv=None) -> int:
     try:
         config, name = _prepare(args)
         args.out.mkdir(parents=True, exist_ok=True)
-        _write_effective_config(config, args.out)
+        (args.out / "effective_config.json").write_text(json.dumps(dataclasses.asdict(config), indent=2) + "\n")
         return handlers[args.command](args, config, name)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -78,10 +78,10 @@ def idle_capacity(pool: SourcePool) -> float:
     The products are added left to right in ascending source_id order by
     ``cumsum``, as the builtin ``sum`` of CPython <= 3.11 adds them;
     ``np.sum`` adds pairwise and would change the last bits of the reports.
-    An empty pool gives the int 0.
+    An empty pool gives 0.0.
     """
     if not len(pool):
-        return 0
+        return 0.0
     return float((pool.rate * pool.idle).cumsum()[-1])
 
 

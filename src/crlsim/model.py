@@ -192,8 +192,7 @@ class WeightsConfig:
     balance, with balance its owner's; a lease settles for the amount
     (gamma_n * value + gamma_m * balance) * conversion_rate_r, with balance the
     receiver's.  max_rounds_w is the number of failed matching rounds before
-    a task escalates to the cloud.  tau_s is the network membership latency
-    threshold; it is informational and never simulated.
+    a task escalates to the cloud.
     """
 
     gamma_t: float = 0.5
@@ -202,7 +201,6 @@ class WeightsConfig:
     gamma_m: float = 0.5
     conversion_rate_r: float = 1.0
     max_rounds_w: int = 3
-    tau_s: float = 0.1
 
     def __post_init__(self):
         check_config_numbers(self)

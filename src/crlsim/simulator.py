@@ -194,15 +194,14 @@ class ArrivalStream:
 class SimState:
     """Mutable state threaded through the per-step loop of a single run.
 
-    ``arrivals`` draws from ``rng``, seeded with ``config.rng_seed``, at most
-    ``config.steps`` steps ahead.  ``ledger`` maps a device to its priority
-    balance.  ``settlement_log`` and ``lease_log`` hold one tuple of columns
-    per lease round, in the field order of ``SettlementRecord`` and
+    ``arrivals`` alone draws from a generator seeded with ``config.rng_seed``,
+    at most ``config.steps`` steps ahead.  ``ledger`` maps a device to its
+    priority balance.  ``settlement_log`` and ``lease_log`` hold one tuple of
+    columns per lease round, in the field order of ``SettlementRecord`` and
     ``AssignmentRecord``; ``report`` joins them.
     """
 
     config: SimConfig
-    rng: np.random.Generator = field(init=False)
     step: int = 0
     pending: TaskQueue = field(default_factory=TaskQueue)
     pool: SourcePool = field(default_factory=SourcePool)
@@ -219,8 +218,7 @@ class SimState:
     arrivals: ArrivalStream = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.rng = np.random.default_rng(self.config.rng_seed)
-        self.arrivals = ArrivalStream(self.config.workload, self.rng, self.config.steps)
+        self.arrivals = ArrivalStream(self.config.workload, np.random.default_rng(self.config.rng_seed), self.config.steps)
 
     def report(self) -> SimReport:
         """The run so far as a report; later steps leave it as it is."""

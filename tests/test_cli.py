@@ -1,10 +1,12 @@
 import argparse
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from crlsim.cli import main, load_scenario, build_config, build_parser, ConfigError, _gather_overrides, _parse_range
+from crlsim.cli import main, load_scenario, build_config, build_parser, ConfigError, FIELDS, FLAG_NAMES, _parse_range
 from crlsim.model import WeightsConfig
 from crlsim.simulator import SimConfig, WorkloadConfig
 
@@ -43,15 +45,30 @@ def test_run_writes_effective_config(tmp_path):
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
-    assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
+    missing = tmp_path / "nope.json"
+    assert main(["run", "--config", str(missing), "--out", str(tmp_path / "o")]) == 2
     captured = capsys.readouterr()
     assert "usage" in captured.err.lower()
+    assert f"cannot read config {missing}" in captured.err
+    assert not (tmp_path / "o").exists()
 
 
-def test_unknown_key_rejected(tmp_path):
+def test_unknown_key_rejected(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"steps": 10, "bogus": 1}))
-    assert main(["run", "--config", str(path)]) == 2
+    for body, key in (({"steps": 10, "bogus": 1}, "bogus"), ({"weights": {"tau_s": 0.1}}, "tau_s")):
+        path.write_text(json.dumps(body))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown key(s)" in err and key in err
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "sweep-w"])
+def test_tau_flag_rejected(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--tau", "0.1", "--steps", "2", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "--tau" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_unknown_nested_key_rejected(tmp_path):
@@ -72,7 +89,7 @@ def test_flag_overrides_are_total():
     config = build_config({}, {
         "steps": 5, "step_seconds": 2.0, "rng_seed": 9, "policy": "cloud",
         "gamma_t": 0.1, "gamma_p": 0.2, "gamma_n": 0.3, "gamma_m": 0.4,
-        "conversion_rate_r": 2.0, "max_rounds_w": 4, "tau_s": 0.2,
+        "conversion_rate_r": 2.0, "max_rounds_w": 4,
         "task_arrival_rate": 1.0, "source_arrival_rate": 2.0,
         "cycles_range": (1.0, 2.0), "value_range": (0.0, 1.0),
         "deadline_range": (1.0, 9.0), "idle_range": (1.0, 5.0),
@@ -130,7 +147,7 @@ def test_json_format_output(tmp_path):
 FIELD_FLAGS = {
     "--seed": "rng_seed", "--steps": "steps", "--step-seconds": "step_seconds",
     "--gamma-t": "gamma_t", "--gamma-p": "gamma_p", "--gamma-n": "gamma_n", "--gamma-m": "gamma_m",
-    "--conversion-rate": "conversion_rate_r", "--max-rounds-w": "max_rounds_w", "--tau": "tau_s",
+    "--conversion-rate": "conversion_rate_r", "--max-rounds-w": "max_rounds_w",
     "--task-rate": "task_arrival_rate", "--source-rate": "source_arrival_rate",
     "--device-count": "device_count",
     "--cycles-range": "cycles_range", "--value-range": "value_range",
@@ -139,7 +156,7 @@ FIELD_FLAGS = {
 FLAG_VALUES = {
     "--seed": "9", "--steps": "5", "--step-seconds": "2.0", "--policy": "cloud",
     "--gamma-t": "0.1", "--gamma-p": "0.2", "--gamma-n": "0.3", "--gamma-m": "0.4",
-    "--conversion-rate": "2.0", "--max-rounds-w": "4", "--tau": "0.2",
+    "--conversion-rate": "2.0", "--max-rounds-w": "4",
     "--task-rate": "1.0", "--source-rate": "2.0", "--device-count": "7",
     "--cycles-range": "1,2", "--value-range": "0,1", "--deadline-range": "1,9",
     "--idle-range": "1,5", "--rate-range": "1,3",
@@ -176,10 +193,11 @@ def test_cli_surface_is_pinned(command, extra):
 
 def test_every_field_flag_reaches_the_overrides():
     argv = [tok for flag, value in FLAG_VALUES.items() for tok in (flag, value)]
-    overrides = _gather_overrides(_subparser("run").parse_args(argv))
-    assert set(overrides) == _field_names()
+    args = _subparser("run").parse_args(argv)
+    overrides = {k: getattr(args, k) for k in FIELDS}
+    assert set(overrides) == _field_names() and None not in overrides.values()
     config = build_config({}, overrides)
-    assert (config.rng_seed, config.policy, config.weights.tau_s) == (9, "cloud", 0.2)
+    assert (config.rng_seed, config.policy, config.weights.max_rounds_w) == (9, "cloud", 4)
     assert config.workload.idle_range == (1.0, 5.0) and config.workload.device_count == 7
 
 
@@ -203,7 +221,6 @@ def test_effective_config_round_trips(tmp_path):
     ("--task-rate", "inf", "task_arrival_rate", "workload"),
     ("--step-seconds", "nan", "step_seconds", None),
     ("--conversion-rate", "inf", "conversion_rate_r", "weights"),
-    ("--tau", "nan", "tau_s", "weights"),
     # finite, but above the largest mean numpy's Poisson draw accepts
     ("--task-rate", "1e300", "task_arrival_rate", "workload"),
     ("--source-rate", "1e19", "source_arrival_rate", "workload"),
@@ -267,3 +284,12 @@ def test_malformed_number_names_its_field(tmp_path, capsys, body, message):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_readme_matches_the_cli():
+    """The README's table of renamed flags and its example scenario are the CLI's own."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    table = dict(re.findall(r"^\| `(--[a-z-]+)` +\| `(\w+)` +\|$", readme, re.M))
+    assert table == {flag: name for name, flag in FLAG_NAMES.items()}
+    example = re.search(r"A scenario file mirrors.*?```json\n(.*?)```", readme, re.S).group(1)
+    assert json.loads(example) == json.loads(json.dumps(dataclasses.asdict(SimConfig())))

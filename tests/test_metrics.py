@@ -32,6 +32,8 @@ def sample(step, policy="crl", idle=0.0, matched=0, deferred=0, migrated=0, mig_
 
 
 BIG = 2**53 + 1  # the first int a float cannot hold
+# No arrivals, so every step samples an empty pool.
+EMPTY_POOL = SimConfig(steps=3, workload=WorkloadConfig(task_arrival_rate=0.0, source_arrival_rate=0.0))
 
 
 def edge_reports():
@@ -110,7 +112,7 @@ def asdict_payload(report):
 
 class TestIdleCapacity:
     def test_empty_pool(self):
-        assert idle_capacity(SourcePool()) == 0.0
+        assert repr(idle_capacity(SourcePool())) == "0.0"  # a float, as every other step's value
 
     def test_single_source(self):
         pool = table_of(SourcePool, [SourceNode(source_id=0, owner_id=0, idle_seconds=5.0, cycles_per_second=10.0)])
@@ -147,20 +149,20 @@ class TestEmit:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_csv_round_trip_exact(self, tmp_path):
-        for report in [run(SimConfig(steps=30, rng_seed=21)), *edge_reports()]:
+        for report in [run(SimConfig(steps=30, rng_seed=21)), run(EMPTY_POOL), *edge_reports()]:
             path = tmp_path / "r.csv"
             emit_report(report, "csv", path)
             # repr tells -0.0 from 0.0, which == does not
             assert repr(load_report_csv(path)) == repr(report.samples)
 
     def test_emit_parse_emit_fixed_point(self, tmp_path):
-        report = run(SimConfig(steps=15, rng_seed=8))
-        p1 = tmp_path / "one.csv"
-        emit_report(report, "csv", p1)
-        reparsed = SimReport(policy=report.policy, seed=report.seed, samples=load_report_csv(p1))
-        p2 = tmp_path / "two.csv"
-        emit_report(reparsed, "csv", p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        for report in (run(SimConfig(steps=15, rng_seed=8)), run(EMPTY_POOL)):
+            p1 = tmp_path / "one.csv"
+            emit_report(report, "csv", p1)
+            reparsed = SimReport(policy=report.policy, seed=report.seed, samples=load_report_csv(p1))
+            p2 = tmp_path / "two.csv"
+            emit_report(reparsed, "csv", p2)
+            assert p1.read_bytes() == p2.read_bytes()
 
     def test_json_contains_ledger_and_records(self, tmp_path):
         simulated = run(SimConfig(steps=20, rng_seed=9))
