@@ -132,10 +132,14 @@ def contending_sources(pool: SourcePool, ordered: TaskQueue) -> np.ndarray:
     source loses ``argmax`` on value, never on a tie.  The sources tied with the winner are all kept, in pool order, so
     ``argmax`` picks the same first maximum.
 
-    All rows are kept when fewer than ``k`` sources are universal, when
+    All live rows are kept when fewer than ``k`` sources are universal, when
     ``r_k / cmax`` is below the smallest normal float (subnormal quotients
     lose the gap) or when ``rate.max() / cycles.min()`` overflows (quotients
-    of ``inf`` tie).  No live task gives no rows.
+    of ``inf`` tie).  No live task gives no rows.  Dead rows (``idle <= 0``,
+    so ``capacity <= 0 < cycles``) are never kept, universal or the largest
+    capacity.  A dead ``fastest`` can only mark more tasks live, raising ``k``
+    and ``cmax`` (so lowering ``r_k``), or trigger a fallback; both widen the
+    rows kept, and the argument holds for any superset of the live tasks.
     """
     if not len(pool):
         return np.arange(0)
@@ -148,13 +152,14 @@ def contending_sources(pool: SourcePool, ordered: TaskQueue) -> np.ndarray:
         return np.arange(0)
     cmax = np.maximum.reduce(cycles[live])
     universal = rate[capacity >= cmax]  # a fresh gather, so it may be partitioned in place
-    if len(universal) < k or not np.isfinite(fastest / np.minimum.reduce(cycles)):
-        return np.arange(len(pool))
-    universal.partition(-k)
-    r_k = universal[-k]
-    if r_k / cmax < _TINY:
-        return np.arange(len(pool))
-    return (rate >= r_k * (1 - 2**-40)).nonzero()[0]
+    bound = -np.inf  # every row, unless the argument above applies
+    if len(universal) >= k and np.isfinite(fastest / np.minimum.reduce(cycles)):
+        universal.partition(-k)
+        r_k = universal[-k]
+        if r_k / cmax >= _TINY:
+            bound = r_k * (1 - 2**-40)
+    rows = (rate >= bound).nonzero()[0]
+    return rows[pool.idle[rows] > 0.0]
 
 
 def full_round(queue: TaskQueue, pool: SourcePool, ledger: dict[int, float], weights: WeightsConfig) -> tuple[TaskQueue, MatchResult]:

@@ -78,11 +78,11 @@ def idle_capacity(pool: SourcePool) -> float:
     The products are added left to right in ascending source_id order by
     ``cumsum``, as the builtin ``sum`` of CPython <= 3.11 adds them;
     ``np.sum`` adds pairwise and would change the last bits of the reports.
-    An empty pool gives 0.0.
+    Dead rows (``idle <= 0``) add ``+0.0``, which changes no partial sum; no live row gives 0.0.
     """
     if not len(pool):
         return 0.0
-    return float((pool.rate * pool.idle).cumsum()[-1])
+    return float(np.maximum(pool.rate * pool.idle, 0.0).cumsum()[-1])
 
 
 REPORT_SLICE = 256  # records per C-encoder call, which bounds the temporary token list

@@ -12,6 +12,8 @@ from operator import attrgetter, getitem
 
 import numpy as np
 
+DEAD_SHARE = 0.2  # a pool's age compacts its window once dead rows pass this share of it
+
 
 def _column(dtype):
     empty = np.empty(0, dtype=dtype)  # shared: a zero-length column has nothing to write
@@ -21,11 +23,11 @@ def _column(dtype):
 class _Table:
     """Parallel numpy columns, one per dataclass field of the subclass, one row per record.
 
-    ``ids`` is the first field.  Columns are replaced, never written in
-    place, so tables taken from or extended by one another may share them.
-    They are reached by name, never through ``vars``, which would turn off
-    CPython's inline attribute values and slow every access; the class's
-    ``_columns``, set by ``_table``, reads them all in field order.
+    ``ids`` is the first field, and ``take`` copies.  A ``TaskQueue`` replaces
+    columns, so queues may share them; a ``SourcePool`` writes its buffers in
+    place, so keep a copy of its column.  Columns are reached by name, never
+    through ``vars``, which would turn off CPython's inline attribute values
+    and slow every access; ``_columns``, set by ``_table``, reads them in order.
     """
 
     def __len__(self) -> int:
@@ -62,6 +64,12 @@ class SourcePool(_Table):
     still offers) and ``rate[j]`` (cycles per second).  Arrivals carry higher
     ids, so ids ascend and the first maximum of any per-row quantity belongs
     to the lowest source_id.
+
+    The columns are views of buffers the pool owns, grown by doubling and
+    written in place; given columns are copied on the first write.  A row with
+    ``idle <= 0`` is dead: ``rate * idle <= 0`` holds no task's cycles, so it
+    wins no lease.  It stays, in id order, until age drops it; ``len`` leaves
+    out each row that aging or a lease has spent.
     """
 
     ids: np.ndarray = _column(np.int64)
@@ -69,21 +77,58 @@ class SourcePool(_Table):
     idle: np.ndarray = _column(np.float64)
     rate: np.ndarray = _column(np.float64)
 
+    _buffers = None  # the owned buffers, made by the first write
+    _lo = 0
+    _dead = 0  # the window's rows spent by aging or a lease
+
+    def __len__(self) -> int:
+        return len(self.ids) - self._dead
+
+    def _window(self, lo: int, hi: int) -> None:
+        ids, owners, idle, rate = self._buffers
+        self.ids, self.owners, self.idle, self.rate = ids[lo:hi], owners[lo:hi], idle[lo:hi], rate[lo:hi]
+        self._lo = lo
+
+    def _pack(self, keep, rows: int) -> None:
+        """Gather the window's rows ``keep`` to the front of owned buffers of at least ``2 * rows``."""
+        if self._buffers is None or len(self._buffers[0]) < 2 * rows:
+            self._buffers = tuple(np.empty(2 * rows, dtype=column.dtype) for column in self._columns(self))
+        for buffer, column in zip(self._buffers, self._columns(self)):
+            column = column[keep]
+            buffer[:len(column)] = column
+        self._window(0, len(column))
+
+    def extend(self, new) -> None:
+        """Write the rows of ``new`` after the current rows."""
+        n = len(self.ids) + len(new.ids)
+        if self._buffers is None or self._lo + n > len(self._buffers[0]):
+            self._pack(slice(None), n)
+        lo, hi = self._lo, self._lo + len(self.ids)
+        for buffer, column in zip(self._buffers, new._columns(new)):
+            buffer[hi:lo + n] = column
+        self._window(lo, lo + n)
+
     def age(self, seconds: float) -> None:
-        """Let ``seconds`` of idle time pass; sources left with none leave the pool."""
-        self.idle = self.idle - seconds
-        self._keep(self.idle > 0.0)
+        """Let ``seconds`` pass: rows left with none turn dead; drop dead front rows, compact past ``DEAD_SHARE``."""
+        if self._buffers is None:
+            self._pack(slice(None), len(self.ids))
+        self.idle -= seconds
+        alive = self.idle > 0.0
+        dead = self._dead = len(alive) - int(np.count_nonzero(alive))
+        if dead > DEAD_SHARE * len(alive):
+            self._pack(alive.nonzero()[0], len(alive) - dead)
+            self._dead = 0
+        elif dead and not alive[0]:
+            first = int(alive.argmax())
+            self._window(self._lo + first, self._lo + len(alive))
+            self._dead = dead - first
 
     def consume(self, rows: np.ndarray, busy_seconds: np.ndarray) -> None:
-        """Subtract leased seconds from the row indices ``rows``; of those, drop the ones left with none."""
-        idle = self.idle.copy()
-        idle[rows] -= busy_seconds
-        self.idle = idle
-        spent = rows[idle[rows] <= 0.0]
-        if len(spent):
-            keep = np.ones(len(self), dtype=bool)
-            keep[spent] = False
-            self._keep(keep)
+        """Subtract leased seconds from the row indices ``rows``; those left with none turn dead."""
+        if self._buffers is None:
+            self._pack(slice(None), len(self.ids))
+        self.idle[rows] -= busy_seconds
+        self._dead += int(np.count_nonzero(self.idle[rows] <= 0.0))
 
 
 @_table

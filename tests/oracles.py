@@ -1,10 +1,11 @@
 """Independent straight-line references for the scalar formulas, one
-matching round, the split of its losers, one step's arrivals and a run's
-settlements.
+matching round, the split of its losers, one step's arrivals, a run's
+settlements and the source pool.
 
 Deliberately naive: one record at a time, explicit matrices, bubble sort,
-row zeroing, one scalar formula call per lease.  Kept free of any code from
-crlsim.matching and crlsim.simulator so they can serve as oracles for them.
+row zeroing, one scalar formula call per lease, a pool that copies its
+columns on every change.  Kept free of any code from crlsim.matching and
+crlsim.simulator so they can serve as oracles for them.
 """
 
 from itertools import groupby
@@ -12,6 +13,7 @@ from operator import attrgetter
 
 import numpy as np
 
+from crlsim.model import SourcePool
 from crlsim.settlement import SettlementRecord
 
 from records import Task
@@ -170,3 +172,44 @@ def oracle_settlements(config, leases):
         for device, delta in deltas.items():
             balances[device] = balances.get(device, 0.0) + delta
     return rows, balances
+
+
+class CopyingPool:
+    """The source pool with every change copied: a source left with no idle
+    time leaves at once, so every row is live.
+
+    ``columns`` holds ids, owners, idle seconds and rates.  Each ``age``,
+    ``consume`` and ``extend`` builds new columns and writes none in place.
+    """
+
+    def __init__(self):
+        self.columns = [np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)]
+
+    def __len__(self):
+        return len(self.columns[0])
+
+    def table(self):
+        """The rows as a SourcePool built over the columns."""
+        return SourcePool(*self.columns)
+
+    def extend(self, new):
+        """Append the rows of the SourcePool ``new``."""
+        self.columns = [np.concatenate((mine, theirs)) for mine, theirs in zip(self.columns, new._columns(new))]
+
+    def age(self, seconds):
+        """Take ``seconds`` off every idle time and drop the sources left with none."""
+        idle = self.columns[2] - seconds
+        keep = idle > 0.0
+        self.columns = [column[keep] for column in (self.columns[0], self.columns[1], idle, self.columns[3])]
+
+    def consume(self, rows, busy_seconds):
+        """Take the leased seconds off the row indices ``rows`` and drop those of them left with none."""
+        idle = self.columns[2].copy()
+        idle[rows] -= busy_seconds
+        keep = np.ones(len(idle), dtype=bool)
+        keep[rows[idle[rows] <= 0.0]] = False
+        self.columns = [column[keep] for column in (self.columns[0], self.columns[1], idle, self.columns[3])]
+
+    def idle_capacity(self):
+        """The sum of rate * idle over the rows, added left to right; 0.0 for no rows."""
+        return float(np.cumsum(self.columns[3] * self.columns[2])[-1]) if len(self) else 0.0

@@ -50,9 +50,10 @@ def rows_of(table):
     """A TaskQueue's or SourcePool's rows as tuples, in row order.
 
     The columns follow the fields of Task or SourceNode, so each tuple holds
-    one record's fields in order.
+    one record's fields in order.  They are read by dataclass field, as a
+    table may hold other attributes too.
     """
-    return list(zip(*(column.tolist() for column in vars(table).values())))
+    return list(zip(*(getattr(table, name).tolist() for name in table.__dataclass_fields__)))
 
 
 def tasks_of(queue):

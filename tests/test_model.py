@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from crlsim.model import ColumnLog, SourcePool, TaskQueue, WeightsConfig
+from crlsim.model import DEAD_SHARE, ColumnLog, SourcePool, TaskQueue, WeightsConfig
 from crlsim.settlement import SettlementRecord
 
 from oracles import compute_matching_priority, compute_settlement_amount
@@ -41,10 +41,32 @@ class TestSourcePool:
     def test_consume_drops_only_exhausted_chosen_rows(self):
         pool = make_pool(0.0, 4.0, 5.0, 6.0)
         pool.consume(np.array([1, 3]), np.array([4.0, 1.5]))
-        # source 0 has no time but was not leased, so it stays until aging
-        assert pool.ids.tolist() == [0, 2, 3]
-        assert pool.idle.tolist() == [0.0, 5.0, 4.5]
-        assert pool.owners.tolist() == [10, 12, 13]
+        # Consume writes idle in place and moves no row.  The leased source 1
+        # is left with no time, so len drops it at once; source 0 has no time
+        # but was not leased, so len counts it until aging.
+        assert pool.ids.tolist() == [0, 1, 2, 3]
+        assert pool.idle.tolist() == [0.0, 0.0, 5.0, 4.5]
+        assert len(pool) == 3
+        live = pool.take(pool.idle > 0.0)
+        assert live.ids.tolist() == [2, 3] and live.idle.tolist() == [5.0, 4.5] and live.owners.tolist() == [12, 13]
+        pool.age(0.0)
+        assert len(pool) == 2 and pool.ids.tolist() == [2, 3]
+
+    def test_age_moves_past_dead_front_rows_and_compacts_the_rest_in_order(self):
+        assert 1 / 9 <= DEAD_SHARE < 2 / 9  # the shares of dead rows below
+        pool = make_pool(1.0, 9.0, 1.0, 5.0, 6.0, 7.0, 8.0, 10.0, 11.0, 12.0)
+        pool.age(1.0)
+        # Sources 0 and 2 die: the window starts after 0, and 2 stays as one
+        # dead row of nine.
+        assert pool.ids.tolist() == list(range(1, 10)) and len(pool) == 8
+        pool.age(4.0)
+        # Source 3 dies too: two dead rows of nine, so the live ones are
+        # gathered in id order.
+        assert len(pool) == 7 and pool.ids.tolist() == [1, 4, 5, 6, 7, 8, 9]
+        assert pool.idle.tolist() == [4.0, 1.0, 2.0, 3.0, 5.0, 6.0, 7.0]
+        assert pool.owners.tolist() == [11, 14, 15, 16, 17, 18, 19]
+        pool.extend(make_pool(20.0))
+        assert pool.ids.tolist() == [1, 4, 5, 6, 7, 8, 9, 0] and len(pool) == 8
 
     def test_extend_appends_in_id_order(self):
         pool = make_pool(1.0)
