@@ -74,8 +74,10 @@ class SimConfig:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
 
 
-# Steps of arrivals replayed together from one pass over their raw words.
-ARRIVAL_CHUNK = 16
+# Words after which a replay block takes no further step: each step's raw words,
+# and _STEP_WORDS for its counts, raw array and column views (about 530 bytes).
+ARRIVAL_WORDS = 12288
+_STEP_WORDS = 64
 # Offsets back from the end of an object's words to its uniforms.
 _TASK_UNIFORMS = np.array([[3], [2], [1]])
 _SOURCE_UNIFORMS = np.array([[2], [1]])
@@ -85,12 +87,14 @@ class ArrivalStream:
     """The arrival draws of one run, handed out step by step.
 
     ``_draw_scalars`` defines the stream.  On a PCG64 generator with
-    ``device_count < 2**32``, ``_replay`` draws up to ``ARRIVAL_CHUNK`` steps
-    at once, bit for bit the same, and no block reaches past ``steps`` steps
-    (later blocks are one step).  When no drawn step is left to hand out the
-    generator is where the scalar draws would have left it; in between it is
-    ahead, so the stream must be its only user.  Other bit generators, and
-    owner ranges of ``2**32`` or more, take ``_draw_scalars`` every step.
+    ``device_count < 2**32``, ``_replay`` draws a block of steps at once, bit
+    for bit the same, never past ``steps`` steps in all and holding at most
+    ``ARRIVAL_WORDS`` words plus one step's: about 71 steps at the default
+    rates, 10 at 16 times the source rate, 192 with no arrivals.  When no
+    drawn step is left to hand out the generator is where the scalar draws
+    would have left it; in between it is ahead, so the stream must be its
+    only user.  Other bit generators, and owner ranges of ``2**32`` or more,
+    take ``_draw_scalars`` every step.
     """
 
     def __init__(self, workload: WorkloadConfig, rng: np.random.Generator, steps: int = 1):
@@ -98,6 +102,11 @@ class ArrivalStream:
         self.rng = rng
         self.steps_left = steps
         self.buffered = []  # drawn steps not yet handed out, the next one last
+        bounds = np.array([workload.deadline_range, workload.cycles_range, workload.value_range,
+                           workload.idle_range, workload.rate_range], dtype=np.float64)
+        lows, widths = bounds[:, :1], bounds[:, 1:] - bounds[:, :1]
+        # Tasks', then sources' (lows, widths, uniform offsets), one row per float column.
+        self.uniforms = ((lows[:3], widths[:3], _TASK_UNIFORMS), (lows[3:], widths[3:], _SOURCE_UNIFORMS))
 
     def draw(self):
         """The next step's task owners, the tasks' (deadline, cycles, value)
@@ -105,7 +114,7 @@ class ArrivalStream:
         if not self.buffered:
             bitgen = self.rng.bit_generator
             if type(bitgen) is np.random.PCG64 and self.workload.device_count < 2**32:
-                self.buffered = self._replay(bitgen, min(ARRIVAL_CHUNK, max(self.steps_left, 1)))[::-1]
+                self.buffered = self._replay(bitgen, max(self.steps_left, 1))[::-1]
             else:
                 self.buffered = [_draw_scalars(self.workload, self.rng, *self._counts())]
             self.steps_left -= len(self.buffered)
@@ -115,8 +124,8 @@ class ArrivalStream:
         rng, workload = self.rng, self.workload
         return int(rng.poisson(workload.task_arrival_rate)), int(rng.poisson(workload.source_arrival_rate))
 
-    def _replay(self, bitgen, count):
-        """Up to ``count`` steps from raw PCG64 words, as ``_draw_scalars`` would draw them.
+    def _replay(self, bitgen, limit):
+        """A block of up to ``limit`` steps from raw PCG64 words, as ``_draw_scalars`` would draw them.
 
         It follows numpy's Generator: ``uniform(lo, hi)`` takes one 64-bit
         word ``w`` and gives ``lo + (hi - lo) * ((w >> 11) * 2**-53)``, and
@@ -126,18 +135,17 @@ class ArrivalStream:
         ``integers`` reads or writes that cache; ``random_raw`` leaves it
         alone.  So each step draws its two counts, then with ``random_raw``
         exactly the words its scalar draws would take, the cache's parity
-        carried from step to step; the owners of the whole block take the
-        halves in one sequence; and the cache is written back once.  The half
-        ``x`` gives ``(x * n) >> 32``, unless Lemire's test ``(x * n) mod
-        2**32 < 2**32 mod n`` rejects it and draws again; ``n == 1`` draws
-        nothing.  On a rejection (probability below n / 2**32 per owner) the
-        block is drawn again up to that step, and that step by
-        ``_draw_scalars``; the block ends there.  ``WorkloadConfig`` keeps
-        every bound finite and every low >= 0, so every width ``hi - lo`` is
-        finite too.
+        carried from step to step, until the block holds ``ARRIVAL_WORDS``
+        words; the owners of the whole block take the halves in one sequence;
+        and the cache is written back once.  None of this depends on where a
+        block ends.  The half ``x`` gives ``(x * n) >> 32``, unless Lemire's
+        test ``(x * n) mod 2**32 < 2**32 mod n`` rejects it and draws again;
+        ``n == 1`` draws nothing.  On a rejection (probability below n / 2**32
+        per owner) the steps before it are drawn again, and that step by
+        ``_draw_scalars``, which ends the block.  ``WorkloadConfig`` keeps
+        every bound finite and every low >= 0, so every width is finite too.
         """
-        workload, raw = self.workload, bitgen.random_raw
-        n = workload.device_count
+        n, raw = self.workload.device_count, bitgen.random_raw
         saved = bitgen.state
         # Object k of the block (each step's tasks, then its sources) takes
         # taken[k] words: its owner's fresh word, if any, then one word per
@@ -145,47 +153,54 @@ class ArrivalStream:
         # cached, so with the cache set at the start objects 1, 3, ... take
         # fresh words, else objects 0, 2, ...
         cached = saved["has_uint32"] if n > 1 else 0
-        parity, counts, words = cached, [], []
-        for _ in range(count):
+        parity, counts, words, held = cached, [], [], 0
+        while held < ARRIVAL_WORDS and len(words) < limit:
             n_tasks, n_sources = self._counts()
             fresh = (n_tasks + n_sources + 1 - parity) >> 1 if n > 1 else 0
             words.append(raw(3 * n_tasks + 2 * n_sources + fresh))
+            held += len(words[-1]) + _STEP_WORDS
             parity ^= (n_tasks + n_sources) & 1
             counts += n_tasks, n_sources
         words = np.concatenate(words)
-        taken = np.repeat(np.tile((3, 2), count), counts)
+        taken = np.repeat((3, 2) * (len(counts) // 2), counts)
         is_task = taken == 3
         if n > 1:
             taken[cached::2] += 1
         end = taken.cumsum()
-        unit = (words >> np.uint64(11)) * 2.0**-53
-        bounds = np.array([workload.deadline_range, workload.cycles_range, workload.value_range,
-                           workload.idle_range, workload.rate_range], dtype=np.float64)
-        lows, widths = bounds[:, :1], bounds[:, 1:] - bounds[:, :1]
-        task_cols = lows[:3] + widths[:3] * unit[end[is_task] - _TASK_UNIFORMS]
-        source_cols = lows[3:] + widths[3:] * unit[end[~is_task] - _SOURCE_UNIFORMS]
-        owners = np.zeros(len(taken), dtype=np.int64)
         if n > 1:
-            # The 32-bit halves in the order next_uint32 hands them out: the
-            # cached one, then low and high half of each fresh word.
-            fresh = words[(end - taken)[cached::2]].astype("<u8", copy=False).view("<u4")
-            halves = np.concatenate((np.array([saved["uinteger"]], dtype=np.uint64), fresh))
-            scaled = halves[1 - cached:][:len(taken)] * np.uint64(n)
-            rejected = np.flatnonzero((scaled & np.uint64(0xFFFFFFFF)) < np.uint64((2**32 - n) % n))
-            if len(rejected):
-                # Replay the steps before the rejected one again, then draw that one.
-                step = int(np.searchsorted(np.cumsum(counts)[1::2], rejected[0], "right"))
-                bitgen.state = saved
-                steps = self._replay(bitgen, step) if step else []
-                return steps + [_draw_scalars(workload, self.rng, *self._counts())]
+            # The 32-bit halves in the order next_uint32 hands them out: the cached
+            # one, then low and high half of each fresh word; the cache keeps the last.
+            halves = words[(end - taken)[cached::2]].astype("<u8", copy=False).view("<u4")
+            halves = np.concatenate((np.array([saved["uinteger"]], dtype=np.uint64), halves))
             state = bitgen.state
             state["has_uint32"], state["uinteger"] = parity, int(halves[-1])
+            scaled = halves[1 - cached:1 - cached + len(taken)]
+            scaled *= np.uint64(n)
+            rejected = scaled.astype(np.uint32) < np.uint32((2**32 - n) % n)
+            if rejected.any():
+                # Replay the steps before the rejected one again, then draw that one.
+                step = int(np.searchsorted(np.cumsum(counts)[1::2], rejected.argmax(), "right"))
+                bitgen.state = saved
+                steps = self._replay(bitgen, step) if step else []
+                return steps + [_draw_scalars(self.workload, self.rng, *self._counts())]
             bitgen.state = state
-            owners = (scaled >> np.uint64(32)).astype(np.int64)
-        task_owners, source_owners = owners[is_task], owners[~is_task]
-        steps, t, s = [], 0, 0
+            scaled >>= np.uint64(32)
+            owners = scaled.view(np.int64)
+        else:
+            owners = np.zeros(len(taken), dtype=np.int64)
+        # The owners are drawn, so the words become uniforms in place.
+        words >>= np.uint64(11)
+        unit = np.multiply(words, 2.0**-53, out=words.view(np.float64))
+        cols = []
+        for rows, (lows, widths, offsets) in zip((is_task, ~is_task), self.uniforms):
+            col = unit[end[rows] - offsets]
+            col *= widths
+            col += lows
+            cols.append(col)
+        # A step's tasks t:t_end and sources s:s_end are objects t + s:t_end + s and t_end + s:t_end + s_end.
+        (task_cols, source_cols), steps, t, s = cols, [], 0, 0
         for t_end, s_end in zip(accumulate(counts[0::2]), accumulate(counts[1::2])):
-            steps.append((task_owners[t:t_end], task_cols[:, t:t_end], source_owners[s:s_end], source_cols[:, s:s_end]))
+            steps.append((owners[t + s:t_end + s], task_cols[:, t:t_end], owners[t_end + s:t_end + s_end], source_cols[:, s:s_end]))
             t, s = t_end, s_end
         return steps
 

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from crlsim.metrics import AssignmentRecord, emit_report
 from crlsim.model import ColumnLog, SourcePool, TaskQueue, WeightsConfig
 from crlsim.settlement import SettlementRecord
 from crlsim.simulator import (
-    ARRIVAL_CHUNK,
+    ARRIVAL_WORDS,
     POISSON_LAM_MAX,
+    _STEP_WORDS,
     ArrivalStream,
     SimConfig,
     WorkloadConfig,
@@ -182,6 +184,8 @@ REPLAY_SHAPES = {
     "one-device": (WorkloadConfig(source_arrival_rate=10.0, device_count=1), False),
     "low-rates": (WorkloadConfig(task_arrival_rate=0.3, source_arrival_rate=0.6, device_count=7), False),
     "no-tasks": (WorkloadConfig(task_arrival_rate=0.0, source_arrival_rate=2.0, device_count=2), False),
+    # each block is ARRIVAL_WORDS // _STEP_WORDS empty steps
+    "no-arrivals": (WorkloadConfig(task_arrival_rate=0.0, source_arrival_rate=0.0), False),
     # 2**32 mod n = 2**30: a quarter of the owner draws is rejected
     "rejections": (WorkloadConfig(task_arrival_rate=1.0, source_arrival_rate=1.0, device_count=3 * 2**30), True),
 }
@@ -222,6 +226,38 @@ def count_fallbacks(monkeypatch):
     return fallbacks
 
 
+def step_words(counts, devices=30, cached=0):
+    """The raw words each step of ``counts`` (n_tasks, n_sources) takes: three
+    uniforms per task and two per source, and its owners' fresh words.  Owners
+    take the 32-bit halves of fresh words two by two, so the first m objects
+    of the stream take (m + 1 - cached) // 2 of them, where ``cached`` is 1 if
+    the generator's cache held a half at the start; one device takes none."""
+    words, objects, fresh = [], 0, 0
+    for n_tasks, n_sources in counts:
+        objects += n_tasks + n_sources
+        fresh_by_now = (objects + 1 - cached) // 2 if devices > 1 else 0
+        words.append(3 * n_tasks + 2 * n_sources + fresh_by_now - fresh)
+        fresh = fresh_by_now
+    return words
+
+
+def block_ends(words, budget):
+    """The steps that end a block when each block takes steps until it holds
+    ``budget`` words or more, a step counting its raw ``words`` and
+    ``_STEP_WORDS``; the last step ends the last block."""
+    ends, held = [], 0
+    for step, taken in enumerate(words):
+        held += taken + _STEP_WORDS
+        if held >= budget or step == len(words) - 1:
+            ends.append(step)
+            held = 0
+    return ends
+
+
+def counts_of(rows):
+    return [(len(tasks), len(sources)) for tasks, sources in rows]
+
+
 def record_aging(monkeypatch):
     """Record (pending tasks aged, ids of those that expired) per ``_age_state`` call."""
     calls = []
@@ -247,28 +283,50 @@ class TestArrivalReplay:
     def test_equals_scalar_draws_and_state(self, shape, monkeypatch):
         wl, may_fall_back = REPLAY_SHAPES[shape]
         fallbacks = count_fallbacks(monkeypatch)
-        for seed in range(20):
-            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-            _, ends = check_stream(wl, fast, slow, 200)
-            assert max(np.diff([-1] + ends)) <= ARRIVAL_CHUNK
+        # The run's budget, and one that ends a block every few steps in every shape.
+        for budget, seeds in ((ARRIVAL_WORDS, 20), (512, 5)):
+            monkeypatch.setattr(simulator, "ARRIVAL_WORDS", budget)
+            blocks = 0
+            for seed in range(seeds):
+                fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+                seen = len(fallbacks)
+                rows, ends = check_stream(wl, fast, slow, 200)
+                words = step_words(counts_of(rows), wl.device_count)
+                # A block ends at the first step that brings it to the budget,
+                # or earlier at a step drawn by _draw_scalars.
+                cut_short = 0
+                for start, end in zip([0] + [e + 1 for e in ends], ends):
+                    rule = start + block_ends(words[start:], budget)[0]
+                    assert end <= rule
+                    cut_short += end < rule
+                assert cut_short <= len(fallbacks) - seen
+                blocks += len(ends)
+            assert blocks >= seeds * (200 // 8 if budget == 512 else 2)
         if may_fall_back:
-            assert 0 < len(fallbacks) < 20 * 200
+            assert 0 < len(fallbacks) < 25 * 200
         else:
             assert fallbacks == []
 
-    @pytest.mark.parametrize("steps", [1, ARRIVAL_CHUNK - 1, ARRIVAL_CHUNK, ARRIVAL_CHUNK + 1, 2 * ARRIVAL_CHUNK + 1])
+    @pytest.mark.parametrize("steps", [1, 15, 16, 17, 33])
     def test_run_draws_its_steps_and_no_more(self, steps, monkeypatch):
-        drawn, streams = [], []
+        drawn, streams, ends = [], [], []
         draw = simulator.generate_arrivals
 
         def record(stream, *ids):
             arrivals = draw(stream, *ids)
+            if not stream.buffered:
+                ends.append(len(drawn))
             drawn.append(as_rows(arrivals))
             streams.append(stream)
             return arrivals
 
         monkeypatch.setattr(simulator, "generate_arrivals", record)
         config = SimConfig(steps=steps, rng_seed=8, policy="cloud")
+        oracle = np.random.default_rng(8)
+        words = step_words([tuple(map(len, oracle_arrivals(config.workload, oracle))) for _ in range(max(steps, 16))])
+        # A budget the first 16 steps just reach, so that a block ends at step 15.
+        budget = sum(words[:16]) + 16 * _STEP_WORDS
+        monkeypatch.setattr(simulator, "ARRIVAL_WORDS", budget)
         report = run(config)
         slow = np.random.default_rng(8)
         next_t = next_s = 0
@@ -277,15 +335,20 @@ class TestArrivalReplay:
             next_t += len(tasks)
             next_s += len(sources)
         assert len(drawn) == steps and report.arrived_tasks == next_t
+        assert ends == block_ends(words[:steps], budget)
+        assert (15 in ends) == (steps >= 16) and len(ends) >= steps // 16
         # The run drew nothing past its last step.
         assert streams[-1].rng.bit_generator.state == slow.bit_generator.state
 
-    def test_block_starting_with_the_cache_set(self):
+    def test_block_starting_with_the_cache_set(self, monkeypatch):
         fast, slow = np.random.default_rng(5), np.random.default_rng(5)
         fast.integers(0, 30)
         slow.integers(0, 30)
         assert fast.bit_generator.state["has_uint32"] == 1
-        check_stream(WorkloadConfig(), fast, slow, 2 * ARRIVAL_CHUNK + 1)
+        monkeypatch.setattr(simulator, "ARRIVAL_WORDS", 1000)
+        rows, ends = check_stream(WorkloadConfig(), fast, slow, 33)
+        assert ends == block_ends(step_words(counts_of(rows), cached=1), 1000)
+        assert len(ends) >= 3
 
     def test_pinned_rejection_falls_back_to_scalar_draws(self):
         word = int(np.random.PCG64(1).advance(REJECTED_WORD_AT).random_raw())
@@ -313,10 +376,34 @@ class TestArrivalReplay:
         fallbacks = count_fallbacks(monkeypatch)
         fast, slow = (FixedCounts(np.random.Generator(np.random.PCG64(1).advance(REJECTED_WORD_AT - 3 * 17)), 1, 2)
                       for _ in range(2))
-        rows, ends = check_stream(wl, fast, slow, 2 * ARRIVAL_CHUNK)
+        # After step 6, two blocks of steps of 8.5 words on average, and a short one.
+        steps = 7 + 2 * ARRIVAL_WORDS // (8 + _STEP_WORDS)
+        rows, ends = check_stream(wl, fast, slow, steps)
         assert fallbacks == [(1, 2)]
         assert rows[6][0][0][1] == 18
-        assert ends == [6, 6 + ARRIVAL_CHUNK, 2 * ARRIVAL_CHUNK - 1]
+        # Step 6 ends its block; step 7 starts the next with the cache set,
+        # as the scalar draws of step 6's three owners left it.
+        assert ends == [6] + [7 + end for end in block_ends(step_words([(1, 2)] * (steps - 7), cached=1), ARRIVAL_WORDS)]
+        assert len(ends) == 4
+
+    def test_high_rate_run_holds_a_few_steps_of_words(self):
+        # One step at these rates draws 6e4 + 4e4 uniform words and 2e4 owner
+        # words, more than ARRIVAL_WORDS, so each replay block is one step.
+        # The run then holds a few arrays of a step's length: the block's
+        # words and columns, about three steps of sources in the pool (idle
+        # below 3 s) and one step of escalated values.
+        rate = 2e4
+        step_bytes = 8 * (3 * rate + 2 * rate + (rate + rate) / 2)
+        workload = WorkloadConfig(task_arrival_rate=rate, source_arrival_rate=rate, idle_range=(1.0, 3.0))
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            report = run(SimConfig(steps=20, policy="cloud", workload=workload))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.arrived_tasks > 19 * rate
+        assert peak < 10 * step_bytes
 
     @pytest.mark.parametrize("make_rng", [
         lambda: np.random.Generator(np.random.MT19937(3)),
