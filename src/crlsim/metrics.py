@@ -85,13 +85,33 @@ def idle_capacity(pool: SourcePool) -> float:
     return float(np.maximum(pool.rate * pool.idle, 0.0).cumsum()[-1])
 
 
-REPORT_SLICE = 256  # records per C-encoder call, which bounds the temporary token list
+REPORT_SLICE = 256  # records per slice, which bounds the temporary token lists
+_BOOL_TOKENS = ("false", "true")
+
+
+def _tokens(values) -> list[str]:
+    """The JSON tokens of a slice of a column, as ``json.dumps`` writes its items.
+
+    A numpy column of bool, int or all-finite float dtype takes its Python
+    values' ``repr`` (``true``/``false`` for a bool), the text the json
+    module's C encoder writes for them.  Any other column or slice, NaN and
+    infinities among them, goes through that encoder.
+    """
+    if isinstance(values, np.ndarray):
+        kind = values.dtype.kind
+        if kind == "b":
+            return list(map(_BOOL_TOKENS.__getitem__, values.tolist()))
+        if kind in "iu" or kind == "f" and np.isfinite(values).all():
+            return list(map(repr, values.tolist()))
+        values = values.tolist()
+    # Without indent, json takes its C encoder; no JSON token holds a raw newline, so "\n" splits them exactly.
+    return json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
 
 
 def _write_records(fh, log: ColumnLog) -> None:
     """Write a log as ``json.dump(..., indent=2)`` writes its rows' ``_asdict()`` one level
-    deep.  Per ``REPORT_SLICE`` rows, one C-encoder call per column gives that column's
-    tokens, and slice assignment interleaves them with the fixed text between them."""
+    deep.  Per ``REPORT_SLICE`` rows, ``_tokens`` gives each column's tokens, and slice
+    assignment interleaves them with the fixed text between them."""
     if not len(log):
         fh.write("[]")
         return
@@ -106,8 +126,7 @@ def _write_records(fh, log: ColumnLog) -> None:
     for start in range(0, len(log), REPORT_SLICE):
         parts = frame[: width * min(REPORT_SLICE, len(log) - start)]
         for k, column in enumerate(log.columns):
-            # Without indent, json takes its C encoder; no JSON token holds a raw newline, so "\n" splits them exactly.
-            parts[2 * k + 1 :: width] = json.dumps(column[start : start + REPORT_SLICE], separators=("\n", ":"))[1:-1].split("\n")
+            parts[2 * k + 1 :: width] = _tokens(column[start : start + REPORT_SLICE])
         if not start:
             parts[0] = "[\n    {\n" + keys[0]
         fh.write("".join(parts))

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
-from itertools import chain, repeat
+from itertools import repeat
 from numbers import Real
 from operator import attrgetter, getitem
 
@@ -189,11 +189,18 @@ def check_config_numbers(config) -> None:
             raise ValueError(f"{f.name} must be finite, got {value}")
 
 
+def _listed(values):
+    """``values`` with a numpy array or scalar turned into Python lists and numbers."""
+    return values.tolist() if isinstance(values, (np.ndarray, np.generic)) else values
+
+
 class ColumnLog:
     """Rows of the NamedTuple type ``row``, held as one sequence per field.
 
-    It reads as a list of rows: ``len``, iteration and indexing give ``row``
-    instances, and it equals a list or log holding the same rows.
+    A column is a numpy array, a list or a tuple.  The log reads as a list of
+    rows: ``len``, iteration and indexing give ``row`` instances of Python
+    numbers, whatever holds the column, and it equals a list or log holding
+    the same rows.
     """
 
     def __init__(self, row, columns):
@@ -203,22 +210,22 @@ class ColumnLog:
     @classmethod
     def join(cls, row, chunks) -> ColumnLog:
         """One log of ``chunks``, each a tuple of ``row``'s columns as numpy
-        arrays or lists, in order; every column becomes one list."""
+        arrays, in order; each column becomes one new array of its chunks'
+        dtype, or with no chunks an empty list."""
         if not chunks:
             return cls(row, ([] for _ in row._fields))
-        return cls(row, (np.concatenate(parts).tolist() if isinstance(parts[0], np.ndarray)
-                         else list(chain.from_iterable(parts)) for parts in zip(*chunks)))
+        return cls(row, map(np.concatenate, zip(*chunks)))
 
     def __len__(self) -> int:
         return len(self.columns[0])
 
     def __iter__(self):
-        return map(self.row, *self.columns)
+        return map(self.row, *map(_listed, self.columns))
 
     def __getitem__(self, k):
         if isinstance(k, slice):
             return list(self)[k]
-        return self.row._make(column[k] for column in self.columns)
+        return self.row._make(_listed(column[k]) for column in self.columns)
 
     def __eq__(self, other):
         if isinstance(other, (ColumnLog, list)):

@@ -38,18 +38,18 @@ def apply_settlement(
     balance) * conversion_rate_r, with the receiver's pre-batch balance,
     floored at 0 and taken before any balance moves, so the result does not
     depend on lease order.  Returns the batch's ``SettlementRecord`` rows as
-    list columns.  Columns of unequal length raise ValueError with the
-    ledger untouched.  ``ledger`` maps a device to its balance, 0 if absent;
-    each batch conserves the sum of all balances, as every debit has an
-    equal credit.
+    numpy columns: ``leased.ids``, ``leased.owners`` and ``providers``
+    themselves, float64 amounts, int64 steps and bool ``floored``.  Columns
+    of unequal length raise ValueError with the ledger untouched.
+    ``ledger`` maps a device to its balance, 0 if absent; each batch
+    conserves the sum of all balances, as every debit has an equal credit.
     """
-    receivers, providers = leased.owners.tolist(), providers.tolist()
     amounts, floors = [], []
     deltas: dict[int, float] = {}
     balance = ledger.get
     gamma_n, gamma_m, conversion = weights.gamma_n, weights.gamma_m, weights.conversion_rate_r
     # A loop, not an array expression: the deltas fold per device in lease order.
-    for receiver, value, provider in zip(receivers, leased.value.tolist(), providers, strict=True):
+    for receiver, value, provider in zip(leased.owners.tolist(), leased.value.tolist(), providers.tolist(), strict=True):
         amount = (gamma_n * value + gamma_m * balance(receiver, 0.0)) * conversion
         floored = amount < 0.0
         if floored:
@@ -61,4 +61,5 @@ def apply_settlement(
 
     for device_id, delta in deltas.items():
         ledger[device_id] = balance(device_id, 0.0) + delta
-    return ColumnLog(SettlementRecord, (leased.ids.tolist(), receivers, providers, amounts, [step] * len(amounts), floors))
+    return ColumnLog(SettlementRecord, (leased.ids, leased.owners, providers, np.array(amounts, dtype=np.float64),
+                                        np.array([step] * len(amounts), dtype=np.int64), np.array(floors, dtype=bool)))

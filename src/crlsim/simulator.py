@@ -212,8 +212,9 @@ class SimState:
     ``arrivals`` alone draws from a generator seeded with ``config.rng_seed``,
     at most ``config.steps`` steps ahead.  ``ledger`` maps a device to its
     priority balance.  ``settlement_log`` and ``lease_log`` hold one tuple of
-    columns per lease round, in the field order of ``SettlementRecord`` and
-    ``AssignmentRecord``; ``report`` joins them.
+    numpy columns per lease round, in the field order of ``SettlementRecord``
+    and ``AssignmentRecord``; a round's two tuples may share an array, and
+    ``report`` joins each log into new arrays.
     """
 
     config: SimConfig
@@ -353,11 +354,11 @@ def _lease_round(state: SimState) -> tuple[int, int]:
     rate = pool.rate[rows]
     busy = leased.cycles / rate
 
-    settled = apply_settlement(leased, pool.owners[rows], state.ledger, config.weights, step=state.step)
-    state.settlement_log.append(settled.columns)
+    settled = apply_settlement(leased, pool.owners[rows], state.ledger, config.weights, step=state.step).columns
+    state.settlement_log.append(settled)
+    steps = settled[SettlementRecord._fields.index("step")]
     # AssignmentRecord's columns, read before consume moves the idle times.
-    state.lease_log.append(([state.step] * len(leased), leased.ids, pool.ids[rows], busy, leased.cycles,
-                            leased.deadline, pool.idle[rows], rate))
+    state.lease_log.append((steps, leased.ids, pool.ids[rows], busy, leased.cycles, leased.deadline, pool.idle[rows], rate))
     state.matched_tasks += len(leased)
     pool.consume(rows, busy)
 

@@ -4,6 +4,8 @@ import json
 import math
 import random
 import re
+from typing import get_type_hints
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,10 @@ def sample(step, policy="crl", idle=0.0, matched=0, deferred=0, migrated=0, mig_
 
 
 BIG = 2**53 + 1  # the first int a float cannot hold
+# Values near the float limit pass WorkloadConfig, and within 5 steps the run's
+# settlement amounts and ledger overflow to infinities and NaN.
+OVERFLOW = SimConfig(steps=5, workload=WorkloadConfig(value_range=(1e308, 1e308), task_arrival_rate=30.0,
+                                                      rate_range=(50.0, 400.0)))
 # No arrivals, so every step samples an empty pool.
 EMPTY_POOL = SimConfig(steps=3, workload=WorkloadConfig(task_arrival_rate=0.0, source_arrival_rate=0.0))
 
@@ -57,14 +63,38 @@ def edge_reports():
         matched_tasks=BIG - 1,
         migrated_tasks=1,
     )
-    return [extremes, SimReport(policy="cloud", seed=0, samples=[sample(0)])]
+    return [extremes, SimReport(policy="cloud", seed=0, samples=[sample(0)]), typed_extremes()]
+
+
+# Floats and ints whose text a writer could get wrong, each of which a float64 or int64 column holds.
+EXTREME_FLOATS = [-0.0, 5e-324, 1e-7, 1e16, 1.7976931348623157e308]
+EXTREME_INTS = [2**63 - 1, -(2**63 - 1), 0]
+
+
+def typed_extremes():
+    """A report whose every record field fits an int64, float64 or bool column,
+    holding the extreme floats and ints in each field of its kind."""
+    n = len(EXTREME_FLOATS)
+    floats = [EXTREME_FLOATS[k:] + EXTREME_FLOATS[:k] for k in range(n)]
+    ints = [[EXTREME_INTS[(k + j) % len(EXTREME_INTS)] for j in range(n)] for k in range(n)]
+    return SimReport(
+        policy="crl",
+        seed=2**63 - 1,
+        samples=[sample(ints[0][k], idle=floats[0][k], matched=ints[1][k], deferred=ints[2][k], migrated=ints[3][k],
+                        mig_v=floats[1][k], mig_c=floats[2][k]) for k in range(n)],
+        settlement_records=[SettlementRecord(ints[0][k], ints[1][k], ints[2][k], floats[0][k], ints[3][k], k % 2 == 1)
+                            for k in range(n)],
+        assignment_records=[AssignmentRecord(ints[0][k], ints[1][k], ints[2][k], *(row[k] for row in floats))
+                            for k in range(n)],
+    )
 
 
 def awkward_report(n):
     """A report whose JSON text a template writer could get wrong: a policy string
     holding a list separator, a newline, a quote and a format directive; NaN and
     infinities; a bool in an int field; and an empty record list next to one of
-    ``n`` records."""
+    ``n`` records.  Only the first and the last record hold NaN and infinities,
+    so with ``2 * REPORT_SLICE + 1`` records the middle slice is finite."""
     policy = 'a, b\n"%s'
     return SimReport(
         policy=policy,
@@ -72,7 +102,8 @@ def awkward_report(n):
         samples=[sample(k, policy=policy, idle=math.nan, matched=True, mig_v=math.inf, mig_c=-math.inf)
                  for k in range(n)],
         ledger_snapshot={1: math.nan, 2: -math.inf},
-        assignment_records=[AssignmentRecord(k, k, False, 0.5, math.inf, 2.0, -math.inf, math.nan) for k in range(n)],
+        assignment_records=[AssignmentRecord(k, k, False, 0.5, math.inf, 2.0, -math.inf, math.nan) if k in (0, n - 1)
+                            else AssignmentRecord(k, k, False, 0.5, 1e16, 2.0, 1e-7, k + 0.5) for k in range(n)],
         pending_tasks=True,
     )
 
@@ -92,6 +123,27 @@ def as_rows(row, rows):
 
 def as_columns(row, rows):
     return ColumnLog(row, zip(*rows)) if rows else ColumnLog.join(row, [])
+
+
+FIELD_DTYPES = {int: np.int64, float: np.float64, bool: np.bool_}
+
+
+def as_arrays(row, rows):
+    """Each column as a numpy array of its field's dtype (int64, float64 or bool),
+    or of object dtype where that dtype would not hand back the same values."""
+    columns = []
+    for kind, values in zip(get_type_hints(row).values(), zip(*rows) if rows else [()] * len(row._fields)):
+        try:
+            column = np.array(values, dtype=FIELD_DTYPES.get(kind, object))
+        except OverflowError:
+            column = None
+        if column is None or repr(column.tolist()) != repr(list(values)):
+            column = np.array(values, dtype=object)
+        columns.append(column)
+    return ColumnLog(row, columns)
+
+
+HOLDERS = (as_rows, as_columns, as_arrays)
 
 
 def asdict_payload(report):
@@ -177,27 +229,45 @@ class TestEmit:
             assert path.read_text() == json.dumps(asdict_payload(report), indent=2) + "\n"
 
     def test_rows_and_columns_emit_the_same_bytes(self):
-        simulated = [run(SimConfig(steps=25, rng_seed=seed, workload=workload))
-                     for seed, workload in ((4, WorkloadConfig()), (5, WorkloadConfig(task_arrival_rate=30.0, rate_range=(50.0, 400.0))))]
+        dense = WorkloadConfig(task_arrival_rate=30.0, rate_range=(50.0, 400.0))
+        simulated = [run(SimConfig(steps=25, rng_seed=4)), run(SimConfig(steps=25, rng_seed=5, workload=dense)), run(OVERFLOW)]
         assert len(simulated[1].settlement_records) > REPORT_SLICE
         for report in [*simulated, *edge_reports(), awkward_report(REPORT_SLICE + 1)]:
-            texts = []
-            for hold in (as_rows, as_columns):
+            expected = json.dumps(asdict_payload(report), indent=2) + "\n"
+            for hold in (None, *HOLDERS):
                 buffer = io.StringIO()
-                emit_report(held_as(report, hold), "json", buffer)
-                texts.append(buffer.getvalue())
-            assert texts[0] == texts[1] == json.dumps(asdict_payload(report), indent=2) + "\n"
+                emit_report(held_as(report, hold) if hold else report, "json", buffer)
+                assert buffer.getvalue() == expected, hold
+
+    def test_typed_columns_hold_the_extremes(self):
+        held = held_as(typed_extremes(), as_arrays)
+        int64, float64 = np.dtype(np.int64), np.dtype(np.float64)
+        assert [column.dtype for column in held.settlement_records.columns] == [int64] * 3 + [float64, int64, np.dtype(bool)]
+        assert [column.dtype for column in held.assignment_records.columns] == [int64] * 3 + [float64] * 5
+        assert set(map(repr, EXTREME_FLOATS)) <= set(map(repr, held.assignment_records.columns[3].tolist()))
+        assert set(EXTREME_INTS) <= set(held.settlement_records.columns[0].tolist())
+
+    def test_simulated_overflow_is_written_as_json_writes_it(self):
+        report = run(OVERFLOW)
+        buffer = io.StringIO()
+        emit_report(report, "json", buffer)
+        assert '"amount": Infinity' in buffer.getvalue()
+        assert any(math.isnan(v) for v in report.ledger_snapshot.values())
+        amounts = report.settlement_records.columns[SettlementRecord._fields.index("amount")]
+        assert amounts.dtype == np.float64 and not np.isfinite(amounts).all()
 
     # one record, exactly one slice, and two slices plus one
     @pytest.mark.parametrize("n", [1, REPORT_SLICE, 2 * REPORT_SLICE + 1])
     def test_json_equals_indented_dump(self, n, tmp_path):
         report = awkward_report(n)
         path = tmp_path / "r.json"
-        emit_report(report, "json", path)
-        buffer = io.StringIO()
-        emit_report(report, "json", buffer)
-        assert path.read_bytes() == buffer.getvalue().encode()
-        assert buffer.getvalue() == json.dumps(asdict_payload(report), indent=2) + "\n"
+        for hold in HOLDERS:
+            held = held_as(report, hold)
+            emit_report(held, "json", path)
+            buffer = io.StringIO()
+            emit_report(held, "json", buffer)
+            assert path.read_bytes() == buffer.getvalue().encode()
+            assert buffer.getvalue() == json.dumps(asdict_payload(report), indent=2) + "\n", hold
 
     # The last two rows have the right width but a value that does not parse.
     @pytest.mark.parametrize("row", ["1,crl,0.0,0,0,0,0.0,0.0,7", "1,crl,0.0,0,0,0,0.0",

@@ -5,6 +5,7 @@ import pytest
 
 from crlsim.model import DEAD_SHARE, ColumnLog, SourcePool, TaskQueue, WeightsConfig
 from crlsim.settlement import SettlementRecord
+from crlsim.simulator import SimConfig, SimState, WorkloadConfig, step_crl
 
 from oracles import compute_matching_priority, compute_settlement_amount
 from records import SourceNode, Task, nodes_of, table_of, tasks_of
@@ -225,11 +226,36 @@ class TestColumnLog:
         assert log == self.ROWS and log == ColumnLog(SettlementRecord, zip(*self.ROWS))
         assert log != self.ROWS[:1] and log != [self.ROWS[1], self.ROWS[0]]
 
-    def test_join_concatenates_arrays_and_lists_into_lists(self):
-        chunk = (np.array([7]), np.array([1]), [2], np.array([0.5]), [3], [False])
-        log = ColumnLog.join(SettlementRecord, [chunk, (np.array([8]), np.array([2]), [1], np.array([-0.0]), [3], [True])])
-        assert all(type(column) is list for column in log.columns)
-        assert repr(list(log)) == repr(self.ROWS)
+    DTYPES = [np.dtype(t) for t in (np.int64, np.int64, np.int64, np.float64, np.int64, bool)]
+
+    def chunk(self, *rows):
+        return tuple(np.array(column, dtype=dtype) for column, dtype in zip(zip(*rows) if rows else [()] * 6, self.DTYPES))
+
+    def test_join_concatenates_typed_arrays_and_reads_python_rows(self):
+        empty = self.chunk()
+        for chunks in ([self.chunk(self.ROWS[0]), empty, self.chunk(self.ROWS[1])], [empty, self.chunk(*self.ROWS), empty]):
+            log = ColumnLog.join(SettlementRecord, chunks)
+            assert [column.dtype for column in log.columns] == self.DTYPES
+            assert log == self.ROWS and list(log) == self.ROWS
+            # repr tells -0.0 from 0.0 and 1 from 1.0 or True, which == does not
+            assert repr(list(log)) == repr(self.ROWS)
+            assert repr((log[0], log[-1], log[1:])) == repr((self.ROWS[0], self.ROWS[-1], self.ROWS[1:]))
+            types = [[type(value) for value in row] for row in (*log, log[0], log[-1])]
+            assert types == [[int, int, int, float, int, bool]] * 4
+        empty = ColumnLog.join(SettlementRecord, [empty, empty])
+        assert [column.dtype for column in empty.columns] == self.DTYPES and empty == []
+
+    def test_simulated_logs_keep_their_dtypes(self):
+        # Rounds that lease nothing append typed empty chunks too; with no sources no round leases.
+        for workload in (WorkloadConfig(), WorkloadConfig(source_arrival_rate=0.0)):
+            state = SimState(SimConfig(steps=40, rng_seed=3, workload=workload))
+            for _ in range(40):
+                step_crl(state)
+            assert any(len(chunk[0]) == 0 for chunk in state.settlement_log)
+            report = state.report()
+            assert [column.dtype for column in report.settlement_records.columns] == self.DTYPES
+            assert [column.dtype for column in report.assignment_records.columns] == self.DTYPES[:3] + [np.dtype(np.float64)] * 5
+        assert len(report.settlement_records) == 0
 
     def test_join_of_no_chunks_is_empty(self):
         log = ColumnLog.join(SettlementRecord, [])

@@ -121,12 +121,16 @@ def test_pool_memory_is_its_own(monkeypatch):
         tasks, sources = arrived[-1]
         for table in (tasks, sources, pool.take(pool.idle > 0.0), pool.take(np.arange(len(pool.ids)))):
             assert not any(shares_memory(column, pool) for column in table._columns(table))
-        assert not any(shares_memory(column, pool) for column in state.lease_log[-1] if isinstance(column, np.ndarray))
-    for chunk in state.lease_log:
-        assert not any(shares_memory(column, state.pool) for column in chunk if isinstance(column, np.ndarray))
+        assert not any(shares_memory(column, pool) for column in state.lease_log[-1] + state.settlement_log[-1])
+    chunks = [column for chunk in state.lease_log + state.settlement_log for column in chunk]
+    assert not any(shares_memory(column, state.pool) for column in chunks)
     later = state.report()
-    for log in (later.assignment_records, later.settlement_records):
-        assert not any(shares_memory(np.asarray(column), state.pool) for column in log.columns)
+    taken_columns = report.assignment_records.columns + report.settlement_records.columns
+    for column in later.assignment_records.columns + later.settlement_records.columns:
+        assert not shares_memory(column, state.pool)
+        assert not any(np.shares_memory(column, other) for other in chunks + list(taken_columns))
+    for column in taken_columns:
+        assert not any(np.shares_memory(column, chunk) for chunk in chunks)
     for out, format in zip(taken, ("csv", "json")):
         again = io.StringIO()
         emit_report(report, format, again)
