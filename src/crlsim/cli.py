@@ -102,6 +102,8 @@ def _parse_w_values(text: str) -> list[int]:
         raise argparse.ArgumentTypeError("W list is empty")
     if min(values) < 1:
         raise argparse.ArgumentTypeError(f"bad W list {text!r}: every W must be >= 1")
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"bad W list {text!r}: every W must differ")
     return values
 
 

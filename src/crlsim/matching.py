@@ -93,7 +93,8 @@ def classify_unmatched(queue: TaskQueue, matched_rows: np.ndarray, weights: Weig
     ``matched_rows``; ``queue`` itself is left as it is.  Every loser's
     rounds_deferred is incremented.  Losers hitting the retry limit, and those
     whose deadline cannot survive another step's wait, escalate immediately;
-    the rest re-enter the queue for the next round.  Both keep queue order.
+    the rest re-enter the queue for the next round with that wait taken off
+    their deadline, the only place a deadline ages.  Both keep queue order.
     """
     lost = np.ones(len(queue), dtype=bool)
     lost[matched_rows] = False
@@ -104,11 +105,12 @@ def classify_unmatched(queue: TaskQueue, matched_rows: np.ndarray, weights: Weig
             f"task {queue.ids[over[0]]}: rounds_deferred {queue.deferred[over[0]]} "
             f"already at limit {weights.max_rounds_w}"
         )
-    big = (bumped >= weights.max_rounds_w) | (queue.deadline - step_seconds <= 0.0)
+    ahead = queue.deadline - step_seconds
+    big = (bumped >= weights.max_rounds_w) | (ahead <= 0.0)
     stay, go = (lost & ~big).nonzero()[0], (lost & big).nonzero()[0]
-    deferred, escalated = queue.take(stay), queue.take(go)
-    deferred.deferred, escalated.deferred = bumped[stay], bumped[go]
-    return deferred, escalated
+    ids, owners, deadline, cycles, value = queue.ids, queue.owners, queue.deadline, queue.cycles, queue.value
+    return (TaskQueue(ids[stay], owners[stay], ahead[stay], cycles[stay], value[stay], bumped[stay]),
+            TaskQueue(ids[go], owners[go], deadline[go], cycles[go], value[go], bumped[go]))
 
 
 def contending_sources(pool: SourcePool, ordered: TaskQueue) -> np.ndarray:

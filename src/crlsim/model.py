@@ -44,10 +44,6 @@ class _Table:
             column = getattr(new, name)
             setattr(self, name, np.concatenate((getattr(self, name), column)) if grow else column)
 
-    def _keep(self, rows) -> None:
-        for name in self.__dataclass_fields__:
-            setattr(self, name, getattr(self, name)[rows])
-
 
 def _table(cls):
     """Make the ``_Table`` subclass ``cls`` a dataclass and give it ``_columns``."""
@@ -136,9 +132,9 @@ class TaskQueue(_Table):
     """The pending tasks as six parallel columns, one row per task, in queue order.
 
     Row i is one task: ``ids[i]``, ``owners[i]``, ``deadline[i]`` (seconds
-    left), ``cycles[i]``, ``value[i]`` and ``deferred[i]`` (rounds already
-    failed).  Row order matters: escalated tasks add to the cumulative
-    migration sums in that order.
+    left at the next match), ``cycles[i]``, ``value[i]`` and ``deferred[i]``
+    (rounds already failed).  Row order matters: escalated tasks add to the
+    cumulative migration sums in that order.
     """
 
     ids: np.ndarray = _column(np.int64)
@@ -147,18 +143,6 @@ class TaskQueue(_Table):
     cycles: np.ndarray = _column(np.float64)
     value: np.ndarray = _column(np.float64)
     deferred: np.ndarray = _column(np.int64)
-
-    def age(self, seconds: float) -> TaskQueue:
-        """Let ``seconds`` pass; tasks whose deadline ran out leave the queue and
-        are returned as a new table, which a later ``extend`` of this one leaves alone."""
-        if len(self):
-            self.deadline = self.deadline - seconds
-            expired = self.deadline <= 0.0
-            if np.count_nonzero(expired):
-                gone = self.take(expired)
-                self._keep(~expired)
-                return gone
-        return TaskQueue()
 
 
 def _real(x) -> bool:
@@ -169,7 +153,7 @@ def check_config_numbers(config) -> None:
     """Make each range field (a field whose default is a tuple) a tuple of two
     real numbers, require every float field and range bound of ``config`` to
     be a finite real number, and every int field to hold an int or numpy
-    integer; a bool is neither.  Each error names its field."""
+    integer, stored as an int; a bool is neither.  Each error names its field."""
     for f in fields(config):
         value = getattr(config, f.name)
         if isinstance(f.default, tuple):
@@ -182,8 +166,10 @@ def check_config_numbers(config) -> None:
                 raise ValueError(f"{f.name} must be a real number, got {value!r}")
             numbers = (value,)
         else:
-            if isinstance(f.default, int) and (isinstance(value, bool) or not isinstance(value, (int, np.integer))):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if isinstance(f.default, int):
+                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
+                object.__setattr__(config, f.name, int(value))
             continue
         if not all(map(math.isfinite, numbers)):
             raise ValueError(f"{f.name} must be finite, got {value}")

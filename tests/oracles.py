@@ -102,8 +102,9 @@ def oracle_classify(tasks, matched_rows, max_rounds_w, step_seconds):
     ``tasks`` are the round's ordered Tasks and ``matched_rows`` the rows
     that leased.  Every other task fails one more round; it escalates if that
     brings rounds_deferred to ``max_rounds_w`` or if its deadline minus
-    ``step_seconds`` is <= 0, else it is deferred.  Returns the deferred and
-    the escalated Tasks, each in queue order, with rounds_deferred bumped.
+    ``step_seconds`` is <= 0, else it is deferred with that step taken off
+    its deadline.  Returns the deferred and the escalated Tasks, each in
+    queue order, with rounds_deferred bumped.
     """
     deferred, escalated = [], []
     for row, t in enumerate(tasks):
@@ -113,7 +114,7 @@ def oracle_classify(tasks, matched_rows, max_rounds_w, step_seconds):
         if t.rounds_deferred >= max_rounds_w or t.deadline_s - step_seconds <= 0:
             escalated.append(t)
         else:
-            deferred.append(t)
+            deferred.append(t._replace(deadline_s=t.deadline_s - step_seconds))
     return deferred, escalated
 
 

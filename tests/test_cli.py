@@ -125,13 +125,16 @@ def test_sweep_w_outputs_non_increasing_final_migration(tmp_path):
     assert all(a >= b - 1e-9 for a, b in zip(finals, finals[1:]))
 
 
-@pytest.mark.parametrize("w_values", ["0", "2,-1"])
-def test_sweep_w_rejects_w_below_one(tmp_path, capsys, w_values):
+@pytest.mark.parametrize(("w_values", "error"),
+                         [("0", "every W must be >= 1"), ("2,-1", "every W must be >= 1"), ("2,2", "every W must differ")],
+                         ids=["0", "2,-1", "2,2"])
+def test_sweep_w_rejects_w_below_one(tmp_path, capsys, w_values, error):
+    # A repeated W would run twice and overwrite its own report.
     out = tmp_path / "sweep"
     with pytest.raises(SystemExit) as exc:
         main(["sweep-w", "--w-values", w_values, "--steps", "5", "--out", str(out)])
     assert exc.value.code == 2
-    assert "every W must be >= 1" in capsys.readouterr().err
+    assert error in capsys.readouterr().err
     assert not out.exists()  # rejected before any run or report
 
 

@@ -417,6 +417,7 @@ class TestClassifyUnmatched:
         w = WeightsConfig(max_rounds_w=3)
         deferred, big = classify_unmatched(queue(task(0, deferred=0)), [], w, 1.0)
         assert len(big) == 0 and deferred.deferred[0] == 1
+        assert deferred.deadline.tolist() == [99.0]  # one step's wait taken off
 
     def test_expired_deadline_escalates(self):
         w = WeightsConfig(max_rounds_w=5)

@@ -100,24 +100,6 @@ class TestTaskQueue:
         assert queue.take([3, 0]).ids.tolist() == [3, 0]
         assert len(queue) == 4
 
-    def test_age_returns_expired_in_queue_order(self):
-        queue = table_of(TaskQueue, [make_task(task_id=tid, deadline=d) for tid, d in ((4, 1.0), (1, 3.0), (2, 0.5))])
-        expired = queue.age(1.0)
-        assert expired.ids.tolist() == [4, 2]
-        assert queue.ids.tolist() == [1] and queue.deadline.tolist() == [2.0]
-        assert len(queue.age(1.0)) == 0 and queue.deadline.tolist() == [1.0]
-
-    def test_age_returns_a_table_apart_from_the_queue(self):
-        # Empty, with nothing expired and with an expiry: a later extend of
-        # the queue never shows up in the returned table.
-        for deadlines in ((), (3.0,), (0.5, 3.0)):
-            queue = table_of(TaskQueue, [make_task(task_id=tid, deadline=d) for tid, d in enumerate(deadlines)])
-            expired = queue.age(1.0)
-            before = tasks_of(expired)
-            queue.extend(table_of(TaskQueue, [make_task(task_id=9)]))
-            assert expired is not queue and tasks_of(expired) == before
-            assert 9 in queue.ids.tolist()
-
     def test_extend_appends_after_current_rows(self):
         queue = table_of(TaskQueue, [make_task(task_id=9)])
         queue.extend(table_of(TaskQueue, [make_task(task_id=3, cycles=2.0)]))

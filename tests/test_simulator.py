@@ -125,11 +125,23 @@ class TestSimConfig:
     def test_int_fields_take_ints_only(self):
         config = SimConfig(steps=np.int32(3), rng_seed=np.uint64(7), workload=WorkloadConfig(device_count=np.int64(5)))
         assert (config.steps, config.rng_seed, config.workload.device_count) == (3, 7, 5)
+        assert {type(config.steps), type(config.rng_seed), type(config.workload.device_count)} == {int}
         for make, value in ((lambda v: SimConfig(steps=v), True), (lambda v: SimConfig(rng_seed=v), 1.0),
                             (lambda v: WorkloadConfig(device_count=v), 2.5),
                             (lambda v: WeightsConfig(max_rounds_w=v), np.float64(3))):
             with pytest.raises(ValueError, match="must be an integer"):
                 make(value)
+
+    def test_numpy_int_fields_emit_as_ints(self):
+        # A numpy scalar kept in a field would reach the report's seed and
+        # json.dumps would reject it.
+        config = SimConfig(steps=np.int64(3), rng_seed=np.uint64(7), weights=WeightsConfig(max_rounds_w=np.int8(2)))
+        expected = SimConfig(steps=3, rng_seed=7, weights=WeightsConfig(max_rounds_w=2))
+        taken, wanted = io.StringIO(), io.StringIO()
+        emit_report(run(config), "json", taken)
+        emit_report(run(expected), "json", wanted)
+        assert taken.getvalue() == wanted.getvalue()
+        assert json.dumps(dataclasses.asdict(config)) == json.dumps(dataclasses.asdict(expected))
 
 
 class TestGenerateArrivals:
@@ -256,21 +268,6 @@ def block_ends(words, budget):
 
 def counts_of(rows):
     return [(len(tasks), len(sources)) for tasks, sources in rows]
-
-
-def record_aging(monkeypatch):
-    """Record (pending tasks aged, ids of those that expired) per ``_age_state`` call."""
-    calls = []
-    age = simulator._age_state
-
-    def recording(state):
-        aged = len(state.pending)
-        expired = age(state)
-        calls.append((aged, expired.ids.tolist()))
-        return expired
-
-    monkeypatch.setattr(simulator, "_age_state", recording)
-    return calls
 
 
 # The first word of PCG64(1) advanced this far has a low half that Lemire's
@@ -478,27 +475,30 @@ class TestStepCrl:
         assert state.migrated_tasks == 1 and len(state.pending) == 0
 
     def test_expired_pending_task_escalates(self):
+        # A task put into pending by hand with no time left cannot lease, and
+        # the deadline lookahead escalates it in that step's round.
         config = SimConfig(workload=QUIET, weights=WeightsConfig(max_rounds_w=5))
         state = SimState(config)
-        state.pending = table_of(TaskQueue, [Task(task_id=0, owner_id=1, deadline_s=1.5, cycles_required=100.0, value=4.0)])
-        step_crl(state)  # unmatched; deadline lookahead escalates
-        assert state.migrated_tasks == 1
+        state.pending = table_of(TaskQueue, [Task(task_id=0, owner_id=1, deadline_s=0.0, cycles_required=10.0, value=4.0)])
+        state.pool = table_of(SourcePool, [SourceNode(source_id=0, owner_id=2, idle_seconds=50.0, cycles_per_second=100.0)])
+        step_crl(state)
+        assert (state.samples[0].matched, state.samples[0].deferred, state.samples[0].migrated) == (0, 0, 1)
+        assert state.migrated_value_cum == 4.0 and len(state.pending) == 0
 
     @pytest.mark.parametrize("deadline", [1.5, 2.0])
-    def test_task_past_its_deadline_escalates_at_aging(self, deadline, monkeypatch):
-        # Only a task put into pending by hand can reach aging with a deadline
-        # <= step_seconds; it leaves at aging, so the round never sees it,
-        # though the pool's source could have served it.
+    def test_pending_deadline_counts_from_the_next_match(self, deadline):
+        # A pending deadline is the time left at the next match: the step's
+        # aging leaves it alone, so a 1.5 s task at 2 s steps still takes the
+        # source that finishes it in 0.1 s.
         config = SimConfig(workload=QUIET, step_seconds=2.0, weights=WeightsConfig(max_rounds_w=5))
         state = SimState(config)
         state.pending = table_of(TaskQueue, [Task(task_id=0, owner_id=1, deadline_s=deadline, cycles_required=10.0, value=4.0)])
         state.pool = table_of(SourcePool, [SourceNode(source_id=0, owner_id=2, idle_seconds=50.0, cycles_per_second=100.0)])
-        aging = record_aging(monkeypatch)
         step_crl(state)
-        assert aging == [(1, [0])]
-        assert state.migrated_tasks == 1 and state.migrated_value_cum == 4.0
-        assert (state.samples[0].matched, state.samples[0].deferred, state.samples[0].migrated) == (0, 0, 1)
-        assert state.matched_tasks == 0 and len(state.pending) == 0
+        assert (state.samples[0].matched, state.samples[0].deferred, state.samples[0].migrated) == (1, 0, 0)
+        assert state.matched_tasks == 1 and state.migrated_tasks == 0 and len(state.pending) == 0
+        lease = state.report().assignment_records[0]
+        assert (lease.task_id, lease.source_id, lease.busy_seconds, lease.task_deadline_s) == (0, 0, 0.1, deadline)
 
     def test_empty_step_records_sample(self):
         config = SimConfig(workload=QUIET)
@@ -564,17 +564,24 @@ class TestRun:
             emit_report(stopped.report(), format, expected)
             assert taken.getvalue() == expected.getvalue()
 
-    def test_no_task_expires_in_the_queue(self, monkeypatch):
-        # A round escalates every loser whose deadline the next aging would
-        # take to 0 or below, with the same float expression, so under run()
-        # aging expires nothing, whatever the step length.
-        aging = record_aging(monkeypatch)
-        for k, config in enumerate(random_configs()):
-            step_seconds = (0.1, 0.3, 0.7, 1.0, 2.5)[k % 5]
-            for policy in ("crl", "cloud"):
-                run(dataclasses.replace(config, step_seconds=step_seconds, policy=policy))
-        assert [ids for _, ids in aging if ids] == []
-        assert sum(aged for aged, _ in aging) > 1000
+    def test_lease_deadlines_age_one_step_per_wait(self):
+        # A lease's match-time deadline is the task's drawn deadline less
+        # step_seconds for each step it waited, taken off one step at a time.
+        leases = 0
+        for config in random_configs():
+            rng, arrived = np.random.default_rng(config.rng_seed), {}
+            for step in range(config.steps):
+                tasks, _ = oracle_arrivals(config.workload, rng, len(arrived))
+                arrived.update((row[0], (step, row[2])) for row in tasks)
+            for step_seconds in (0.1, 0.3, 0.7, 1.0, 2.5):
+                report = run(dataclasses.replace(config, step_seconds=step_seconds))
+                for lease in report.assignment_records:
+                    step, deadline = arrived[lease.task_id]
+                    for _ in range(lease.step - step):
+                        deadline -= step_seconds
+                    assert repr(lease.task_deadline_s) == repr(deadline), (config, step_seconds, lease)
+                leases += len(report.assignment_records)
+        assert leases > 1000
 
     @pytest.mark.parametrize("workload", [WorkloadConfig(), LEASE_HEAVY], ids=["default", "lease-heavy"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
