@@ -44,8 +44,8 @@ def load_scenario(path: Path) -> dict:
         raw = json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # a JSONDecodeError, or an integer of more digits than int() converts
+        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
     _check_keys(raw, SimConfig, str(path))

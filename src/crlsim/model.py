@@ -1,5 +1,6 @@
 """Domain types: the source pool and task queue as column tables, the column
-log that holds report rows, and the weights config with its number checks."""
+log that holds report rows, the weights config, and the declared interval of
+each config field with the one check of them."""
 
 from __future__ import annotations
 
@@ -145,34 +146,50 @@ class TaskQueue(_Table):
     deferred: np.ndarray = _column(np.int64)
 
 
+def bounded(default, low, high=math.inf, *, above=False):
+    """A config field holding ``default`` whose value, or each bound of a
+    range, must lie in [low, high], or in (low, high] when ``above`` is set."""
+    return field(default=default, metadata={"bounds": (low, high, above)})
+
+
 def _real(x) -> bool:
     return isinstance(x, Real) and not isinstance(x, bool)
 
 
-def check_config_numbers(config) -> None:
-    """Make each range field (a field whose default is a tuple) a tuple of two
-    real numbers, require every float field and range bound of ``config`` to
-    be a finite real number, and every int field to hold an int or numpy
-    integer, stored as an int; a bool is neither.  Each error names its field."""
+def check_config(config) -> None:
+    """Check each ``bounded`` field of ``config`` and store it in its type.
+
+    An int field takes an int or numpy integer, stored as an int.  A float
+    field takes a real number and a range field (whose default is a tuple) a
+    pair of them, stored as finite Python floats, a range's low <= high.  A
+    bool is none of these.  The value, or each bound of a range, must then lie
+    in the field's interval.  Each error names its field.
+    """
     for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(f.default, tuple):
-            numbers = tuple(value) if isinstance(value, Iterable) else ()
-            if len(numbers) != 2 or not all(map(_real, numbers)):
-                raise ValueError(f"{f.name} must be a [low, high] pair of real numbers, got {value!r}")
-            object.__setattr__(config, f.name, numbers)
-        elif isinstance(f.default, float):
-            if not _real(value):
-                raise ValueError(f"{f.name} must be a real number, got {value!r}")
-            numbers = (value,)
-        else:
-            if isinstance(f.default, int):
-                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                    raise ValueError(f"{f.name} must be an integer, got {value!r}")
-                object.__setattr__(config, f.name, int(value))
+        if "bounds" not in f.metadata:
             continue
-        if not all(map(math.isfinite, numbers)):
-            raise ValueError(f"{f.name} must be finite, got {value}")
+        value, kind = getattr(config, f.name), type(f.default)
+        if kind is int:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            numbers = (int(value),)
+        else:
+            numbers = tuple(value) if kind is tuple and isinstance(value, Iterable) else (value,)
+            if len(numbers) != (2 if kind is tuple else 1) or not all(map(_real, numbers)):
+                wanted = "a [low, high] pair of real numbers" if kind is tuple else "a real number"
+                raise ValueError(f"{f.name} must be {wanted}, got {value!r}")
+            try:
+                numbers = tuple(map(float, numbers))
+            except OverflowError:  # an int too large for a float is not finite
+                numbers = (math.inf,)
+            if not all(map(math.isfinite, numbers)):
+                raise ValueError(f"{f.name} must be finite, got {value}")
+            if numbers[0] > numbers[-1]:
+                raise ValueError(f"{f.name}: lower bound {numbers[0]} exceeds upper bound {numbers[-1]}")
+        low, high, above = f.metadata["bounds"]
+        if not all(low < x <= high if above else low <= x <= high for x in numbers):
+            raise ValueError(f"{f.name} must be {'>' if above else '>='} {low} and <= {high}, got {value}")
+        object.__setattr__(config, f.name, numbers if kind is tuple else numbers[0])
 
 
 def _listed(values):
@@ -233,21 +250,12 @@ class WeightsConfig:
     a task escalates to the cloud.
     """
 
-    gamma_t: float = 0.5
-    gamma_p: float = 0.5
-    gamma_n: float = 0.5
-    gamma_m: float = 0.5
-    conversion_rate_r: float = 1.0
-    max_rounds_w: int = 3
+    gamma_t: float = bounded(0.5, 0.0, 1.0)
+    gamma_p: float = bounded(0.5, 0.0, 1.0)
+    gamma_n: float = bounded(0.5, 0.0, 1.0)
+    gamma_m: float = bounded(0.5, 0.0, 1.0)
+    conversion_rate_r: float = bounded(1.0, 0.0, above=True)
+    max_rounds_w: int = bounded(3, 1)
 
     def __post_init__(self):
-        check_config_numbers(self)
-        for name in ("gamma_t", "gamma_p", "gamma_n", "gamma_m"):
-            g = getattr(self, name)
-            if not 0.0 <= g <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {g}")
-        if self.conversion_rate_r <= 0:
-            raise ValueError(f"conversion_rate_r must be > 0, got {self.conversion_rate_r}")
-        if self.max_rounds_w < 1:
-            raise ValueError(f"max_rounds_w must be >= 1, got {self.max_rounds_w}")
-
+        check_config(self)

@@ -3,12 +3,12 @@ plus the all-to-cloud baseline policy."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
-from .model import ColumnLog, SourcePool, TaskQueue, WeightsConfig, check_config_numbers
+from .model import ColumnLog, SourcePool, TaskQueue, WeightsConfig, bounded, check_config
 from .matching import full_round, classify_unmatched
 from .settlement import SettlementRecord, apply_settlement
 from .metrics import SimReport, StepSample, AssignmentRecord, idle_capacity
@@ -24,52 +24,31 @@ POISSON_LAM_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 class WorkloadConfig:
     """Arrival rates and uniform (low, high) field ranges for the synthetic workload."""
 
-    task_arrival_rate: float = 10.0
-    source_arrival_rate: float = 30.0
-    cycles_range: tuple[float, float] = (200.0, 3000.0)
-    value_range: tuple[float, float] = (1.0, 10.0)
-    deadline_range: tuple[float, float] = (5.0, 40.0)
-    idle_range: tuple[float, float] = (40.0, 80.0)
-    rate_range: tuple[float, float] = (5.0, 40.0)
-    device_count: int = 30
+    task_arrival_rate: float = bounded(10.0, 0.0, POISSON_LAM_MAX)
+    source_arrival_rate: float = bounded(30.0, 0.0, POISSON_LAM_MAX)
+    cycles_range: tuple[float, float] = bounded((200.0, 3000.0), 0.0, above=True)
+    value_range: tuple[float, float] = bounded((1.0, 10.0), 0.0)
+    deadline_range: tuple[float, float] = bounded((5.0, 40.0), 0.0, above=True)
+    idle_range: tuple[float, float] = bounded((40.0, 80.0), 0.0)
+    rate_range: tuple[float, float] = bounded((5.0, 40.0), 0.0, above=True)
+    # Owners are drawn with numpy's integers(0, device_count), which takes no bound above 2**63.
+    device_count: int = bounded(30, 1, 2**63)
 
     def __post_init__(self):
-        check_config_numbers(self)
-        for name in ("task_arrival_rate", "source_arrival_rate"):
-            rate = getattr(self, name)
-            if not 0 <= rate <= POISSON_LAM_MAX:
-                raise ValueError(f"{name} must be in [0, {POISSON_LAM_MAX!r}], got {rate}")
-        # Owners are drawn with numpy's integers(0, device_count), which takes no bound above 2**63.
-        if not 1 <= self.device_count <= 2**63:
-            raise ValueError(f"device_count must be in [1, 2**63], got {self.device_count}")
-        for f in fields(self):
-            if isinstance(f.default, tuple):
-                lo, hi = getattr(self, f.name)
-                if lo > hi:
-                    raise ValueError(f"{f.name}: lower bound {lo} exceeds upper bound {hi}")
-                if lo <= 0 and f.name in ("cycles_range", "deadline_range", "rate_range"):
-                    raise ValueError(f"{f.name}: lower bound must be > 0")
-                if lo < 0:
-                    raise ValueError(f"{f.name}: lower bound must be >= 0")
+        check_config(self)
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    steps: int = 200
-    step_seconds: float = 1.0
-    rng_seed: int = 1
+    steps: int = bounded(200, 1)
+    step_seconds: float = bounded(1.0, 0.0, above=True)
+    rng_seed: int = bounded(1, 0)
     weights: WeightsConfig = field(default_factory=WeightsConfig)
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     policy: str = "crl"
 
     def __post_init__(self):
-        check_config_numbers(self)
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
-        if self.step_seconds <= 0:
-            raise ValueError(f"step_seconds must be > 0, got {self.step_seconds}")
+        check_config(self)
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
 

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
@@ -272,7 +273,7 @@ def test_negative_seed_rejected_before_writing(tmp_path, capsys):
 def test_device_count_beyond_int64_rejected_before_writing(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["run", "--steps", "5", "--device-count", str(2**63 + 1), "--out", str(out)]) == 2
-    assert f"device_count must be in [1, 2**63], got {2**63 + 1}" in capsys.readouterr().err
+    assert f"device_count must be >= 1 and <= {2**63}, got {2**63 + 1}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -289,10 +290,33 @@ def test_malformed_number_names_its_field(tmp_path, capsys, body, message):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("text, field", [
+    ('{"step_seconds": 1' + "0" * 400 + "}", "step_seconds"),
+    ('{"workload": {"idle_range": [40, 1' + "0" * 400 + "]}}", "idle_range"),
+    # more digits than int() converts: the JSON reader itself rejects the number
+    ('{"steps": 1' + "0" * 5000 + "}", "cannot parse config"),
+], ids=["float", "range-bound", "beyond-int-digits"])
+def test_huge_integer_in_a_scenario_rejected(tmp_path, capsys, text, field):
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def _interval(low, high, above):
+    return f"{'(' if above else '['}{low}, " + ("∞)" if high == math.inf else f"{high}]")
+
+
 def test_readme_matches_the_cli():
-    """The README's table of renamed flags and its example scenario are the CLI's own."""
+    """The README's table of renamed flags, its table of allowed values and its
+    example scenario are the CLI's own."""
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     table = dict(re.findall(r"^\| `(--[a-z-]+)` +\| `(\w+)` +\|$", readme, re.M))
     assert table == {flag: name for name, flag in FLAG_NAMES.items()}
+    allowed = re.findall(r"^\| `(\w+)` +\| (integer|number|pair) +\| (\S.*?) +\|$", readme, re.M)
+    kinds = {int: "integer", float: "number", tuple: "pair"}
+    assert allowed == [(name, kinds[type(f.default)], _interval(*f.metadata["bounds"]))
+                       for name, (_, f) in FIELDS.items() if "bounds" in f.metadata]
     example = re.search(r"A scenario file mirrors.*?```json\n(.*?)```", readme, re.S).group(1)
     assert json.loads(example) == json.loads(json.dumps(dataclasses.asdict(SimConfig())))

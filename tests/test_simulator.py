@@ -92,7 +92,7 @@ class TestWorkloadConfig:
         with pytest.raises(ValueError):
             rng.integers(0, 2**63 + 1)
         for value in (0, 2**63 + 1, np.uint64(2**64 - 1)):
-            with pytest.raises(ValueError, match="device_count must be in \\[1, 2\\*\\*63\\]"):
+            with pytest.raises(ValueError, match=f"device_count must be >= 1 and <= {2**63}, got "):
                 WorkloadConfig(device_count=value)
 
     @pytest.mark.parametrize("field, value, message", [
@@ -142,6 +142,67 @@ class TestSimConfig:
         emit_report(run(expected), "json", wanted)
         assert taken.getvalue() == wanted.getvalue()
         assert json.dumps(dataclasses.asdict(config)) == json.dumps(dataclasses.asdict(expected))
+
+
+    def test_numpy_float_fields_emit_as_floats(self):
+        # A float32 weight kept in a field would make settlement compute in
+        # float32, and json.dumps would reject the ledger and the config.
+        config = SimConfig(steps=20, weights=WeightsConfig(gamma_n=np.float32(0.3)))
+        expected = SimConfig(steps=20, weights=WeightsConfig(gamma_n=float(np.float32(0.3))))
+        assert type(config.weights.gamma_n) is float
+        taken, wanted = io.StringIO(), io.StringIO()
+        emit_report(run(config), "json", taken)
+        emit_report(run(expected), "json", wanted)
+        assert taken.getvalue() == wanted.getvalue()
+        assert json.dumps(dataclasses.asdict(config)) == json.dumps(dataclasses.asdict(expected))
+
+    def test_integer_too_large_for_a_float_is_not_finite(self):
+        with pytest.raises(ValueError, match="step_seconds must be finite"):
+            SimConfig(step_seconds=10**400)
+        with pytest.raises(ValueError, match="idle_range must be finite"):
+            WorkloadConfig(idle_range=(40, 10**400))
+
+
+CONFIGS = (SimConfig, WeightsConfig, WorkloadConfig)
+
+
+def test_every_numeric_config_field_is_bounded():
+    for cls in CONFIGS:
+        for f in dataclasses.fields(cls):
+            assert isinstance(f.default, (int, float, tuple)) == ("bounds" in f.metadata), f.name
+
+
+@pytest.mark.parametrize("cls, f", [
+    pytest.param(cls, f, id=f"{cls.__name__}.{f.name}")
+    for cls in CONFIGS for f in dataclasses.fields(cls) if "bounds" in f.metadata
+])
+def test_declared_bounds_are_enforced(cls, f):
+    """Each closed end (or, at an open end, the nearest value inside it) is
+    taken, and the nearest value outside each end is rejected naming the field;
+    a range takes the value as either bound."""
+    low, high, above = f.metadata["bounds"]
+    if type(f.default) is int:
+        def toward(x, direction):
+            return x + direction
+    else:
+        def toward(x, direction):
+            return float(np.nextafter(x, direction * np.inf))
+    inside, outside = ([toward(low, 1)], [low]) if above else ([low], [toward(low, -1)])
+    if high != np.inf:
+        inside.append(high)
+        outside.append(toward(high, 1))
+
+    def placed(x):
+        if type(f.default) is not tuple:
+            return [x]
+        lo, hi = f.default
+        return [(x, max(x, hi)), (min(x, lo), x)]
+
+    for value in (v for x in inside for v in placed(x)):
+        assert getattr(cls(**{f.name: value}), f.name) == value
+    for value in (v for x in outside for v in placed(x)):
+        with pytest.raises(ValueError, match=f"^{f.name} must be "):
+            cls(**{f.name: value})
 
 
 class TestGenerateArrivals:
