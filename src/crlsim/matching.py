@@ -1,6 +1,7 @@
 """One matching round: priority sort, a shortlist of the sources that can win,
-feasibility-gated preference matrix over it, greedy source assignment, and
-deferral / big-task classification."""
+feasibility-gated preference matrix over it (a rate-ranked feasibility mask
+over a wide one), greedy source assignment, and deferral / big-task
+classification."""
 
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ import numpy as np
 from .model import SourcePool, TaskQueue, WeightsConfig
 
 _TINY = np.finfo(float).tiny  # the smallest normal float
+_RANKED_ROWS = 16  # the narrowest shortlist full_round ranks by rate
+_BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))  # bit j of a task's word is row j
 
 
 @dataclass(frozen=True, eq=False)  # a generated __eq__ would compare arrays elementwise
@@ -39,24 +42,33 @@ def sort_tasks_by_priority(queue: TaskQueue, ledger: dict[int, float], weights: 
     return queue.take(np.lexsort((queue.ids, -priority)))
 
 
+def feasible_mask(pool: SourcePool, queue: TaskQueue) -> np.ndarray:
+    """The n x m bool mask, task-major, of the sources that can serve each task.
+
+    Cell (i, j) is set where the pool's j-th source can finish the queue's
+    i-th task within both its idle window and the task deadline: ``cycles
+    <= rate * idle`` and ``cycles / rate <= deadline``.
+    """
+    cycles = queue.cycles[:, None]
+    ok = cycles / pool.rate <= queue.deadline[:, None]
+    ok &= cycles <= pool.rate * pool.idle
+    return ok
+
+
 def build_prefer_matrix(pool: SourcePool, queue: TaskQueue) -> np.ndarray:
     """Build the m x n preference matrix over the pool and priority-sorted tasks.
 
     Row j is the pool's j-th source (ascending source_id), column i the
     queue's i-th task.  A cell holds cycles_per_second / cycles_required
-    where the source can finish the task within both its idle window and the
-    task deadline (``cycles <= rate * idle`` and ``cycles / rate <=
-    deadline``), else 0.  An empty pool or queue yields a degenerate matrix
-    that matches nothing.
+    where ``feasible_mask`` sets it, else 0.  An empty pool or queue yields a
+    degenerate matrix that matches nothing.
     """
     # Built task-major, one contiguous row per task as greedy_match scans it,
     # and returned as the m x n transpose of that.
-    cycles = queue.cycles[:, None]
-    ok = cycles / pool.rate <= queue.deadline[:, None]
-    ok &= cycles <= pool.rate * pool.idle
+    ok = feasible_mask(pool, queue)
     # A masked divide, not a multiply by the mask: an overflowing quotient
     # times a zero mask would be NaN.
-    return np.divide(pool.rate, cycles, out=np.zeros(ok.shape), where=ok).T
+    return np.divide(pool.rate, queue.cycles[:, None], out=np.zeros(ok.shape), where=ok).T
 
 
 def greedy_match(matrix: np.ndarray, pool: SourcePool, queue: TaskQueue) -> MatchResult:
@@ -67,19 +79,36 @@ def greedy_match(matrix: np.ndarray, pool: SourcePool, queue: TaskQueue) -> Matc
     round; ``matrix`` itself is never mutated.  ``argmax`` returns the first
     maximum, so ties on preference value go to the lowest source_id.  Tasks
     whose column holds no positive value over the free sources are unmatched.
+
+    A bool ``matrix`` marks the feasible cells, which all tie: each task
+    takes its first free feasible row, as the float cast of the matrix would
+    give it.  Up to 64 rows, each task's column is one int whose bit j is row
+    j, and the task takes its lowest bit not yet taken, with no numpy call
+    per lease.
     """
     by_task = matrix.T  # one row per task
-    # Zeroing never makes a value positive, so only tasks with a positive
-    # value somewhere can match; only their rows are copied and scanned.
-    candidates = (np.maximum.reduce(by_task, axis=1, initial=0.0) > 0.0).nonzero()[0]
-    free = by_task[candidates]
     cols, rows = [], []
-    for k, col in enumerate(candidates.tolist()):
-        row = free[k].argmax()
-        if free.item(k, row) > 0.0:
-            free[k + 1:, row] = 0.0
-            cols.append(col)
-            rows.append(row)
+    if by_task.dtype == bool and by_task.shape[1] <= len(_BITS):
+        taken = 0
+        for col, word in enumerate((by_task @ _BITS[:by_task.shape[1]]).tolist()):
+            word &= ~taken
+            if word:
+                bit = word & -word
+                taken |= bit
+                cols.append(col)
+                rows.append(bit.bit_length() - 1)
+    else:
+        by_task = by_task.astype(float, copy=False)
+        # Zeroing never makes a value positive, so only tasks with a positive
+        # value somewhere can match; only their rows are copied and scanned.
+        candidates = (np.maximum.reduce(by_task, axis=1, initial=0.0) > 0.0).nonzero()[0]
+        free = by_task[candidates]
+        for k, col in enumerate(candidates.tolist()):
+            row = free[k].argmax()
+            if free.item(k, row) > 0.0:
+                free[k + 1:, row] = 0.0
+                cols.append(col)
+                rows.append(row)
     unmatched = queue.ids.tolist()
     for col in reversed(cols):  # ascending, so each deletion leaves the earlier rows in place
         del unmatched[col]
@@ -172,12 +201,38 @@ def full_round(queue: TaskQueue, pool: SourcePool, ledger: dict[int, float], wei
     pick, with the same ties, so the leases are those of
     ``greedy_match(build_prefer_matrix(pool, ordered), pool, ordered)``.
 
+    A shortlist of at least ``_RANKED_ROWS`` rows is ranked by rate,
+    descending, equal rates in ascending pool row, and matched on its bool
+    ``feasible_mask``: each task takes its first free feasible ranked row.
+    That is the reference's pick when the ranked rates ``r`` pass a guard:
+    neighbouring distinct rates differ by a relative gap of more than
+    2**-40, ``r[0] / min(cycles)`` is finite and ``r[-1] / max(cycles)`` is
+    normal.  For one task ``fl(r / c)`` never falls as ``r`` grows, and, as
+    in ``contending_sources``, the gap makes it strictly larger while every
+    quotient is normal and finite, which the two bounds ensure.  So the
+    first free feasible ranked row holds the largest value among the free
+    sources, the rows of equal value are those of equal rate, and these sit
+    in ascending pool row: it is the first maximum that ``argmax`` picks.
+    A guard that fails keeps the float matrix.
+
     Returns the priority-ordered queue, whose rows the result's assignments
     index, and the match result, whose assignments index the whole pool.
     """
     ordered = sort_tasks_by_priority(queue, ledger, weights)
     rows = contending_sources(pool, ordered)
+    ranked = False
+    if len(rows) >= _RANKED_ROWS:
+        by_rate = rows[np.argsort(-pool.rate[rows], kind="stable")]
+        r, cycles = pool.rate[by_rate], ordered.cycles
+        # Near-equal rates may round to equal quotients, an overflowing
+        # quotient ties at inf and subnormal ones lose the gap: in each case
+        # a tie could go to a slower source of lower pool row.
+        ranked = (((r[1:] == r[:-1]) | (r[1:] < r[:-1] * (1 - 2**-40))).all()
+                  and np.isfinite(r[0] / np.minimum.reduce(cycles)) and r[-1] / np.maximum.reduce(cycles) >= _TINY)
+        if ranked:
+            rows = by_rate
     short = pool.take(rows)
-    result = greedy_match(build_prefer_matrix(short, ordered), short, ordered)
+    matrix = feasible_mask(short, ordered).T if ranked else build_prefer_matrix(short, ordered)
+    result = greedy_match(matrix, short, ordered)
     result.assignments[:, 1] = rows[result.assignments[:, 1]]  # a fresh array, from shortlist to pool rows
     return ordered, result

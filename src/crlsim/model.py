@@ -156,6 +156,16 @@ def _real(x) -> bool:
     return isinstance(x, Real) and not isinstance(x, bool)
 
 
+def _shown(value, show=str) -> str:
+    """``show(value)``, with an int too long to print in decimal given by its bit length."""
+    try:
+        return show(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        if isinstance(value, int):
+            return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+        return "(" + ", ".join(_shown(x, show) for x in value) + ")"
+
+
 def check_config(config) -> None:
     """Check each ``bounded`` field of ``config`` and store it in its type.
 
@@ -171,24 +181,24 @@ def check_config(config) -> None:
         value, kind = getattr(config, f.name), type(f.default)
         if kind is int:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+                raise ValueError(f"{f.name} must be an integer, got {_shown(value, repr)}")
             numbers = (int(value),)
         else:
             numbers = tuple(value) if kind is tuple and isinstance(value, Iterable) else (value,)
             if len(numbers) != (2 if kind is tuple else 1) or not all(map(_real, numbers)):
                 wanted = "a [low, high] pair of real numbers" if kind is tuple else "a real number"
-                raise ValueError(f"{f.name} must be {wanted}, got {value!r}")
+                raise ValueError(f"{f.name} must be {wanted}, got {_shown(value, repr)}")
             try:
                 numbers = tuple(map(float, numbers))
             except OverflowError:  # an int too large for a float is not finite
                 numbers = (math.inf,)
             if not all(map(math.isfinite, numbers)):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+                raise ValueError(f"{f.name} must be finite, got {_shown(value)}")
             if numbers[0] > numbers[-1]:
                 raise ValueError(f"{f.name}: lower bound {numbers[0]} exceeds upper bound {numbers[-1]}")
         low, high, above = f.metadata["bounds"]
         if not all(low < x <= high if above else low <= x <= high for x in numbers):
-            raise ValueError(f"{f.name} must be {'>' if above else '>='} {low} and <= {high}, got {value}")
+            raise ValueError(f"{f.name} must be {'>' if above else '>='} {low} and <= {high}, got {_shown(value)}")
         object.__setattr__(config, f.name, numbers if kind is tuple else numbers[0])
 
 

@@ -5,7 +5,9 @@ digests alone preserves behaviour.  A change that moves one is a behaviour
 change: re-pin the digest and log old -> new in CHANGES.md.  The ``crl``,
 ``cloud`` and ``lease-heavy`` cases are the benchmark's workloads on seed 1,
 and their digests and counts equal its records in ``perfbench/baseline/``
-(checked below, read-only).  Every float total in the reports is a
+(checked below, read-only).  ``lease-heavy-x16`` runs lease-heavy for 60
+steps at 16 times the source arrival rate, so its pool grows to about 28k
+rows and every round matches a wide shortlist.  Every float total in the reports is a
 left-to-right fold (``np.cumsum`` or a loop), not the builtin ``sum``, which
 CPython 3.12 made compensated.  The digests were taken on CPython 3.11.
 """
@@ -32,6 +34,10 @@ CASES = {
     ),
     **{f"w{w}": SimConfig(rng_seed=1, policy="crl", weights=WeightsConfig(max_rounds_w=w)) for w in (1, 2, 3, 5)},
     "source-rate-x4": SimConfig(rng_seed=1, policy="crl", workload=WorkloadConfig(source_arrival_rate=120.0)),
+    "lease-heavy-x16": SimConfig(
+        rng_seed=1, policy="crl", steps=60,
+        workload=WorkloadConfig(task_arrival_rate=30.0, rate_range=(50.0, 400.0), source_arrival_rate=480.0),
+    ),
 }
 
 # name -> (csv sha256, json sha256, (arrived, matched, migrated, pending))
@@ -76,6 +82,11 @@ GOLDEN = {
         "b3a906bfc69eae47ccca40ca313e5020934c82ed3ed987caa09d691e9f3e08f9",
         "e13b5a513f167e3811a7636bc071bab9e96e75f7cb2b0b508afaba7c8ae3f3df",
         (1950, 486, 1450, 14),
+    ),
+    "lease-heavy-x16": (
+        "29109096d8e1ea8c0f7ecec85545fa51b4ca9227efcf2afa03d9d0bee691798f",
+        "30d8de09675a5aa3dcba6b74f91e00ab5aba1b759a6484760de0ae256f65aa46",
+        (1775, 1753, 21, 1),
     ),
 }
 

@@ -3,11 +3,13 @@ import random
 import numpy as np
 import pytest
 
+from crlsim import matching
 from crlsim.model import SourcePool, TaskQueue, WeightsConfig
 from crlsim.matching import (
     sort_tasks_by_priority,
     build_prefer_matrix,
     contending_sources,
+    feasible_mask,
     greedy_match,
     classify_unmatched,
     full_round,
@@ -89,6 +91,30 @@ def shortlisted_leases(tasks, sources):
     assert np.array_equal(result.assignments, reference.assignments)
     assert result.unmatched_task_ids == reference.unmatched_task_ids
     return lease_ids(ordered, result, p)
+
+
+def widened(tasks, sources, copies=8, seed=0):
+    """``copies`` of every task and source under shuffled fresh ids, so a
+    shortlist of the sources reaches full_round's ranked path."""
+    rng = random.Random(seed)
+    tids = rng.sample(range(4 * copies * len(tasks)), copies * len(tasks))
+    sids = rng.sample(range(4 * copies * len(sources)), copies * len(sources))
+    return ([t._replace(task_id=tid) for t, tid in zip(tasks * copies, tids)],
+            [s._replace(source_id=sid) for s, sid in zip(sources * copies, sids)])
+
+
+@pytest.fixture
+def matrix_kinds(monkeypatch):
+    """The dtype of each matrix full_round passes to greedy_match: bool on
+    the ranked path, float on the other."""
+    kinds = []
+
+    def recording(matrix, pool, queue):
+        kinds.append(matrix.dtype)
+        return greedy_match(matrix, pool, queue)
+
+    monkeypatch.setattr(matching, "greedy_match", recording)
+    return kinds
 
 
 class TestSort:
@@ -211,10 +237,12 @@ class TestPreferMatrix:
                 deadline = cycles / fastest * rng.choice((0.5, 1.0, 1.0, 2.0, 50.0))
                 tasks.append(task(i, cycles=cycles, deadline=deadline))
             m = build_prefer_matrix(pool(*sources), queue(*tasks))
+            mask = feasible_mask(pool(*sources), queue(*tasks))
             for j, s in enumerate(sources):
                 for i, t in enumerate(tasks):
                     expected = s.cycles_per_second / t.cycles_required if feasible(s, t) else 0.0
                     assert m[j, i] == expected
+                    assert mask[i, j] == feasible(s, t)
             shortlisted_leases(tasks, sources)  # the shortlist's live test sits on the same edges
 
 
@@ -269,6 +297,26 @@ class TestGreedyMatch:
             seen_leases |= len(a) > 0
         assert seen_empty and seen_leases
 
+    @pytest.mark.parametrize("m", [0, 1, 63, 64, 65, 200])
+    def test_bool_matrix_matches_as_its_float_cast(self, m):
+        # Every feasible cell of a bool matrix ties, so each task takes its
+        # first free feasible row: the float cast's first maximum.
+        rng = np.random.default_rng(m)
+        for _ in range(30):
+            n = int(rng.integers(0, 41))
+            density = rng.choice((0.02, 0.2, 0.9))
+            # Row-major, or the transpose of a task-major mask as full_round passes it.
+            matrix = rng.random((m, n)) < density if rng.random() < 0.5 else (rng.random((n, m)) < density).T
+            before = matrix.copy()
+            p = pool(*(source(j) for j in range(m)))
+            q = queue(*(task(int(tid)) for tid in rng.permutation(n)))
+            result = greedy_match(matrix, p, q)
+            reference = greedy_match(matrix.astype(float), p, q)
+            assert np.array_equal(result.assignments, reference.assignments)
+            assert result.assignments.dtype == np.intp and result.assignments.shape == (len(result.assignments), 2)
+            assert result.unmatched_task_ids == reference.unmatched_task_ids
+            assert np.array_equal(matrix, before)
+
     def test_no_source_double_booked(self):
         rng = random.Random(17)
         for _ in range(200):
@@ -310,9 +358,9 @@ class TestGreedyMatch:
             assert leases == expected_assign
             assert unmatched == expected_unmatched
 
-    def test_full_round_equals_oracle_on_large_tied_instances(self):
+    def test_full_round_equals_oracle_on_large_tied_instances(self, matrix_kinds):
         rng = random.Random(2024)
-        tied_columns = 0
+        tied_columns = ranked = guarded = 0
         for k in range(150):
             tasks, sources, balances = tied_instance(rng)
             if k % 10 == 0:
@@ -321,6 +369,8 @@ class TestGreedyMatch:
                 tasks = []
             shuffled = pool(*rng.sample(sources, len(sources)))
             ordered, result = full_round(queue(*tasks), shuffled, dict(balances), W)
+            ranked += matrix_kinds[-1] == bool
+            guarded += matrix_kinds[-1] != bool and len(contending_sources(shuffled, ordered)) >= 16
             expected_assign, expected_unmatched = oracle_round(tasks, sources, balances, W)
             assert dict(lease_ids(ordered, result, shuffled)) == expected_assign
             assert result.unmatched_task_ids == expected_unmatched
@@ -340,6 +390,7 @@ class TestGreedyMatch:
                 best = col.max(initial=0.0)
                 tied_columns += best > 0 and np.count_nonzero(col == best) > 1
         assert tied_columns > 0
+        assert ranked > 0 and guarded > 0  # both sides of the ranked path's guard
 
 
 class TestContendingSources:
@@ -392,6 +443,31 @@ class TestContendingSources:
         tasks = [task(0, cycles=500), task(1, cycles=10), task(2, cycles=5)]
         assert contending_sources(pool(*sources), queue(*tasks)).tolist() == [0, 1, 2]
         assert shortlisted_leases(tasks, sources) == [(2, 1), (1, 2), (0, 0)]
+
+    @pytest.mark.parametrize("tasks, sources, ranked", [
+        pytest.param([task(0, cycles=42.63658650225366, deadline=100)],
+                     [source(0, cal=float(np.nextafter(100.0, 0)), idle=100), source(1, cal=100.0, idle=100)],
+                     False, id="near-tie"),
+        pytest.param([task(0, cycles=1e-10)], [source(0, cal=1e299, idle=1), source(1, cal=1e300, idle=1)],
+                     False, id="overflow"),
+        pytest.param([task(0, cycles=3.0, deadline=float("inf"))],
+                     [source(0, cal=3 * float(np.nextafter(0.0, 1.0)), idle=float("inf")),
+                      source(1, cal=4 * float(np.nextafter(0.0, 1.0)), idle=float("inf"))],
+                     False, id="subnormal"),
+        pytest.param([task(0, cycles=500), task(1, cycles=10), task(2, cycles=5)],
+                     [source(0, cal=10, idle=100), source(1, cal=50, idle=1), source(2, cal=20, idle=1)],
+                     True, id="fewer-universal"),
+    ])
+    def test_cases_above_at_ranked_width(self, tasks, sources, ranked, matrix_kinds):
+        # Eight copies of every task and source.  The near-tie, overflowing
+        # and subnormal quotients tie where the rates differ, so the ranked
+        # match would hand the ties to the faster sources; the guard keeps
+        # them on the float matrix.
+        tasks, sources = widened(tasks, sources)
+        with np.errstate(over="ignore"):
+            assert len(contending_sources(pool(*sources), queue(*tasks))) >= 16
+            shortlisted_leases(tasks, sources)
+        assert matrix_kinds == [bool if ranked else float]
 
     def test_no_live_task_keeps_none(self):
         tasks = [task(0, cycles=1000, deadline=0.1), task(1, cycles=5000)]

@@ -162,6 +162,18 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="idle_range must be finite"):
             WorkloadConfig(idle_range=(40, 10**400))
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda n: SimConfig(step_seconds=n), "step_seconds must be finite, got an integer of 16610 bits"),
+        (lambda n: WorkloadConfig(device_count=n), "device_count must be >= 1 and <= 9223372036854775808, got an integer of 16610 bits"),
+        (lambda n: WorkloadConfig(device_count=-n), "device_count must be >= 1 and .*, got a negative integer of 16610 bits"),
+        (lambda n: WorkloadConfig(cycles_range=(1.0, n)), r"cycles_range must be finite, got \(1.0, an integer of 16610 bits\)"),
+        (lambda n: WorkloadConfig(cycles_range=(1.0, 2.0, n)), r"cycles_range must be a \[low, high\] pair .*, got \(1.0, 2.0, an integer"),
+    ], ids=["step_seconds", "device_count", "negative_device_count", "cycles_range", "three_bounds"])
+    def test_integer_too_long_to_print_is_named_by_its_field(self, make, message):
+        # Python will not print an int of more than 4300 digits in decimal.
+        with pytest.raises(ValueError, match=message):
+            make(10**5000)
+
 
 CONFIGS = (SimConfig, WeightsConfig, WorkloadConfig)
 
