@@ -128,12 +128,13 @@ def classify_unmatched(queue: TaskQueue, matched_rows: np.ndarray, weights: Weig
     lost = np.ones(len(queue), dtype=bool)
     lost[matched_rows] = False
     bumped = queue.deferred + 1
-    over = (lost & (bumped > weights.max_rounds_w)).nonzero()[0]
-    if len(over):
-        raise ValueError(
-            f"task {queue.ids[over[0]]}: rounds_deferred {queue.deferred[over[0]]} "
-            f"already at limit {weights.max_rounds_w}"
-        )
+    if np.maximum.reduce(bumped, initial=0) > weights.max_rounds_w:
+        over = (lost & (bumped > weights.max_rounds_w)).nonzero()[0]
+        if len(over):
+            raise ValueError(
+                f"task {queue.ids[over[0]]}: rounds_deferred {queue.deferred[over[0]]} "
+                f"already at limit {weights.max_rounds_w}"
+            )
     ahead = queue.deadline - step_seconds
     big = (bumped >= weights.max_rounds_w) | (ahead <= 0.0)
     stay, go = (lost & ~big).nonzero()[0], (lost & big).nonzero()[0]

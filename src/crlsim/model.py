@@ -38,13 +38,6 @@ class _Table:
         """A new table of ``rows``, a row mask or row indices, in that order."""
         return type(self)(*map(getitem, self._columns(self), repeat(rows)))
 
-    def extend(self, new) -> None:
-        """Append the rows of ``new`` after the current rows."""
-        grow = len(self) > 0
-        for name in self.__dataclass_fields__:
-            column = getattr(new, name)
-            setattr(self, name, np.concatenate((getattr(self, name), column)) if grow else column)
-
 
 def _table(cls):
     """Make the ``_Table`` subclass ``cls`` a dataclass and give it ``_columns``."""
@@ -100,10 +93,10 @@ class SourcePool(_Table):
         n = len(self.ids) + len(new.ids)
         if self._buffers is None or self._lo + n > len(self._buffers[0]):
             self._pack(slice(None), n)
-        lo, hi = self._lo, self._lo + len(self.ids)
-        for buffer, column in zip(self._buffers, new._columns(new)):
-            buffer[hi:lo + n] = column
-        self._window(lo, lo + n)
+        lo, hi, end = self._lo, self._lo + len(self.ids), self._lo + n
+        ids, owners, idle, rate = self._buffers
+        ids[hi:end], owners[hi:end], idle[hi:end], rate[hi:end] = new.ids, new.owners, new.idle, new.rate
+        self._window(lo, end)
 
     def age(self, seconds: float) -> None:
         """Let ``seconds`` pass: rows left with none turn dead; drop dead front rows, compact past ``DEAD_SHARE``."""
@@ -144,6 +137,13 @@ class TaskQueue(_Table):
     cycles: np.ndarray = _column(np.float64)
     value: np.ndarray = _column(np.float64)
     deferred: np.ndarray = _column(np.int64)
+
+    def extend(self, new) -> None:
+        """Append the rows of ``new`` after the current rows; an empty queue takes ``new``'s columns."""
+        columns = new._columns(new)
+        if len(self.ids):
+            columns = map(np.concatenate, zip(self._columns(self), columns))
+        self.ids, self.owners, self.deadline, self.cycles, self.value, self.deferred = columns
 
 
 def bounded(default, low, high=math.inf, *, above=False):

@@ -62,4 +62,4 @@ def apply_settlement(
     for device_id, delta in deltas.items():
         ledger[device_id] = balance(device_id, 0.0) + delta
     return ColumnLog(SettlementRecord, (leased.ids, leased.owners, providers, np.array(amounts, dtype=np.float64),
-                                        np.array([step] * len(amounts), dtype=np.int64), np.array(floors, dtype=bool)))
+                                        np.full(len(amounts), step, dtype=np.int64), np.array(floors, dtype=bool)))

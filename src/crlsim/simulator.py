@@ -184,6 +184,10 @@ class ArrivalStream:
         return steps
 
 
+_SETTLED_STEP = SettlementRecord._fields.index("step")
+_NO_TASKS = TaskQueue._columns(TaskQueue())  # shared, as a TaskQueue never writes a column in place
+
+
 @dataclass
 class SimState:
     """Mutable state threaded through the per-step loop of a single run.
@@ -243,11 +247,12 @@ def generate_arrivals(
     """
     task_owners, task_rows, source_owners, source_rows = stream.draw()
     n_tasks, n_sources = len(task_owners), len(source_owners)
-    # The rows are the float columns in table order, between the owners and deferred.
+    # The rows are the float columns in table order, between the owners and deferred.  They
+    # are indexed, not star-unpacked: iterating a 2-D array costs more than indexing its rows.
     tasks = TaskQueue(np.arange(next_task_id, next_task_id + n_tasks, dtype=np.int64), task_owners,
-                      *task_rows, np.zeros(n_tasks, dtype=np.int64))
+                      task_rows[0], task_rows[1], task_rows[2], np.zeros(n_tasks, dtype=np.int64))
     sources = SourcePool(np.arange(next_source_id, next_source_id + n_sources, dtype=np.int64), source_owners,
-                         *source_rows)
+                         source_rows[0], source_rows[1])
     return tasks, sources
 
 
@@ -286,9 +291,11 @@ def _escalate(state: SimState, tasks: TaskQueue):
         return
     # One float add at a time, in queue order: the reports pin every bit.
     state.migrated_tasks += count
+    value_cum, cycles_cum = state.migrated_value_cum, state.migrated_cycles_cum
     for value, cycles in zip(tasks.value.tolist(), tasks.cycles.tolist()):
-        state.migrated_value_cum += value
-        state.migrated_cycles_cum += cycles
+        value_cum += value
+        cycles_cum += cycles
+    state.migrated_value_cum, state.migrated_cycles_cum = value_cum, cycles_cum
 
 
 def _step(state: SimState, policy_round) -> SimState:
@@ -308,18 +315,10 @@ def _step(state: SimState, policy_round) -> SimState:
     state.pool.extend(new_sources)
 
     matched, deferred = policy_round(state)
-    state.samples.append(
-        StepSample(
-            step=state.step,
-            policy=state.config.policy,
-            idle_capacity=idle_capacity(state.pool),
-            matched=matched,
-            deferred=deferred,
-            migrated=state.migrated_tasks - migrated_before,
-            migrated_value_cum=state.migrated_value_cum,
-            migrated_cycles_cum=state.migrated_cycles_cum,
-        )
-    )
+    # StepSample's fields in order, passed by position: keywords cost twice as much.
+    state.samples.append(StepSample(state.step, state.config.policy, idle_capacity(state.pool), matched, deferred,
+                                    state.migrated_tasks - migrated_before, state.migrated_value_cum,
+                                    state.migrated_cycles_cum))
     state.step += 1
     return state
 
@@ -327,14 +326,14 @@ def _step(state: SimState, policy_round) -> SimState:
 def _lease_round(state: SimState) -> tuple[int, int]:
     pool, config = state.pool, state.config
     ordered, result = full_round(state.pending, pool, state.ledger, config.weights)
-    task_rows, rows = result.assignments.T
+    task_rows, rows = result.assignments[:, 0], result.assignments[:, 1]
     leased = ordered.take(task_rows)
     rate = pool.rate[rows]
     busy = leased.cycles / rate
 
     settled = apply_settlement(leased, pool.owners[rows], state.ledger, config.weights, step=state.step).columns
     state.settlement_log.append(settled)
-    steps = settled[SettlementRecord._fields.index("step")]
+    steps = settled[_SETTLED_STEP]
     # AssignmentRecord's columns, read before consume moves the idle times.
     state.lease_log.append((steps, leased.ids, pool.ids[rows], busy, leased.cycles, leased.deadline, pool.idle[rows], rate))
     state.matched_tasks += len(leased)
@@ -350,7 +349,7 @@ def _cloud_round(state: SimState) -> tuple[int, int]:
     # Pending held nothing before this step's arrivals, so they escalate in
     # arrival order.
     _escalate(state, state.pending)
-    state.pending = TaskQueue()
+    state.pending = TaskQueue(*_NO_TASKS)
     return 0, 0
 
 

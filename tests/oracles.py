@@ -1,6 +1,6 @@
 """Independent straight-line references for the scalar formulas, one
 matching round, the split of its losers, one step's arrivals, a run's
-settlements and the source pool.
+settlements, the source pool and a whole run.
 
 Deliberately naive: one record at a time, explicit matrices, bubble sort,
 row zeroing, one scalar formula call per lease, a pool that copies its
@@ -13,10 +13,11 @@ from operator import attrgetter
 
 import numpy as np
 
+from crlsim.metrics import AssignmentRecord, SimReport, StepSample
 from crlsim.model import SourcePool
 from crlsim.settlement import SettlementRecord
 
-from records import Task
+from records import SourceNode, Task
 
 
 def compute_matching_priority(task, owner_priority, weights):
@@ -161,18 +162,86 @@ def oracle_settlements(config, leases):
         source_owner.update((row[0], row[1]) for row in new_sources)
     balances, rows = {}, []
     for step, batch in groupby(leases, key=attrgetter("step")):
-        deltas = {}
-        for lease in batch:
-            task = tasks[lease.task_id]
-            receiver, provider = task.owner_id, source_owner[lease.source_id]
-            raw = compute_settlement_amount(task, balances.get(receiver, 0.0), config.weights)
-            amount = 0.0 if raw < 0.0 else raw
-            rows.append(SettlementRecord(task.task_id, receiver, provider, amount, step, raw < 0.0))
-            deltas[receiver] = deltas.get(receiver, 0.0) - amount
-            deltas[provider] = deltas.get(provider, 0.0) + amount
-        for device, delta in deltas.items():
-            balances[device] = balances.get(device, 0.0) + delta
+        batch = [(tasks[lease.task_id], source_owner[lease.source_id]) for lease in batch]
+        rows += oracle_settle(batch, balances, config.weights, step)
     return rows, balances
+
+
+def oracle_settle(batch, balances, weights, step):
+    """Settle one step's ``batch`` of (Task, provider device) pairs, in lease
+    order, against the dict ``balances``; return its SettlementRecords.
+
+    Every amount is ``compute_settlement_amount`` of the task and its owner's
+    balance before the batch, floored at 0; then each device's debits and
+    credits, summed in lease order, are added to its balance.
+    """
+    rows, deltas = [], {}
+    for task, provider in batch:
+        receiver = task.owner_id
+        raw = compute_settlement_amount(task, balances.get(receiver, 0.0), weights)
+        amount = 0.0 if raw < 0.0 else raw
+        rows.append(SettlementRecord(task.task_id, receiver, provider, amount, step, raw < 0.0))
+        deltas[receiver] = deltas.get(receiver, 0.0) - amount
+        deltas[provider] = deltas.get(provider, 0.0) + amount
+    for device, delta in deltas.items():
+        balances[device] = balances.get(device, 0.0) + delta
+    return rows
+
+
+def oracle_run(config):
+    """A whole run of ``config`` the literal way, as a SimReport of lists of rows.
+
+    Each step draws its arrivals with ``oracle_arrivals``, takes
+    ``step_seconds`` off every pooled source's idle time and drops the sources
+    left with none, then appends the arrivals.  Under ``crl`` the pending
+    tasks, sorted by id, go through ``oracle_round``: the leases, in priority
+    order, are recorded with their sources as they stand, settled with
+    ``oracle_settle`` and charged to the sources (one left with no idle time
+    leaves), and ``oracle_classify`` splits the losers.  Under ``cloud``
+    every pending task escalates, in arrival order.  Escalated tasks add their
+    value and cycles to the running totals one task at a time; the step's
+    idle capacity adds rate * idle over the pool, left to right.
+    """
+    rng = np.random.default_rng(config.rng_seed)
+    weights, seconds = config.weights, config.step_seconds
+    pending, pool, balances = [], [], {}
+    samples, leases, settlements = [], [], []
+    arrived = sources = matched = migrated = 0
+    value_cum = cycles_cum = 0.0
+    for step in range(config.steps):
+        new_tasks, new_sources = oracle_arrivals(config.workload, rng, arrived, sources)
+        arrived, sources = arrived + len(new_tasks), sources + len(new_sources)
+        pool = [s._replace(idle_seconds=s.idle_seconds - seconds) for s in pool]
+        pool = [s for s in pool if s.idle_seconds > 0.0] + [SourceNode(*row) for row in new_sources]
+        pending += [Task(*row) for row in new_tasks]
+        if config.policy == "cloud":
+            leased, deferred, escalated = [], [], pending
+        else:
+            assignments, _ = oracle_round(sorted(pending, key=attrgetter("task_id")), pool, balances, weights)
+            ordered = sorted(pending, key=lambda t: (-compute_matching_priority(t, balances.get(t.owner_id, 0.0), weights),
+                                                    t.task_id))
+            rows = {s.source_id: row for row, s in enumerate(pool)}
+            leased = [(t, pool[rows[assignments[t.task_id]]]) for t in ordered if t.task_id in assignments]
+            for task, source in leased:
+                busy = task.cycles_required / source.cycles_per_second
+                leases.append(AssignmentRecord(step, task.task_id, source.source_id, busy, task.cycles_required,
+                                               task.deadline_s, source.idle_seconds, source.cycles_per_second))
+                pool[rows[source.source_id]] = source._replace(idle_seconds=source.idle_seconds - busy)
+            settlements += oracle_settle([(t, s.owner_id) for t, s in leased], balances, weights, step)
+            pool = [s for s in pool if s.idle_seconds > 0.0]
+            matched_rows = [row for row, t in enumerate(ordered) if t.task_id in assignments]
+            deferred, escalated = oracle_classify(ordered, matched_rows, weights.max_rounds_w, seconds)
+        for task in escalated:
+            value_cum += task.value
+            cycles_cum += task.cycles_required
+        capacity = 0.0
+        for s in pool:
+            capacity += s.cycles_per_second * s.idle_seconds
+        samples.append(StepSample(step, config.policy, capacity, len(leased), len(deferred), len(escalated),
+                                  value_cum, cycles_cum))
+        matched, migrated, pending = matched + len(leased), migrated + len(escalated), deferred
+    return SimReport(config.policy, config.rng_seed, samples, balances, settlements, leases,
+                     arrived, matched, migrated, len(pending))
 
 
 class CopyingPool:

@@ -7,7 +7,10 @@ change: re-pin the digest and log old -> new in CHANGES.md.  The ``crl``,
 and their digests and counts equal its records in ``perfbench/baseline/``
 (checked below, read-only).  ``lease-heavy-x16`` runs lease-heavy for 60
 steps at 16 times the source arrival rate, so its pool grows to about 28k
-rows and every round matches a wide shortlist.  Every float total in the reports is a
+rows and every round matches a wide shortlist.  The ``devices-2e32`` cases
+own their objects among ``2**32`` devices, so every step draws its arrivals
+one scalar at a time rather than from a replayed block; ``cloud-step-2.5-x4``
+ages a four-times-larger pool by an inexact 2.5 s a step.  Every float total in the reports is a
 left-to-right fold (``np.cumsum`` or a loop), not the builtin ``sum``, which
 CPython 3.12 made compensated.  The digests were taken on CPython 3.11.
 """
@@ -24,7 +27,7 @@ import pytest
 from crlsim.cli import build_config
 from crlsim.metrics import emit_report
 from crlsim.model import WeightsConfig
-from crlsim.simulator import SimConfig, WorkloadConfig, run
+from crlsim.simulator import POLICIES, SimConfig, WorkloadConfig, run
 
 CASES = {
     "crl": SimConfig(rng_seed=1, policy="crl"),
@@ -37,6 +40,11 @@ CASES = {
     "lease-heavy-x16": SimConfig(
         rng_seed=1, policy="crl", steps=60,
         workload=WorkloadConfig(task_arrival_rate=30.0, rate_range=(50.0, 400.0), source_arrival_rate=480.0),
+    ),
+    **{f"{policy}-devices-2e32": SimConfig(rng_seed=1, policy=policy, steps=60, workload=WorkloadConfig(device_count=2**32))
+       for policy in POLICIES},
+    "cloud-step-2.5-x4": SimConfig(
+        rng_seed=1, policy="cloud", step_seconds=2.5, workload=WorkloadConfig(source_arrival_rate=120.0)
     ),
 }
 
@@ -87,6 +95,21 @@ GOLDEN = {
         "29109096d8e1ea8c0f7ecec85545fa51b4ca9227efcf2afa03d9d0bee691798f",
         "30d8de09675a5aa3dcba6b74f91e00ab5aba1b759a6484760de0ae256f65aa46",
         (1775, 1753, 21, 1),
+    ),
+    "crl-devices-2e32": (
+        "2d70121fe3f33a96cb0a1fc6f8a7209acbcb3eacb6cf744589fc4e82991d3b25",
+        "972f5cf4a04c302ec9934ca7f3f8e93769af95e7a81af851e0f2d53db880cc4e",
+        (600, 150, 436, 14),
+    ),
+    "cloud-devices-2e32": (
+        "dc35fc822fbd4f7adf8ff4cb937a4f9ef4b1c32eb7854b6c71401248d4af9919",
+        "f3555a57d9d70640353c7cf2fb563b2662167ebbc955ba81b65279d7aebe0c04",
+        (600, 0, 600, 0),
+    ),
+    "cloud-step-2.5-x4": (
+        "31e7c4840e059e0b6abb916871e206ec2f463199e4855141a46fedc9b1de7cd4",
+        "024d7843b77fa046d95b4010ded7ce036743913ebfe51a9d24f37ade751615c7",
+        (1950, 0, 1950, 0),
     ),
 }
 

@@ -25,7 +25,7 @@ from crlsim.simulator import (
     run,
 )
 
-from oracles import oracle_arrivals, oracle_settlements
+from oracles import oracle_arrivals, oracle_run, oracle_settlements
 from records import SourceNode, Task, nodes_of, rows_of, table_of, tasks_of
 from scenarios import random_configs
 
@@ -602,6 +602,42 @@ class TestStepCloud:
         assert crl.arrived_tasks == cloud.arrived_tasks
 
 
+class TestEscalate:
+    # From 2**53 a lone 1.0 rounds away and a run of them does not, so the
+    # running totals hold only if each task is added, in queue order, by itself.
+    VALUES = [1.0, 1.0, 1.0, 2.0, 0.5, 1.0, 7.25, 1.0, 2.0]
+    CYCLES = [0.3, 1e16, 0.7, -1e16, 0.1, 2.0**-30, 1.0, 5.0, 1e-3]
+
+    def escalated(self, values, cycles):
+        n = len(values)
+        return TaskQueue(np.arange(n), np.zeros(n, dtype=np.int64), np.full(n, 9.0), np.array(cycles, dtype=float),
+                         np.array(values, dtype=float), np.ones(n, dtype=np.int64))
+
+    def test_folds_each_task_into_the_running_totals_in_queue_order(self):
+        state = SimState(SimConfig(workload=QUIET))
+        state.migrated_tasks, state.migrated_value_cum, state.migrated_cycles_cum = 7, 2.0**53, 1.0
+        simulator._escalate(state, self.escalated(self.VALUES, self.CYCLES))
+        value_cum, cycles_cum = 2.0**53, 1.0
+        for value, cycles in zip(self.VALUES, self.CYCLES):
+            value_cum += value
+            cycles_cum += cycles
+        assert state.migrated_tasks == 7 + len(self.VALUES)
+        assert state.migrated_value_cum.hex() == value_cum.hex()
+        assert state.migrated_cycles_cum.hex() == cycles_cum.hex()
+        # The fold differs from a column sum and from the reverse order, so either would fail here.
+        assert value_cum != 2.0**53 + sum(self.VALUES) and value_cum != 2.0**53 + float(np.sum(self.VALUES))
+        reverse = 2.0**53
+        for value in reversed(self.VALUES):
+            reverse += value
+        assert value_cum != reverse
+
+    def test_empty_queue_leaves_the_state_alone(self):
+        state = SimState(SimConfig(workload=QUIET))
+        state.migrated_tasks, state.migrated_value_cum, state.migrated_cycles_cum = 3, 0.1, 0.2
+        simulator._escalate(state, TaskQueue())
+        assert (state.migrated_tasks, state.migrated_value_cum, state.migrated_cycles_cum) == (3, 0.1, 0.2)
+
+
 class TestRun:
     def test_determinism(self):
         a = run(SimConfig(steps=100, rng_seed=11))
@@ -666,6 +702,18 @@ class TestRun:
         # repr tells a numpy scalar or -0.0 from the plain float or int the rows must hold
         assert list(map(repr, report.settlement_records)) == list(map(repr, rows))
         assert list(map(repr, sorted(report.ledger_snapshot.items()))) == list(map(repr, sorted(balances.items())))
+
+    @pytest.mark.parametrize("policy", ["crl", "cloud"])
+    def test_reports_equal_the_whole_run_oracle(self, policy):
+        # Every other random scenario keeps the naive oracle rounds within about a second.
+        for config in random_configs()[::2] + [SimConfig(steps=30)]:
+            config = dataclasses.replace(config, policy=policy)
+            report, expected = run(config), oracle_run(config)
+            for format in ("csv", "json"):
+                taken, wanted = io.StringIO(), io.StringIO()
+                emit_report(report, format, taken)
+                emit_report(expected, format, wanted)
+                assert taken.getvalue() == wanted.getvalue(), (config, format)
 
     def test_run_builds_no_rows(self, monkeypatch):
         built = []
