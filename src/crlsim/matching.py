@@ -173,7 +173,7 @@ def contending_sources(pool: SourcePool, ordered: TaskQueue) -> np.ndarray:
     and ``cmax`` (so lowering ``r_k``), or trigger a fallback; both widen the
     rows kept, and the argument holds for any superset of the live tasks.
     """
-    if not len(pool):
+    if not len(pool.ids):
         return np.arange(0)
     rate, cycles = pool.rate, ordered.cycles
     capacity = rate * pool.idle

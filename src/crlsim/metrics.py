@@ -80,7 +80,7 @@ def idle_capacity(pool: SourcePool) -> float:
     ``np.sum`` adds pairwise and would change the last bits of the reports.
     Dead rows (``idle <= 0``) add ``+0.0``, which changes no partial sum; no live row gives 0.0.
     """
-    if not len(pool):
+    if not len(pool.ids):
         return 0.0
     return float(np.maximum(pool.rate * pool.idle, 0.0).cumsum()[-1])
 

@@ -55,11 +55,11 @@ class SourcePool(_Table):
     ids, so ids ascend and the first maximum of any per-row quantity belongs
     to the lowest source_id.
 
-    The columns are views of buffers the pool owns, grown by doubling and
-    written in place; given columns are copied on the first write.  A row with
-    ``idle <= 0`` is dead: ``rate * idle <= 0`` holds no task's cycles, so it
-    wins no lease.  It stays, in id order, until age drops it; ``len`` leaves
-    out each row that aging or a lease has spent.
+    The columns are views of the first rows of buffers the pool owns, grown
+    by doubling and written in place; given columns are copied on the first
+    write.  A row with ``idle <= 0`` is dead: ``rate * idle <= 0`` holds no
+    task's cycles, so it wins no lease.  It stays, in id order, until a
+    compaction drops it: ``len(pool.ids)`` counts it, ``len(pool)`` does not.
     """
 
     ids: np.ndarray = _column(np.int64)
@@ -68,16 +68,14 @@ class SourcePool(_Table):
     rate: np.ndarray = _column(np.float64)
 
     _buffers = None  # the owned buffers, made by the first write
-    _lo = 0
-    _dead = 0  # the window's rows spent by aging or a lease
 
     def __len__(self) -> int:
-        return len(self.ids) - self._dead
+        """The live rows: one pass over the window, for callers off the hot path."""
+        return int(np.count_nonzero(self.idle > 0.0))
 
-    def _window(self, lo: int, hi: int) -> None:
+    def _window(self, rows: int) -> None:
         ids, owners, idle, rate = self._buffers
-        self.ids, self.owners, self.idle, self.rate = ids[lo:hi], owners[lo:hi], idle[lo:hi], rate[lo:hi]
-        self._lo = lo
+        self.ids, self.owners, self.idle, self.rate = ids[:rows], owners[:rows], idle[:rows], rate[:rows]
 
     def _pack(self, keep, rows: int) -> None:
         """Gather the window's rows ``keep`` to the front of owned buffers of at least ``2 * rows``."""
@@ -86,39 +84,33 @@ class SourcePool(_Table):
         for buffer, column in zip(self._buffers, self._columns(self)):
             column = column[keep]
             buffer[:len(column)] = column
-        self._window(0, len(column))
+        self._window(len(column))
 
     def extend(self, new) -> None:
         """Write the rows of ``new`` after the current rows."""
-        n = len(self.ids) + len(new.ids)
-        if self._buffers is None or self._lo + n > len(self._buffers[0]):
-            self._pack(slice(None), n)
-        lo, hi, end = self._lo, self._lo + len(self.ids), self._lo + n
+        hi, end = len(self.ids), len(self.ids) + len(new.ids)
+        if self._buffers is None or end > len(self._buffers[0]):
+            self._pack(slice(None), end)
         ids, owners, idle, rate = self._buffers
         ids[hi:end], owners[hi:end], idle[hi:end], rate[hi:end] = new.ids, new.owners, new.idle, new.rate
-        self._window(lo, end)
+        self._window(end)
 
     def age(self, seconds: float) -> None:
-        """Let ``seconds`` pass: rows left with none turn dead; drop dead front rows, compact past ``DEAD_SHARE``."""
+        """Let ``seconds`` pass: rows left with none turn dead, and once dead rows pass
+        ``DEAD_SHARE`` of the window one compaction gathers the live rows in order."""
         if self._buffers is None:
             self._pack(slice(None), len(self.ids))
         self.idle -= seconds
         alive = self.idle > 0.0
-        dead = self._dead = len(alive) - int(np.count_nonzero(alive))
-        if dead > DEAD_SHARE * len(alive):
-            self._pack(alive.nonzero()[0], len(alive) - dead)
-            self._dead = 0
-        elif dead and not alive[0]:
-            first = int(alive.argmax())
-            self._window(self._lo + first, self._lo + len(alive))
-            self._dead = dead - first
+        live = int(np.count_nonzero(alive))
+        if len(alive) - live > DEAD_SHARE * len(alive):
+            self._pack(alive.nonzero()[0], live)
 
     def consume(self, rows: np.ndarray, busy_seconds: np.ndarray) -> None:
         """Subtract leased seconds from the row indices ``rows``; those left with none turn dead."""
         if self._buffers is None:
             self._pack(slice(None), len(self.ids))
         self.idle[rows] -= busy_seconds
-        self._dead += int(np.count_nonzero(self.idle[rows] <= 0.0))
 
 
 @_table

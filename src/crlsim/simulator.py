@@ -307,7 +307,7 @@ def _step(state: SimState, policy_round) -> SimState:
     migrated_before = state.migrated_tasks
 
     new_tasks, new_sources = generate_arrivals(state.arrivals, state.arrived_tasks, state.next_source_id)
-    state.next_source_id += len(new_sources)
+    state.next_source_id += len(new_sources.ids)  # dead arrivals take ids too
     state.arrived_tasks += len(new_tasks)
 
     _age_state(state)

@@ -246,7 +246,7 @@ def oracle_run(config):
 
 class CopyingPool:
     """The source pool with every change copied: a source left with no idle
-    time leaves at once, so every row is live.
+    time leaves at once, so every row but a dead arrival is live.
 
     ``columns`` holds ids, owners, idle seconds and rates.  Each ``age``,
     ``consume`` and ``extend`` builds new columns and writes none in place.
@@ -256,7 +256,8 @@ class CopyingPool:
         self.columns = [np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)]
 
     def __len__(self):
-        return len(self.columns[0])
+        """The live rows, as ``len`` of a ``SourcePool`` counts them."""
+        return int(np.count_nonzero(self.columns[2] > 0.0))
 
     def table(self):
         """The rows as a SourcePool built over the columns."""

@@ -43,31 +43,31 @@ class TestSourcePool:
         pool = make_pool(0.0, 4.0, 5.0, 6.0)
         pool.consume(np.array([1, 3]), np.array([4.0, 1.5]))
         # Consume writes idle in place and moves no row.  The leased source 1
-        # is left with no time, so len drops it at once; source 0 has no time
-        # but was not leased, so len counts it until aging.
+        # is left with no time and source 0 had none, so len counts neither.
         assert pool.ids.tolist() == [0, 1, 2, 3]
         assert pool.idle.tolist() == [0.0, 0.0, 5.0, 4.5]
-        assert len(pool) == 3
+        assert len(pool) == 2
         live = pool.take(pool.idle > 0.0)
         assert live.ids.tolist() == [2, 3] and live.idle.tolist() == [5.0, 4.5] and live.owners.tolist() == [12, 13]
         pool.age(0.0)
         assert len(pool) == 2 and pool.ids.tolist() == [2, 3]
 
-    def test_age_moves_past_dead_front_rows_and_compacts_the_rest_in_order(self):
-        assert 1 / 9 <= DEAD_SHARE < 2 / 9  # the shares of dead rows below
-        pool = make_pool(1.0, 9.0, 1.0, 5.0, 6.0, 7.0, 8.0, 10.0, 11.0, 12.0)
+    def test_age_keeps_dead_rows_in_order_and_compacts_past_the_share(self):
+        assert 2 / 11 <= DEAD_SHARE < 3 / 12  # the shares of dead rows below
+        pool = make_pool(1.0, 9.0, 1.0, 5.0, 6.0, 7.0, 8.0, 10.0, 11.0, 12.0, 13.0)
         pool.age(1.0)
-        # Sources 0 and 2 die: the window starts after 0, and 2 stays as one
-        # dead row of nine.
-        assert pool.ids.tolist() == list(range(1, 10)) and len(pool) == 8
-        pool.age(4.0)
-        # Source 3 dies too: two dead rows of nine, so the live ones are
-        # gathered in id order.
-        assert len(pool) == 7 and pool.ids.tolist() == [1, 4, 5, 6, 7, 8, 9]
-        assert pool.idle.tolist() == [4.0, 1.0, 2.0, 3.0, 5.0, 6.0, 7.0]
-        assert pool.owners.tolist() == [11, 14, 15, 16, 17, 18, 19]
+        # Sources 0 and 2 die: two dead rows of eleven stay where they are,
+        # and an arrival goes after them.
+        assert pool.ids.tolist() == list(range(11)) and len(pool) == 9
+        assert pool.idle.tolist()[:4] == [0.0, 8.0, 0.0, 4.0]
         pool.extend(make_pool(20.0))
-        assert pool.ids.tolist() == [1, 4, 5, 6, 7, 8, 9, 0] and len(pool) == 8
+        assert pool.ids.tolist() == list(range(11)) + [0] and len(pool) == 10
+        pool.age(4.0)
+        # Source 3 dies too: three dead rows of twelve, so one compaction
+        # gathers the live ones in id order.
+        assert len(pool) == 9 and pool.ids.tolist() == [1, 4, 5, 6, 7, 8, 9, 10, 0]
+        assert pool.idle.tolist() == [4.0, 1.0, 2.0, 3.0, 5.0, 6.0, 7.0, 8.0, 16.0]
+        assert pool.owners.tolist() == [11, 14, 15, 16, 17, 18, 19, 20, 10]
 
     def test_extend_appends_in_id_order(self):
         pool = make_pool(1.0)

@@ -11,7 +11,7 @@ import numpy as np
 from crlsim import simulator
 from crlsim.matching import contending_sources
 from crlsim.metrics import emit_report
-from crlsim.model import SourcePool
+from crlsim.model import DEAD_SHARE, SourcePool
 from crlsim.simulator import SimConfig, SimState, WorkloadConfig, step_cloud, step_crl
 
 from oracles import CopyingPool
@@ -39,9 +39,10 @@ def edge_configs():
 def step_beside_copying_pool(config, monkeypatch):
     """Run ``config`` step by step while a CopyingPool ages, takes the same
     arrivals and serves the same leases.  Checks each round's leases and
-    shortlist, and after every step the live rows, ``len`` and the sampled
-    idle capacity.  Returns how many times the pool packed its window into
-    new buffers and how many times it compacted it."""
+    shortlist, that new buffers hold twice the rows packed into them, and
+    after every step the live rows, ``len``, the window's dead rows and the
+    sampled idle capacity.  Returns how many times the pool packed its window
+    into new buffers and how many times it compacted it."""
     ref = CopyingPool()
     draw, match = simulator.generate_arrivals, simulator.full_round
     packs = {"grown": 0, "compacted": 0}
@@ -73,7 +74,9 @@ def step_beside_copying_pool(config, monkeypatch):
     def pack(pool, keep, rows, _pack=SourcePool._pack):
         buffers = pool._buffers
         _pack(pool, keep, rows)
-        packs["grown"] += pool._buffers is not buffers
+        if pool._buffers is not buffers:
+            packs["grown"] += 1
+            assert len(pool._buffers[0]) >= 2 * rows  # doubling, so extend seldom grows them again
         packs["compacted"] += isinstance(keep, np.ndarray)
 
     monkeypatch.setattr(simulator, "generate_arrivals", arrivals)
@@ -88,6 +91,8 @@ def step_beside_copying_pool(config, monkeypatch):
         for column, ref_column in zip(live._columns(live), ref.columns):
             assert column.dtype == ref_column.dtype and np.array_equal(column, ref_column)
         assert len(pool) == len(ref)
+        # Age leaves at most DEAD_SHARE of the window dead, and the round kills only the rows it leased.
+        assert len(pool.ids) - len(pool) <= DEAD_SHARE * len(pool.ids) + state.samples[-1].matched
         assert repr(state.samples[-1].idle_capacity) == repr(ref.idle_capacity())
     monkeypatch.undo()
     return packs

@@ -573,6 +573,24 @@ class TestStepCrl:
         lease = state.report().assignment_records[0]
         assert (lease.task_id, lease.source_id, lease.busy_seconds, lease.task_deadline_s) == (0, 0, 0.1, deadline)
 
+    def test_dead_arrivals_take_source_ids(self, monkeypatch):
+        # Sources with no idle time arrive dead, and still use up their ids.
+        arrived, draw = [], simulator.generate_arrivals
+
+        def arrivals(*args):
+            tasks, sources = draw(*args)
+            arrived.append(len(sources.ids))
+            return tasks, sources
+
+        monkeypatch.setattr(simulator, "generate_arrivals", arrivals)
+        state = SimState(SimConfig(workload=WorkloadConfig(idle_range=(0.0, 0.0))))
+        for _ in range(5):
+            step_crl(state)
+            assert state.next_source_id == sum(arrived)
+            # Age compacted the earlier dead rows away, so the window holds this step's arrivals.
+            assert state.pool.ids.tolist() == list(range(sum(arrived[:-1]), sum(arrived)))
+        assert sum(arrived) > 100 and state.matched_tasks == 0
+
     def test_empty_step_records_sample(self):
         config = SimConfig(workload=QUIET)
         state = SimState(config)
