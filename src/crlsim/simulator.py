@@ -197,11 +197,12 @@ class SimState:
     priority balance.  ``settlement_log`` and ``lease_log`` hold one tuple of
     numpy columns per lease round, in the field order of ``SettlementRecord``
     and ``AssignmentRecord``; a round's two tuples may share an array, and
-    ``report`` joins each log into new arrays.
+    ``report`` joins each log into new arrays.  ``samples`` holds one sample
+    per step taken and is the run's only tally: the step is its index, and
+    ``report`` sums its matched and migrated counts.
     """
 
     config: SimConfig
-    step: int = 0
     pending: TaskQueue = field(default_factory=TaskQueue)
     pool: SourcePool = field(default_factory=SourcePool)
     ledger: dict[int, float] = field(default_factory=dict)
@@ -210,10 +211,6 @@ class SimState:
     lease_log: list[tuple] = field(default_factory=list)
     next_source_id: int = 0
     arrived_tasks: int = 0
-    matched_tasks: int = 0
-    migrated_tasks: int = 0
-    migrated_value_cum: float = 0.0
-    migrated_cycles_cum: float = 0.0
     arrivals: ArrivalStream = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -229,8 +226,8 @@ class SimState:
             settlement_records=ColumnLog.join(SettlementRecord, self.settlement_log),
             assignment_records=ColumnLog.join(AssignmentRecord, self.lease_log),
             arrived_tasks=self.arrived_tasks,
-            matched_tasks=self.matched_tasks,
-            migrated_tasks=self.migrated_tasks,
+            matched_tasks=sum(sample.matched for sample in self.samples),
+            migrated_tasks=sum(sample.migrated for sample in self.samples),
             pending_tasks=len(self.pending),
         )
 
@@ -285,27 +282,14 @@ def _age_state(state: SimState) -> tuple:
     return ()
 
 
-def _escalate(state: SimState, tasks: TaskQueue):
-    count = len(tasks)
-    if not count:
-        return
-    # One float add at a time, in queue order: the reports pin every bit.
-    state.migrated_tasks += count
-    value_cum, cycles_cum = state.migrated_value_cum, state.migrated_cycles_cum
-    for value, cycles in zip(tasks.value.tolist(), tasks.cycles.tolist()):
-        value_cum += value
-        cycles_cum += cycles
-    state.migrated_value_cum, state.migrated_cycles_cum = value_cum, cycles_cum
-
-
 def _step(state: SimState, policy_round) -> SimState:
     """One step: arrivals, pool aging, the policy's round, then the step's sample.
 
     ``policy_round(state)`` empties or replaces ``state.pending``, deadlines
-    aged to the next match, and returns how many it matched and deferred.
+    aged to the next match, and returns how many it matched and the queue it
+    sends to the cloud; what stays in ``state.pending`` is deferred.  The
+    sample carries the migration totals on, one escalated task at a time.
     """
-    migrated_before = state.migrated_tasks
-
     new_tasks, new_sources = generate_arrivals(state.arrivals, state.arrived_tasks, state.next_source_id)
     state.next_source_id += len(new_sources.ids)  # dead arrivals take ids too
     state.arrived_tasks += len(new_tasks)
@@ -314,16 +298,20 @@ def _step(state: SimState, policy_round) -> SimState:
     state.pending.extend(new_tasks)
     state.pool.extend(new_sources)
 
-    matched, deferred = policy_round(state)
+    matched, escalated = policy_round(state)
+    samples = state.samples
+    # The totals, StepSample's last two fields, take one float add per task in queue order: the reports pin every bit.
+    value_cum, cycles_cum = samples[-1][-2:] if samples else (0.0, 0.0)
+    for value, cycles in zip(escalated.value.tolist(), escalated.cycles.tolist()):
+        value_cum += value
+        cycles_cum += cycles
     # StepSample's fields in order, passed by position: keywords cost twice as much.
-    state.samples.append(StepSample(state.step, state.config.policy, idle_capacity(state.pool), matched, deferred,
-                                    state.migrated_tasks - migrated_before, state.migrated_value_cum,
-                                    state.migrated_cycles_cum))
-    state.step += 1
+    samples.append(StepSample(len(samples), state.config.policy, idle_capacity(state.pool), matched,
+                              len(state.pending), len(escalated), value_cum, cycles_cum))
     return state
 
 
-def _lease_round(state: SimState) -> tuple[int, int]:
+def _lease_round(state: SimState) -> tuple[int, TaskQueue]:
     pool, config = state.pool, state.config
     ordered, result = full_round(state.pending, pool, state.ledger, config.weights)
     task_rows, rows = result.assignments[:, 0], result.assignments[:, 1]
@@ -331,26 +319,22 @@ def _lease_round(state: SimState) -> tuple[int, int]:
     rate = pool.rate[rows]
     busy = leased.cycles / rate
 
-    settled = apply_settlement(leased, pool.owners[rows], state.ledger, config.weights, step=state.step).columns
+    settled = apply_settlement(leased, pool.owners[rows], state.ledger, config.weights, step=len(state.samples)).columns
     state.settlement_log.append(settled)
     steps = settled[_SETTLED_STEP]
     # AssignmentRecord's columns, read before consume moves the idle times.
     state.lease_log.append((steps, leased.ids, pool.ids[rows], busy, leased.cycles, leased.deadline, pool.idle[rows], rate))
-    state.matched_tasks += len(leased)
     pool.consume(rows, busy)
 
-    deferred, big = classify_unmatched(ordered, task_rows, config.weights, config.step_seconds)
-    _escalate(state, big)
-    state.pending = deferred
-    return len(leased), len(deferred)
+    state.pending, escalated = classify_unmatched(ordered, task_rows, config.weights, config.step_seconds)
+    return len(leased), escalated
 
 
-def _cloud_round(state: SimState) -> tuple[int, int]:
+def _cloud_round(state: SimState) -> tuple[int, TaskQueue]:
     # Pending held nothing before this step's arrivals, so they escalate in
     # arrival order.
-    _escalate(state, state.pending)
-    state.pending = TaskQueue(*_NO_TASKS)
-    return 0, 0
+    escalated, state.pending = state.pending, TaskQueue(*_NO_TASKS)
+    return 0, escalated
 
 
 def step_crl(state: SimState) -> SimState:

@@ -370,7 +370,7 @@ class TestGreedyMatch:
             shuffled = pool(*rng.sample(sources, len(sources)))
             ordered, result = full_round(queue(*tasks), shuffled, dict(balances), W)
             ranked += matrix_kinds[-1] == bool
-            guarded += matrix_kinds[-1] != bool and len(contending_sources(shuffled, ordered)) >= 16
+            guarded += matrix_kinds[-1] != bool and len(contending_sources(shuffled, ordered)) >= matching._RANKED_ROWS
             expected_assign, expected_unmatched = oracle_round(tasks, sources, balances, W)
             assert dict(lease_ids(ordered, result, shuffled)) == expected_assign
             assert result.unmatched_task_ids == expected_unmatched
@@ -465,7 +465,7 @@ class TestContendingSources:
         # them on the float matrix.
         tasks, sources = widened(tasks, sources)
         with np.errstate(over="ignore"):
-            assert len(contending_sources(pool(*sources), queue(*tasks))) >= 16
+            assert len(contending_sources(pool(*sources), queue(*tasks))) >= matching._RANKED_ROWS
             shortlisted_leases(tasks, sources)
         assert matrix_kinds == [bool if ranked else float]
 

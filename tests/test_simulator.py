@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from crlsim import simulator
-from crlsim.metrics import AssignmentRecord, emit_report
+from crlsim.metrics import AssignmentRecord, StepSample, emit_report
 from crlsim.model import ColumnLog, SourcePool, TaskQueue, WeightsConfig
 from crlsim.settlement import SettlementRecord
 from crlsim.simulator import (
@@ -514,9 +514,9 @@ class TestStepCrl:
         state.pending = table_of(TaskQueue, [Task(task_id=0, owner_id=1, deadline_s=50.0, cycles_required=100.0, value=10.0)])
         state.pool = table_of(SourcePool, [SourceNode(source_id=0, owner_id=2, idle_seconds=50.0, cycles_per_second=10.0)])
         step_crl(state)
-        assert state.matched_tasks == 1
-        assert state.migrated_tasks == 0
         report = state.report()
+        assert report.matched_tasks == 1
+        assert report.migrated_tasks == 0
         # B = (0.5 * 10 + 0.5 * 0) * 1
         expected_b = 5.0
         assert report.settlement_records[0].amount == pytest.approx(expected_b)
@@ -531,8 +531,8 @@ class TestStepCrl:
         state = SimState(config)
         state.pending = table_of(TaskQueue, [Task(task_id=0, owner_id=1, deadline_s=50.0, cycles_required=100.0, value=4.0)])
         step_crl(state)
-        assert state.migrated_tasks == 1
-        assert state.migrated_value_cum == pytest.approx(4.0)
+        assert state.report().migrated_tasks == 1
+        assert state.samples[-1].migrated_value_cum == pytest.approx(4.0)
         assert len(state.pending) == 0
 
     def test_no_sources_w3_defers_twice_then_escalates(self):
@@ -540,12 +540,12 @@ class TestStepCrl:
         state = SimState(config)
         state.pending = table_of(TaskQueue, [Task(task_id=0, owner_id=1, deadline_s=50.0, cycles_required=100.0, value=4.0)])
         step_crl(state)
-        assert state.migrated_tasks == 0 and len(state.pending) == 1
+        assert state.report().migrated_tasks == 0 and len(state.pending) == 1
         assert state.pending.deferred[0] == 1
         step_crl(state)
-        assert state.migrated_tasks == 0 and state.pending.deferred[0] == 2
+        assert state.report().migrated_tasks == 0 and state.pending.deferred[0] == 2
         step_crl(state)
-        assert state.migrated_tasks == 1 and len(state.pending) == 0
+        assert state.report().migrated_tasks == 1 and len(state.pending) == 0
 
     def test_expired_pending_task_escalates(self):
         # A task put into pending by hand with no time left cannot lease, and
@@ -556,7 +556,7 @@ class TestStepCrl:
         state.pool = table_of(SourcePool, [SourceNode(source_id=0, owner_id=2, idle_seconds=50.0, cycles_per_second=100.0)])
         step_crl(state)
         assert (state.samples[0].matched, state.samples[0].deferred, state.samples[0].migrated) == (0, 0, 1)
-        assert state.migrated_value_cum == 4.0 and len(state.pending) == 0
+        assert state.samples[-1].migrated_value_cum == 4.0 and len(state.pending) == 0
 
     @pytest.mark.parametrize("deadline", [1.5, 2.0])
     def test_pending_deadline_counts_from_the_next_match(self, deadline):
@@ -569,8 +569,9 @@ class TestStepCrl:
         state.pool = table_of(SourcePool, [SourceNode(source_id=0, owner_id=2, idle_seconds=50.0, cycles_per_second=100.0)])
         step_crl(state)
         assert (state.samples[0].matched, state.samples[0].deferred, state.samples[0].migrated) == (1, 0, 0)
-        assert state.matched_tasks == 1 and state.migrated_tasks == 0 and len(state.pending) == 0
-        lease = state.report().assignment_records[0]
+        report = state.report()
+        assert report.matched_tasks == 1 and report.migrated_tasks == 0 and len(state.pending) == 0
+        lease = report.assignment_records[0]
         assert (lease.task_id, lease.source_id, lease.busy_seconds, lease.task_deadline_s) == (0, 0, 0.1, deadline)
 
     def test_dead_arrivals_take_source_ids(self, monkeypatch):
@@ -589,7 +590,7 @@ class TestStepCrl:
             assert state.next_source_id == sum(arrived)
             # Age compacted the earlier dead rows away, so the window holds this step's arrivals.
             assert state.pool.ids.tolist() == list(range(sum(arrived[:-1]), sum(arrived)))
-        assert sum(arrived) > 100 and state.matched_tasks == 0
+        assert sum(arrived) > 100 and state.report().matched_tasks == 0
 
     def test_empty_step_records_sample(self):
         config = SimConfig(workload=QUIET)
@@ -604,14 +605,15 @@ class TestStepCloud:
         config = SimConfig(workload=WorkloadConfig(), policy="cloud")
         state = SimState(config)
         step_cloud(state)
-        assert state.migrated_tasks == state.arrived_tasks
-        assert state.matched_tasks == 0
+        report = state.report()
+        assert report.migrated_tasks == state.arrived_tasks
+        assert report.matched_tasks == 0
 
     def test_zero_tasks_no_change(self):
         config = SimConfig(workload=QUIET, policy="cloud")
         state = SimState(config)
         step_cloud(state)
-        assert state.migrated_tasks == 0
+        assert state.report().migrated_tasks == 0
         assert state.samples[0].migrated_value_cum == 0.0
 
     def test_shared_seed_identical_arrival_stream(self):
@@ -626,22 +628,26 @@ class TestEscalate:
     VALUES = [1.0, 1.0, 1.0, 2.0, 0.5, 1.0, 7.25, 1.0, 2.0]
     CYCLES = [0.3, 1e16, 0.7, -1e16, 0.1, 2.0**-30, 1.0, 5.0, 1e-3]
 
-    def escalated(self, values, cycles):
+    def stepped(self, values, cycles, migrated, value_cum, cycles_cum):
+        """A cloud step's state after one sample with the given totals, the tasks pending."""
+        state = SimState(SimConfig(workload=QUIET, policy="cloud"))
+        state.samples.append(StepSample(0, "cloud", 0.0, 0, 0, migrated, value_cum, cycles_cum))
         n = len(values)
-        return TaskQueue(np.arange(n), np.zeros(n, dtype=np.int64), np.full(n, 9.0), np.array(cycles, dtype=float),
-                         np.array(values, dtype=float), np.ones(n, dtype=np.int64))
+        state.pending = TaskQueue(np.arange(n), np.zeros(n, dtype=np.int64), np.full(n, 9.0),
+                                  np.array(cycles, dtype=float), np.array(values, dtype=float), np.zeros(n, dtype=np.int64))
+        return step_cloud(state)
 
     def test_folds_each_task_into_the_running_totals_in_queue_order(self):
-        state = SimState(SimConfig(workload=QUIET))
-        state.migrated_tasks, state.migrated_value_cum, state.migrated_cycles_cum = 7, 2.0**53, 1.0
-        simulator._escalate(state, self.escalated(self.VALUES, self.CYCLES))
+        state = self.stepped(self.VALUES, self.CYCLES, 7, 2.0**53, 1.0)
         value_cum, cycles_cum = 2.0**53, 1.0
         for value, cycles in zip(self.VALUES, self.CYCLES):
             value_cum += value
             cycles_cum += cycles
-        assert state.migrated_tasks == 7 + len(self.VALUES)
-        assert state.migrated_value_cum.hex() == value_cum.hex()
-        assert state.migrated_cycles_cum.hex() == cycles_cum.hex()
+        sample = state.samples[-1]
+        assert (sample.step, sample.matched, sample.deferred, sample.migrated) == (1, 0, 0, len(self.VALUES))
+        assert state.report().migrated_tasks == 7 + len(self.VALUES)
+        assert sample.migrated_value_cum.hex() == value_cum.hex()
+        assert sample.migrated_cycles_cum.hex() == cycles_cum.hex()
         # The fold differs from a column sum and from the reverse order, so either would fail here.
         assert value_cum != 2.0**53 + sum(self.VALUES) and value_cum != 2.0**53 + float(np.sum(self.VALUES))
         reverse = 2.0**53
@@ -649,11 +655,10 @@ class TestEscalate:
             reverse += value
         assert value_cum != reverse
 
-    def test_empty_queue_leaves_the_state_alone(self):
-        state = SimState(SimConfig(workload=QUIET))
-        state.migrated_tasks, state.migrated_value_cum, state.migrated_cycles_cum = 3, 0.1, 0.2
-        simulator._escalate(state, TaskQueue())
-        assert (state.migrated_tasks, state.migrated_value_cum, state.migrated_cycles_cum) == (3, 0.1, 0.2)
+    def test_empty_queue_carries_the_totals(self):
+        state = self.stepped([], [], 3, 0.1, 0.2)
+        assert state.samples[-1][-3:] == (0, 0.1, 0.2)
+        assert state.report().migrated_tasks == 3
 
 
 class TestRun:
@@ -683,7 +688,7 @@ class TestRun:
         report = state.report()
         for _ in range(3):
             step_crl(state)
-        assert len(state.samples) == 6 and state.matched_tasks > report.matched_tasks
+        assert len(state.samples) == 6 and state.report().matched_tasks > report.matched_tasks
         assert report == stopped.report() and len(report.samples) == 3
         for format in ("csv", "json"):
             taken, expected = io.StringIO(), io.StringIO()
@@ -755,9 +760,14 @@ class TestRun:
             assert r.busy_seconds == r.task_cycles_required / r.source_cycles_per_second
 
     def test_task_accounting_closed(self):
-        for seed in range(5):
-            report = run(SimConfig(steps=60, rng_seed=seed))
+        for seed, policy in itertools.product(range(5), ("crl", "cloud")):
+            report = run(SimConfig(steps=60, rng_seed=seed, policy=policy))
+            samples = report.samples
             assert report.arrived_tasks == report.matched_tasks + report.migrated_tasks + report.pending_tasks
+            assert report.matched_tasks == len(report.assignment_records) == len(report.settlement_records)
+            assert report.matched_tasks == sum(sample.matched for sample in samples)
+            assert report.migrated_tasks == sum(sample.migrated for sample in samples)
+            assert [sample.step for sample in samples] == list(range(60))
 
     def test_migration_non_increasing_in_w(self):
         finals = []
