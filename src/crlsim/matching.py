@@ -1,7 +1,6 @@
 """One matching round: priority sort, a shortlist of the sources that can win,
-feasibility-gated preference matrix over it (a rate-ranked feasibility mask
-over a wide one), greedy source assignment, and deferral / big-task
-classification."""
+ranked by rate, greedy source assignment over its feasibility mask, and
+deferral / big-task classification."""
 
 from __future__ import annotations
 
@@ -13,8 +12,7 @@ import numpy as np
 from .model import SourcePool, TaskQueue, WeightsConfig
 
 _TINY = np.finfo(float).tiny  # the smallest normal float
-_RANKED_ROWS = 16  # the narrowest shortlist full_round ranks by rate
-_BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))  # bit j of a task's word is row j
+_BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))  # bit j of a task's word is column j
 
 
 @dataclass(frozen=True, eq=False)  # a generated __eq__ would compare arrays elementwise
@@ -62,53 +60,69 @@ def build_prefer_matrix(pool: SourcePool, queue: TaskQueue) -> np.ndarray:
     queue's i-th task.  A cell holds cycles_per_second / cycles_required
     where ``feasible_mask`` sets it, else 0.  An empty pool or queue yields a
     degenerate matrix that matches nothing.
+
+    ``run()`` no longer calls it: it states the preference that
+    ``greedy_match`` maximises, and the tests compare against it.
     """
-    # Built task-major, one contiguous row per task as greedy_match scans it,
-    # and returned as the m x n transpose of that.
     ok = feasible_mask(pool, queue)
     # A masked divide, not a multiply by the mask: an overflowing quotient
     # times a zero mask would be NaN.
     return np.divide(pool.rate, queue.cycles[:, None], out=np.zeros(ok.shape), where=ok).T
 
 
-def greedy_match(matrix: np.ndarray, pool: SourcePool, queue: TaskQueue) -> MatchResult:
+def greedy_match(mask: np.ndarray, pool: SourcePool, queue: TaskQueue) -> MatchResult:
     """Assign each task, in priority order, its best still-free source.
 
-    Each column takes the row of its largest positive value, and that row is
-    zeroed for the later columns, so a source serves at most one task per
-    round; ``matrix`` itself is never mutated.  ``argmax`` returns the first
-    maximum, so ties on preference value go to the lowest source_id.  Tasks
-    whose column holds no positive value over the free sources are unmatched.
-
-    A bool ``matrix`` marks the feasible cells, which all tie: each task
-    takes its first free feasible row, as the float cast of the matrix would
-    give it.  Up to 64 rows, each task's column is one int whose bit j is row
-    j, and the task takes its lowest bit not yet taken, with no numpy call
-    per lease.
+    ``pool`` is ranked by rate, descending, equal rates in ascending
+    source_id, and ``mask`` is its n x m ``feasible_mask`` against ``queue``.
+    The best source is the free feasible one of the largest positive
+    ``v = rate / cycles``, ties to the lowest source_id.  ``fl(rate /
+    cycles)`` never falls as the rate grows, so that is the task's lowest
+    free feasible row or a later one of equal ``v`` (near-equal rates tie,
+    as do quotients that overflow or turn subnormal): when the next ranked
+    row gives ``v`` too, the task walks on while ``v`` holds, jumping past
+    each run of equal rates (whose ids ascend), found on the round's first
+    tie.  Each task's row of ``mask`` is one Python int, bit j for column
+    j; past 64 columns, packing 8 to a byte costs a fifth of ORing
+    64-column products.
     """
-    by_task = matrix.T  # one row per task
-    cols, rows = [], []
-    if by_task.dtype == bool and by_task.shape[1] <= len(_BITS):
-        taken = 0
-        for col, word in enumerate((by_task @ _BITS[:by_task.shape[1]]).tolist()):
-            word &= ~taken
-            if word:
-                bit = word & -word
-                taken |= bit
-                cols.append(col)
-                rows.append(bit.bit_length() - 1)
+    if mask.shape[1] <= len(_BITS):
+        words = (mask @ _BITS[:mask.shape[1]]).tolist()
     else:
-        by_task = by_task.astype(float, copy=False)
-        # Zeroing never makes a value positive, so only tasks with a positive
-        # value somewhere can match; only their rows are copied and scanned.
-        candidates = (np.maximum.reduce(by_task, axis=1, initial=0.0) > 0.0).nonzero()[0]
-        free = by_task[candidates]
-        for k, col in enumerate(candidates.tolist()):
-            row = free[k].argmax()
-            if free.item(k, row) > 0.0:
-                free[k + 1:, row] = 0.0
-                cols.append(col)
-                rows.append(row)
+        packed = np.packbits(mask, axis=1, bitorder="little")
+        data, width = packed.tobytes(), packed.shape[1]
+        words = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+    rates, cycles = pool.rate.tolist() + [0.0], queue.cycles.tolist()  # 0.0 ends the ranking
+    starts = None  # bit j is set where a run of equal rates starts
+    taken = 0
+    cols, rows = [], []
+    for col, word in enumerate(words):
+        word &= ~taken
+        if not word:
+            continue
+        bit = word & -word
+        row, c = bit.bit_length() - 1, cycles[col]
+        v = rates[row] / c
+        # Only if the next ranked row gives v too can a later one tie; the
+        # same test catches a v that is not positive, which matches nothing.
+        if not v > rates[row + 1] / c:
+            if not v > 0.0:
+                continue
+            rest = word ^ bit
+            while rest:
+                k = (rest & -rest).bit_length() - 1
+                if rates[k] / c != v:
+                    break
+                if starts is None:
+                    runs = np.packbits(np.append(True, pool.rate[1:] != pool.rate[:-1]), bitorder="little")
+                    starts = int.from_bytes(runs.tobytes(), "little")
+                if pool.ids.item(k) < pool.ids.item(row):
+                    row = k
+                later = starts >> (k + 1) << (k + 1)
+                rest &= -(later & -later)  # drops the rest of k's run, and everything after the last run
+        taken |= 1 << row
+        cols.append(col)
+        rows.append(row)
     unmatched = queue.ids.tolist()
     for col in reversed(cols):  # ascending, so each deletion leaves the earlier rows in place
         del unmatched[col]
@@ -197,43 +211,18 @@ def contending_sources(pool: SourcePool, ordered: TaskQueue) -> np.ndarray:
 def full_round(queue: TaskQueue, pool: SourcePool, ledger: dict[int, float], weights: WeightsConfig) -> tuple[TaskQueue, MatchResult]:
     """Sort the queue by priority and match it greedily to the pool.
 
-    The matrix and the match cover only the ``contending_sources`` of the
-    pool, which hold every source greedy matching over the whole pool would
-    pick, with the same ties, so the leases are those of
-    ``greedy_match(build_prefer_matrix(pool, ordered), pool, ordered)``.
-
-    A shortlist of at least ``_RANKED_ROWS`` rows is ranked by rate,
-    descending, equal rates in ascending pool row, and matched on its bool
-    ``feasible_mask``: each task takes its first free feasible ranked row.
-    That is the reference's pick when the ranked rates ``r`` pass a guard:
-    neighbouring distinct rates differ by a relative gap of more than
-    2**-40, ``r[0] / min(cycles)`` is finite and ``r[-1] / max(cycles)`` is
-    normal.  For one task ``fl(r / c)`` never falls as ``r`` grows, and, as
-    in ``contending_sources``, the gap makes it strictly larger while every
-    quotient is normal and finite, which the two bounds ensure.  So the
-    first free feasible ranked row holds the largest value among the free
-    sources, the rows of equal value are those of equal rate, and these sit
-    in ascending pool row: it is the first maximum that ``argmax`` picks.
-    A guard that fails keeps the float matrix.
-
-    Returns the priority-ordered queue, whose rows the result's assignments
-    index, and the match result, whose assignments index the whole pool.
+    The match covers the ``contending_sources`` of the pool, which hold every
+    source greedy matching over the whole pool would pick, ranked by rate as
+    ``greedy_match`` takes them.  So the leases are those of an ``argmax``
+    per task over ``build_prefer_matrix(pool, ordered)``, each leased row
+    zeroed.  Returns the priority-ordered queue, whose rows the result's
+    assignments index, and the match result, whose assignments index the
+    whole pool.
     """
     ordered = sort_tasks_by_priority(queue, ledger, weights)
     rows = contending_sources(pool, ordered)
-    ranked = False
-    if len(rows) >= _RANKED_ROWS:
-        by_rate = rows[np.argsort(-pool.rate[rows], kind="stable")]
-        r, cycles = pool.rate[by_rate], ordered.cycles
-        # Near-equal rates may round to equal quotients, an overflowing
-        # quotient ties at inf and subnormal ones lose the gap: in each case
-        # a tie could go to a slower source of lower pool row.
-        ranked = (((r[1:] == r[:-1]) | (r[1:] < r[:-1] * (1 - 2**-40))).all()
-                  and np.isfinite(r[0] / np.minimum.reduce(cycles)) and r[-1] / np.maximum.reduce(cycles) >= _TINY)
-        if ranked:
-            rows = by_rate
+    rows = rows[np.argsort(-pool.rate[rows], kind="stable")]
     short = pool.take(rows)
-    matrix = feasible_mask(short, ordered).T if ranked else build_prefer_matrix(short, ordered)
-    result = greedy_match(matrix, short, ordered)
+    result = greedy_match(feasible_mask(short, ordered), short, ordered)
     result.assignments[:, 1] = rows[result.assignments[:, 1]]  # a fresh array, from shortlist to pool rows
     return ordered, result

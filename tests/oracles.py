@@ -1,6 +1,7 @@
 """Independent straight-line references for the scalar formulas, one
-matching round, the split of its losers, one step's arrivals, a run's
-settlements, the source pool and a whole run.
+matching round and its greedy pass over a preference matrix, the split of
+its losers, one step's arrivals, a run's settlements, the source pool and a
+whole run.
 
 Deliberately naive: one record at a time, explicit matrices, bubble sort,
 row zeroing, one scalar formula call per lease, a pool that copies its
@@ -78,23 +79,36 @@ def oracle_round(tasks, sources, balances, weights):
                 row.append(0.0)
         prefer.append(row)
 
-    assignments = {}
-    unmatched = []
-    m = len(src_rows)
+    pairs, lost = oracle_greedy(prefer, n)
+    assignments = {int(cols[i][4]): src_rows[j][2] for i, j in pairs}
+    return assignments, [int(cols[i][4]) for i in lost]
+
+
+def oracle_greedy(prefer, n):
+    """Match the n columns of the preference matrix ``prefer`` (a list of
+    rows, one per source; column i is the i-th task in priority order) the
+    literal way.
+
+    Each column in turn takes the first row of its largest positive value,
+    and that row is zeroed for the later columns.  Returns the (column, row)
+    pairs in column order and the columns left unmatched, in order.
+    """
+    prefer = [list(row) for row in prefer]
+    pairs, lost = [], []
     for i in range(n):
         best_j = -1
         best = 0.0
-        for j in range(m):
+        for j in range(len(prefer)):
             if prefer[j][i] > best:
                 best = prefer[j][i]
                 best_j = j
         if best_j < 0:
-            unmatched.append(int(cols[i][4]))
+            lost.append(i)
             continue
-        assignments[int(cols[i][4])] = src_rows[best_j][2]
+        pairs.append((i, best_j))
         for i2 in range(n):
             prefer[best_j][i2] = 0.0
-    return assignments, unmatched
+    return pairs, lost
 
 
 def oracle_classify(tasks, matched_rows, max_rounds_w, step_seconds):

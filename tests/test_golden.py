@@ -10,9 +10,11 @@ steps at 16 times the source arrival rate, so its pool grows to about 28k
 rows and every round matches a wide shortlist.  The ``devices-2e32`` cases
 own their objects among ``2**32`` devices, so every step draws its arrivals
 one scalar at a time rather than from a replayed block; ``cloud-step-2.5-x4``
-ages a four-times-larger pool by an inexact 2.5 s a step.  Every float total in the reports is a
-left-to-right fold (``np.cumsum`` or a loop), not the builtin ``sum``, which
-CPython 3.12 made compensated.  The digests were taken on CPython 3.11.
+ages a four-times-larger pool by an inexact 2.5 s a step.  ``crl-equal-rates``
+gives every source one rate, so every preference value of a task ties and
+most shortlists are hundreds of rows wide.  Every float total in the reports
+is a left-to-right fold (``np.cumsum`` or a loop), not the builtin ``sum``,
+which CPython 3.12 made compensated.  The digests were taken on CPython 3.11.
 """
 
 import hashlib
@@ -45,6 +47,9 @@ CASES = {
        for policy in POLICIES},
     "cloud-step-2.5-x4": SimConfig(
         rng_seed=1, policy="cloud", step_seconds=2.5, workload=WorkloadConfig(source_arrival_rate=120.0)
+    ),
+    "crl-equal-rates": SimConfig(
+        rng_seed=1, policy="crl", steps=60, workload=WorkloadConfig(task_arrival_rate=30.0, rate_range=(50.0, 50.0))
     ),
 }
 
@@ -110,6 +115,11 @@ GOLDEN = {
         "31e7c4840e059e0b6abb916871e206ec2f463199e4855141a46fedc9b1de7cd4",
         "024d7843b77fa046d95b4010ded7ce036743913ebfe51a9d24f37ade751615c7",
         (1950, 0, 1950, 0),
+    ),
+    "crl-equal-rates": (
+        "0603aa4670f774a1e6b4c6f9f595ec4b47aacf8c5e680d66b33f8bc31087c365",
+        "91e043be486866f10abb66fd130afe54e5b83008b450221e23b3ea24489cb1c3",
+        (1822, 615, 1160, 47),
     ),
 }
 

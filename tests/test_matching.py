@@ -3,7 +3,6 @@ import random
 import numpy as np
 import pytest
 
-from crlsim import matching
 from crlsim.model import SourcePool, TaskQueue, WeightsConfig
 from crlsim.matching import (
     sort_tasks_by_priority,
@@ -15,7 +14,7 @@ from crlsim.matching import (
     full_round,
 )
 
-from oracles import compute_matching_priority, feasible, oracle_classify, oracle_round
+from oracles import compute_matching_priority, feasible, oracle_classify, oracle_greedy, oracle_round
 from records import SourceNode, Task, lease_ids, round_ids, table_of, tasks_of
 
 W = WeightsConfig()
@@ -83,38 +82,39 @@ def tied_instance(rng, max_n=40, max_m=200):
     return tasks, sources, balances
 
 
+def reference_match(p, ordered):
+    """The literal argmax match over the whole pool's ``build_prefer_matrix``:
+    (queue row, pool row) pairs in priority order, and the unmatched ids."""
+    matrix = build_prefer_matrix(p, ordered)
+    pairs, lost = oracle_greedy(matrix.tolist(), matrix.shape[1])
+    return pairs, ordered.ids[lost].tolist()
+
+
+def ranked_match(p, q):
+    """greedy_match over ``p`` ranked by rate as full_round ranks a
+    shortlist; returns the ranked pool and the result."""
+    r = p.take(np.argsort(-p.rate, kind="stable"))
+    return r, greedy_match(feasible_mask(r, q), r, q)
+
+
 def shortlisted_leases(tasks, sources):
     """full_round's leases, checked against the unshortlisted match."""
     p = pool(*sources)
     ordered, result = full_round(queue(*tasks), p, {}, W)
-    reference = greedy_match(build_prefer_matrix(p, ordered), p, ordered)
-    assert np.array_equal(result.assignments, reference.assignments)
-    assert result.unmatched_task_ids == reference.unmatched_task_ids
+    pairs, unmatched = reference_match(p, ordered)
+    assert result.assignments.tolist() == [list(pair) for pair in pairs]
+    assert result.unmatched_task_ids == unmatched
     return lease_ids(ordered, result, p)
 
 
 def widened(tasks, sources, copies=8, seed=0):
-    """``copies`` of every task and source under shuffled fresh ids, so a
-    shortlist of the sources reaches full_round's ranked path."""
+    """``copies`` of every task and source under shuffled fresh ids, so
+    each tie spans many sources and ranked ids do not ascend."""
     rng = random.Random(seed)
     tids = rng.sample(range(4 * copies * len(tasks)), copies * len(tasks))
     sids = rng.sample(range(4 * copies * len(sources)), copies * len(sources))
     return ([t._replace(task_id=tid) for t, tid in zip(tasks * copies, tids)],
             [s._replace(source_id=sid) for s, sid in zip(sources * copies, sids)])
-
-
-@pytest.fixture
-def matrix_kinds(monkeypatch):
-    """The dtype of each matrix full_round passes to greedy_match: bool on
-    the ranked path, float on the other."""
-    kinds = []
-
-    def recording(matrix, pool, queue):
-        kinds.append(matrix.dtype)
-        return greedy_match(matrix, pool, queue)
-
-    monkeypatch.setattr(matching, "greedy_match", recording)
-    return kinds
 
 
 class TestSort:
@@ -253,7 +253,8 @@ class TestGreedyMatch:
         sources = pool(source(1, cal=50), source(2, cal=100))
         m = build_prefer_matrix(sources, tasks)
         assert m.tolist() == [[0.5, 0.25], [1.0, 0.5]]
-        result = greedy_match(m, sources, tasks)
+        ordered, result = full_round(tasks, sources, {}, W)
+        assert ordered.ids.tolist() == [1, 2]
         assert lease_ids(tasks, result, sources) == [(1, 2), (2, 1)]
         assert result.assignments.tolist() == [[0, 1], [1, 0]]
         assert result.unmatched_task_ids == []
@@ -264,32 +265,30 @@ class TestGreedyMatch:
     def test_all_zero_matrix(self):
         tasks = queue(task(0, cycles=1000, deadline=0.1), task(1, cycles=1000, deadline=0.1))
         sources = pool(source(0, cal=1, idle=1))
-        m = build_prefer_matrix(sources, tasks)
-        result = greedy_match(m, sources, tasks)
+        assert not build_prefer_matrix(sources, tasks).any()
+        _, result = ranked_match(sources, tasks)
         assert result.assignments.shape == (0, 2)
         assert result.unmatched_task_ids == [0, 1]
 
     def test_tie_breaks_to_lowest_source_id(self):
         tasks = queue(task(0, cycles=10))
         sources = pool(source(2, cal=5), source(0, cal=5), source(1, cal=5))
-        m = build_prefer_matrix(sources, tasks)
-        result = greedy_match(m, sources, tasks)
-        assert lease_ids(tasks, result, sources) == [(0, 0)]
+        ranked, result = ranked_match(sources, tasks)
+        assert lease_ids(tasks, result, ranked) == [(0, 0)]
 
     def test_result_owns_its_memory(self):
         # full_round writes column 1 of the assignments in place, so they
-        # must be a fresh, writable array, never a view of the matrix.
+        # must be a fresh, writable array, never a view of the mask.
         rng = random.Random(61)
         seen_empty = seen_leases = False
         for _ in range(100):
             tasks, sources, balances = tied_instance(rng, max_n=10, max_m=20)
             p = pool(*sources)
             ordered = sort_tasks_by_priority(queue(*tasks), balances, W)
-            matrix = build_prefer_matrix(p, ordered)
-            result = greedy_match(matrix, p, ordered)
+            ranked, result = ranked_match(p, ordered)
             a = result.assignments
             assert a.dtype == np.intp and a.shape == (len(a), 2) and a.flags.writeable
-            assert not np.shares_memory(a, matrix) and not np.shares_memory(a, ordered.ids)
+            assert not np.shares_memory(a, ranked.ids) and not np.shares_memory(a, ordered.ids)
             matched = set(a[:, 0].tolist())
             assert result.unmatched_task_ids == [tid for row, tid in enumerate(ordered.ids.tolist()) if row not in matched]
             assert all(type(tid) is int for tid in result.unmatched_task_ids)
@@ -299,23 +298,24 @@ class TestGreedyMatch:
 
     @pytest.mark.parametrize("m", [0, 1, 63, 64, 65, 200])
     def test_bool_matrix_matches_as_its_float_cast(self, m):
-        # Every feasible cell of a bool matrix ties, so each task takes its
-        # first free feasible row: the float cast's first maximum.
+        # Every source has one rate, so every feasible cell of a mask ties
+        # and each task takes its first free feasible row: the literal
+        # argmax over the mask's float cast.
         rng = np.random.default_rng(m)
         for _ in range(30):
             n = int(rng.integers(0, 41))
             density = rng.choice((0.02, 0.2, 0.9))
-            # Row-major, or the transpose of a task-major mask as full_round passes it.
-            matrix = rng.random((m, n)) < density if rng.random() < 0.5 else (rng.random((n, m)) < density).T
-            before = matrix.copy()
+            # C order, or the transpose of a source-major mask.
+            mask = rng.random((n, m)) < density if rng.random() < 0.5 else (rng.random((m, n)) < density).T
+            before = mask.copy()
             p = pool(*(source(j) for j in range(m)))
             q = queue(*(task(int(tid)) for tid in rng.permutation(n)))
-            result = greedy_match(matrix, p, q)
-            reference = greedy_match(matrix.astype(float), p, q)
-            assert np.array_equal(result.assignments, reference.assignments)
+            result = greedy_match(mask, p, q)
+            pairs, lost = oracle_greedy(mask.T.astype(float).tolist(), n)
+            assert result.assignments.tolist() == [list(pair) for pair in pairs]
             assert result.assignments.dtype == np.intp and result.assignments.shape == (len(result.assignments), 2)
-            assert result.unmatched_task_ids == reference.unmatched_task_ids
-            assert np.array_equal(matrix, before)
+            assert result.unmatched_task_ids == q.ids[lost].tolist()
+            assert np.array_equal(mask, before)
 
     def test_no_source_double_booked(self):
         rng = random.Random(17)
@@ -358,9 +358,9 @@ class TestGreedyMatch:
             assert leases == expected_assign
             assert unmatched == expected_unmatched
 
-    def test_full_round_equals_oracle_on_large_tied_instances(self, matrix_kinds):
+    def test_full_round_equals_oracle_on_large_tied_instances(self):
         rng = random.Random(2024)
-        tied_columns = ranked = guarded = 0
+        tied_columns = 0
         for k in range(150):
             tasks, sources, balances = tied_instance(rng)
             if k % 10 == 0:
@@ -369,8 +369,6 @@ class TestGreedyMatch:
                 tasks = []
             shuffled = pool(*rng.sample(sources, len(sources)))
             ordered, result = full_round(queue(*tasks), shuffled, dict(balances), W)
-            ranked += matrix_kinds[-1] == bool
-            guarded += matrix_kinds[-1] != bool and len(contending_sources(shuffled, ordered)) >= matching._RANKED_ROWS
             expected_assign, expected_unmatched = oracle_round(tasks, sources, balances, W)
             assert dict(lease_ids(ordered, result, shuffled)) == expected_assign
             assert result.unmatched_task_ids == expected_unmatched
@@ -381,16 +379,84 @@ class TestGreedyMatch:
             busy_seconds = (ordered.cycles[task_rows] / shuffled.rate[rows]).tolist()
             for (task_id, source_id), busy in zip(lease_ids(ordered, result, shuffled), busy_seconds):
                 assert busy == tsk[task_id].cycles_required / src[source_id].cycles_per_second
-            # greedy_match leaves the matrix as built
-            matrix = build_prefer_matrix(shuffled, ordered)
-            again = greedy_match(matrix, shuffled, ordered)
-            assert np.array_equal(again.assignments, result.assignments)
-            assert np.array_equal(matrix, build_prefer_matrix(shuffled, ordered))
-            for col in matrix.T:
+            for col in build_prefer_matrix(shuffled, ordered).T:
                 best = col.max(initial=0.0)
                 tied_columns += best > 0 and np.count_nonzero(col == best) > 1
         assert tied_columns > 0
-        assert ranked > 0 and guarded > 0  # both sides of the ranked path's guard
+
+
+ULP = float(np.nextafter(0.0, 1.0))  # the smallest subnormal float
+NEAR = float(np.nextafter(100.0, 0))  # over 42.63658650225366 cycles, NEAR and 100 give one quotient
+
+
+class TestWalk:
+    """Equal quotients from different rates, which rank apart: each task
+    walks from its fastest free feasible source to the lowest id of equal
+    quotient, jumping past each run of equal rates."""
+
+    @pytest.mark.parametrize("blocked", [0, 63], ids=["narrow", "across-64"])
+    @pytest.mark.parametrize("cycles, sources, expected", [
+        pytest.param(42.63658650225366,
+                     [source(5, cal=NEAR), source(9, cal=100.0), source(7, cal=100.0), source(3, cal=50.0)],
+                     [(0, 5), (1, 7), (2, 9), (3, 3)], id="near-tie"),
+        pytest.param(1e-10,
+                     [source(4, cal=1e300, idle=1), source(8, cal=1e300, idle=1), source(2, cal=1e299, idle=1),
+                      source(6, cal=1.0, idle=1)],
+                     [(0, 2), (1, 4), (2, 8), (3, 6)], id="overflow"),
+        pytest.param(3.0,
+                     [source(3, cal=4 * ULP, idle=float("inf")), source(6, cal=4 * ULP, idle=float("inf")),
+                      source(1, cal=3 * ULP, idle=float("inf")), source(9, cal=ULP, idle=float("inf"))],
+                     [(0, 1), (1, 3), (2, 6)], id="subnormal"),
+    ])
+    def test_tie_goes_to_the_lowest_id(self, cycles, sources, expected, blocked):
+        # Four equal tasks in id order.  ``blocked`` faster sources that
+        # hold no time rank first, so with 63 of them the tie's first two
+        # ranked columns sit on either side of the 64th.  A subnormal
+        # quotient that rounds to 0 matches nothing.
+        tasks = [task(i, cycles=cycles, deadline=float("inf")) for i in range(4)]
+        top = max(s.cycles_per_second for s in sources)
+        sources = sources + [source(1000 + j, cal=2 * top, idle=0.0) for j in range(blocked)]
+        q = queue(*tasks)
+        with np.errstate(over="ignore"):
+            ranked, result = ranked_match(pool(*sources), q)
+            assert lease_ids(q, result, ranked) == expected
+            assert shortlisted_leases(tasks, sources) == expected
+            assert round_ids(tasks, sources, {}, W)[1:] == oracle_round(tasks, sorted(sources), {}, W)
+
+    def test_zero_quotient_does_not_match(self):
+        # Feasible, with an infinite idle window and deadline, but one ulp
+        # of rate over 10 cycles rounds to 0: no preference, no lease.
+        tasks, sources = [task(0, cycles=10.0, deadline=float("inf"))], [source(0, cal=ULP, idle=float("inf"))]
+        with np.errstate(over="ignore"):
+            assert feasible_mask(pool(*sources), queue(*tasks)).all()
+            assert shortlisted_leases(tasks, sources) == []
+            assert round_ids(tasks, sources, {}, W)[1:] == ({}, [0])
+
+    def test_equal_rates_read_one_id_per_run(self):
+        # Every source has one rate, so every feasible source ties and each
+        # task takes the lowest free feasible id.  The walk reads ids only at
+        # the first row it meets in a run of equal rates, so each task reads
+        # at most two: its own and the next row's.
+        class CountingIds(np.ndarray):
+            def item(self, *args):
+                self.reads += 1
+                return super().item(*args)
+
+        rng = random.Random(3)
+        sources = [source(sid, cal=50.0, idle=rng.uniform(0, 100)) for sid in sorted(rng.sample(range(1000), 200))]
+        tasks = [task(i, cycles=rng.uniform(1, 5000), value=rng.uniform(0, 10)) for i in range(60)]
+        p = pool(*sources)
+        ordered = sort_tasks_by_priority(queue(*tasks), {}, W)
+        ranked = p.take(np.argsort(-p.rate, kind="stable"))
+        ranked.ids = ranked.ids.view(CountingIds)
+        ranked.ids.reads = 0
+        result = greedy_match(feasible_mask(ranked, ordered), ranked, ordered)
+        pairs, unmatched = reference_match(p, ordered)
+        assert result.assignments.tolist() == [list(pair) for pair in pairs]
+        assert result.unmatched_task_ids == unmatched
+        assert 20 < len(pairs) < len(tasks)
+        assert 0 < ranked.ids.reads <= 2 * len(tasks)
+        assert shortlisted_leases(tasks, sources) == lease_ids(ordered, result, ranked)
 
 
 class TestContendingSources:
@@ -444,30 +510,29 @@ class TestContendingSources:
         assert contending_sources(pool(*sources), queue(*tasks)).tolist() == [0, 1, 2]
         assert shortlisted_leases(tasks, sources) == [(2, 1), (1, 2), (0, 0)]
 
-    @pytest.mark.parametrize("tasks, sources, ranked", [
+    @pytest.mark.parametrize("tasks, sources", [
         pytest.param([task(0, cycles=42.63658650225366, deadline=100)],
                      [source(0, cal=float(np.nextafter(100.0, 0)), idle=100), source(1, cal=100.0, idle=100)],
-                     False, id="near-tie"),
+                     id="near-tie"),
         pytest.param([task(0, cycles=1e-10)], [source(0, cal=1e299, idle=1), source(1, cal=1e300, idle=1)],
-                     False, id="overflow"),
+                     id="overflow"),
         pytest.param([task(0, cycles=3.0, deadline=float("inf"))],
                      [source(0, cal=3 * float(np.nextafter(0.0, 1.0)), idle=float("inf")),
                       source(1, cal=4 * float(np.nextafter(0.0, 1.0)), idle=float("inf"))],
-                     False, id="subnormal"),
+                     id="subnormal"),
         pytest.param([task(0, cycles=500), task(1, cycles=10), task(2, cycles=5)],
                      [source(0, cal=10, idle=100), source(1, cal=50, idle=1), source(2, cal=20, idle=1)],
-                     True, id="fewer-universal"),
+                     id="fewer-universal"),
     ])
-    def test_cases_above_at_ranked_width(self, tasks, sources, ranked, matrix_kinds):
-        # Eight copies of every task and source.  The near-tie, overflowing
-        # and subnormal quotients tie where the rates differ, so the ranked
-        # match would hand the ties to the faster sources; the guard keeps
-        # them on the float matrix.
+    def test_cases_above_at_ranked_width(self, tasks, sources):
+        # Eight copies of every task and source, so the shortlist holds 16
+        # or more rows.  The near-tie, overflowing and subnormal quotients
+        # tie where the rates differ, and the shuffled ids give a slower
+        # source the lower id in some ties, which the walk must find.
         tasks, sources = widened(tasks, sources)
         with np.errstate(over="ignore"):
-            assert len(contending_sources(pool(*sources), queue(*tasks))) >= matching._RANKED_ROWS
+            assert len(contending_sources(pool(*sources), queue(*tasks))) >= 16
             shortlisted_leases(tasks, sources)
-        assert matrix_kinds == [bool if ranked else float]
 
     def test_no_live_task_keeps_none(self):
         tasks = [task(0, cycles=1000, deadline=0.1), task(1, cycles=5000)]
