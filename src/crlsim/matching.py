@@ -174,9 +174,14 @@ def contending_sources(pool: SourcePool, ordered: TaskQueue) -> np.ndarray:
     as ``fl(c / r)`` falls as ``r`` grows; so it is feasible wherever a
     dropped source is.  Its rate exceeds a dropped one's by a relative gap
     of more than 2**-40, and any gap above 2**-41 makes ``fl(r / c)``
-    strictly larger while the quotients are normal and finite: the dropped
-    source loses ``argmax`` on value, never on a tie.  The sources tied with the winner are all kept, in pool order, so
-    ``argmax`` picks the same first maximum.
+    strictly larger while the quotients are normal and finite: a dropped
+    row's quotient is strictly below that kept row's.  In rate rank every
+    feasible dropped row comes after the kept rows (a dead row is feasible
+    nowhere), so the task's lowest free feasible bit is a kept row of a
+    quotient at least as large, and ``greedy_match``'s equal-quotient walk
+    stops before the first dropped row.  The rows tied
+    with that bit are all kept and stay in rank order with ascending ids, so
+    the walk ends on the same lowest source_id.
 
     All live rows are kept when fewer than ``k`` sources are universal, when
     ``r_k / cmax`` is below the smallest normal float (subnormal quotients

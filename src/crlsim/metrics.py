@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple, get_type_hints
@@ -24,6 +25,10 @@ class StepSample(NamedTuple):
 
 
 CSV_COLUMNS = list(StepSample._fields)
+_CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
+# csv writes a float, numpy's float64 among them, as float.__repr__, and any other value as str():
+# %s gives the same text for each, since str equals float.__repr__ for both kinds of float.
+_CSV_ROW = ",".join(["%s"] * len(CSV_COLUMNS)) + "\n"
 
 
 class AssignmentRecord(NamedTuple):
@@ -133,11 +138,22 @@ def _write_records(fh, log: ColumnLog) -> None:
     fh.write("\n    }\n  ]")
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it among other fields: as is when it is
+    alphanumeric, else as csv quotes it, by rules that vary between Python versions."""
+    if text.isalnum():
+        return text
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow([text, ""])
+    return buffer.getvalue()[:-2]
+
+
 def emit_report(report: SimReport, format: str, destination) -> None:
     """Write the report as CSV (per-step series only) or JSON (everything).
 
     ``destination`` is a path or an open text file.  Emission is deterministic.
-    The CSV has one row per step and ``StepSample``'s fields as columns; the
+    The CSV has one row per step and ``StepSample``'s fields as columns,
+    byte-identical to ``csv.writer(..., lineterminator="\\n")``'s rows; the
     JSON is byte-identical to ``json.dump(..., indent=2)`` of the report's
     fields with each row as its ``_asdict()``; ``_write_records`` writes each
     log, and each non-empty row list, from its columns.
@@ -151,12 +167,14 @@ def emit_report(report: SimReport, format: str, destination) -> None:
         except OSError as exc:
             raise OSError(f"cannot write report to {destination}: {exc}") from exc
     if format == "csv":
-        writer = csv.writer(destination, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        # csv writes a float as its repr(), which round-trips, and any other value as its str().
-        writer.writerows(report.samples)
+        rows = report.samples
+        quoted = {p: text for p in {s.policy for s in rows} if (text := _csv_field(p)) != p}
+        if quoted:
+            rows = [s._replace(policy=quoted.get(s.policy, s.policy)) for s in rows]
+        destination.write(_CSV_HEADER + "".join(map(_CSV_ROW.__mod__, rows)))
         return
     # The JSON object holds SimReport's fields in order; the ledger, keyed by sorted id strings, as "ledger".
+    # Only a non-empty record list or ledger spans lines, so every other value is json's C encoder's text.
     separator = "{"
     for f in fields(report):
         key, value = f.name, getattr(report, f.name)
@@ -167,8 +185,10 @@ def emit_report(report: SimReport, format: str, destination) -> None:
             value = ColumnLog(type(value[0]), zip(*value))
         if isinstance(value, ColumnLog):
             _write_records(destination, value)
-        else:  # a scalar, [] or the ledger, one level deep: its lines after the first gain an indent
-            destination.write(json.dumps(value, indent=2).replace("\n", "\n  "))
+        elif key == "ledger" and value:  # one item a line, one level deeper than its braces
+            destination.write("{\n    " + json.dumps(value, separators=(",\n    ", ": "))[1:-1] + "\n  }")
+        else:
+            destination.write(json.dumps(value))
         separator = ","
     destination.write("\n}\n")
 

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete.
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -14,7 +15,7 @@ import pytest
 
 from crlsim.model import TaskQueue, WeightsConfig
 from crlsim.settlement import apply_settlement
-from crlsim.simulator import SimConfig, run
+from crlsim.simulator import POLICIES, SimConfig, WorkloadConfig, run
 from crlsim.cli import main
 from crlsim.metrics import load_report_csv
 
@@ -111,12 +112,21 @@ def test_criterion_2_priority_conservation():
 
 
 def test_criterion_3_feasibility_postcondition():
-    report = run(SimConfig(steps=200, rng_seed=1, policy="crl"))
-    assert report.assignment_records, "default run produced no assignments"
-    for r in report.assignment_records:
-        assert r.task_cycles_required <= r.source_cycles_per_second * r.source_idle_seconds + 1e-9
-        assert r.task_cycles_required / r.source_cycles_per_second <= r.task_deadline_s + 1e-9
-    _report(3, True, f"({len(report.assignment_records)} assignments audited)")
+    # feasible_mask's exact rule, with no slack, on the default and lease-heavy
+    # runs and on the random scenarios at three step lengths.
+    dense = WorkloadConfig(task_arrival_rate=30.0, rate_range=(50.0, 400.0))
+    configs = [SimConfig(steps=200, rng_seed=1, policy="crl"), SimConfig(steps=200, rng_seed=1, policy="crl", workload=dense),
+               *(dataclasses.replace(cfg, step_seconds=t) for cfg in random_configs() for t in (0.3, 1.0, 2.5))]
+    leases = 0
+    for cfg in configs:
+        report = run(cfg)
+        for r in report.assignment_records:
+            assert r.task_cycles_required <= r.source_cycles_per_second * r.source_idle_seconds, (cfg, r)
+            assert r.task_cycles_required / r.source_cycles_per_second <= r.task_deadline_s, (cfg, r)
+            assert r.busy_seconds == r.task_cycles_required / r.source_cycles_per_second, (cfg, r)
+        leases += len(report.assignment_records)
+    assert leases, "no run produced an assignment"
+    _report(3, True, f"({leases} assignments over {len(configs)} runs audited)")
 
 
 def test_criterion_4_idle_capacity_trend():
@@ -202,10 +212,16 @@ def test_criterion_6_byte_identical_cli_outputs(tmp_path):
 
 
 def test_criterion_7_task_accounting():
-    for cfg in random_configs():
+    configs = [dataclasses.replace(cfg, policy=policy) for cfg in random_configs() for policy in POLICIES]
+    for cfg in configs:
         report = run(cfg)
-        assert report.arrived_tasks == report.matched_tasks + report.migrated_tasks + report.pending_tasks
-    _report(7, True, "(50 random scenarios, exact)")
+        samples = report.samples
+        assert report.arrived_tasks == report.matched_tasks + report.migrated_tasks + report.pending_tasks, cfg
+        assert (report.matched_tasks == len(report.assignment_records) == len(report.settlement_records)
+                == sum(s.matched for s in samples)), cfg
+        assert report.migrated_tasks == sum(s.migrated for s in samples), cfg
+        assert [s.step for s in samples] == list(range(len(samples))), cfg
+    _report(7, True, f"({len(configs)} random scenarios over both policies, exact)")
 
 
 def test_criterion_8_formula_unit_values():

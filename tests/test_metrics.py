@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import io
 import json
@@ -106,6 +107,35 @@ def awkward_report(n):
                             else AssignmentRecord(k, k, False, 0.5, 1e16, 2.0, 1e-7, k + 0.5) for k in range(n)],
         pending_tasks=True,
     )
+
+
+# Policies csv quotes, or might: a delimiter, a quote, line breaks, an empty
+# string, a leading space and non-ASCII text.
+AWKWARD_POLICIES = ["crl", "cloud", "a,b", 'q"x', "a\nb", "a\rb", "\r\n", "", " lead", "é", "%s"]
+AWKWARD_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-4, 1e-5, 1e16, 1e15, 1.7976931348623157e308]
+
+
+def awkward_value(rng):
+    """A value of a sample field that csv might write unlike ``%s``: a float
+    extreme or a random float, as a Python or numpy float; an int past 2**64
+    or a numpy int64; or a bool."""
+    kind = rng.randrange(6)
+    if kind < 3:
+        x = rng.choice(AWKWARD_FLOATS) if rng.random() < 0.5 else rng.uniform(-1, 1) * 10.0 ** rng.randint(-320, 300)
+        return np.float64(x) if kind == 2 else x
+    if kind == 3:
+        return rng.choice([0, -1, 2**64 + 1, -(2**70), rng.randint(-10**30, 10**30)])
+    if kind == 4:
+        return np.int64(rng.randint(-2**63, 2**63 - 1))
+    return rng.random() < 0.5
+
+
+def awkward_samples(rng):
+    """Up to five samples, each field but ``policy`` any ``awkward_value``,
+    with one or two of ``AWKWARD_POLICIES``."""
+    policies = rng.sample(AWKWARD_POLICIES, rng.randint(1, 2))
+    return [StepSample(awkward_value(rng), rng.choice(policies), *(awkward_value(rng) for _ in range(6)))
+            for _ in range(rng.randint(0, 5))]
 
 
 def held_as(report, hold):
@@ -268,6 +298,50 @@ class TestEmit:
             emit_report(held, "json", buffer)
             assert path.read_bytes() == buffer.getvalue().encode()
             assert buffer.getvalue() == json.dumps(asdict_payload(report), indent=2) + "\n", hold
+
+    def test_csv_equals_csv_writer(self):
+        rng = random.Random(27)
+        for _ in range(1500):
+            samples = awkward_samples(rng)
+            expected = io.StringIO()
+            writer = csv.writer(expected, lineterminator="\n")
+            writer.writerow(CSV_COLUMNS)
+            writer.writerows(samples)
+            buffer = io.StringIO()
+            emit_report(SimReport(policy="crl", seed=0, samples=samples), "csv", buffer)
+            assert buffer.getvalue() == expected.getvalue(), samples
+
+    def test_scalars_and_ledger_equal_the_indented_dump(self):
+        rng = random.Random(19)
+        floats = [*AWKWARD_FLOATS, np.float64(-0.0), np.float64(math.nan), 0.1, -2.5]
+        ints = [0, -1, 2**64, -(2**70), True, False]
+        for _ in range(3000):
+            keys = rng.sample([-(2**64), -3, -1, 0, 1, 2, 10, 2**53 + 1, 2**70], rng.randint(0, 6))
+            report = SimReport(
+                policy=rng.choice(AWKWARD_POLICIES), seed=rng.choice(ints),
+                ledger_snapshot={k: rng.choice(floats) if rng.random() < 0.8 else rng.uniform(-1e9, 1e9) for k in keys},
+                **{name: rng.choice(ints + floats) for name in ("arrived_tasks", "matched_tasks", "migrated_tasks", "pending_tasks")},
+            )
+            buffer = io.StringIO()
+            emit_report(report, "json", buffer)
+            assert buffer.getvalue() == json.dumps(asdict_payload(report), indent=2) + "\n", report
+
+    def test_reports_take_neither_the_csv_writer_nor_the_python_json_encoder(self, monkeypatch):
+        # The benchmark's three workloads and the edge reports, with json's
+        # pure-Python encoder made to raise, and csv's writer too for the
+        # workloads' CSV, whose policies csv never quotes.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a report took a slow writer")
+
+        dense = WorkloadConfig(task_arrival_rate=30.0, rate_range=(50.0, 400.0))
+        workloads = [run(SimConfig(rng_seed=1, policy=policy)) for policy in ("crl", "cloud")]
+        workloads.append(run(SimConfig(rng_seed=1, policy="crl", workload=dense)))
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        monkeypatch.setattr(csv, "writer", refuse)
+        for report in workloads:
+            emit_report(report, "csv", io.StringIO())
+        for report in [*workloads, *edge_reports(), awkward_report(3)]:
+            emit_report(report, "json", io.StringIO())
 
     # The last two rows have the right width but a value that does not parse.
     @pytest.mark.parametrize("row", ["1,crl,0.0,0,0,0,0.0,0.0,7", "1,crl,0.0,0,0,0,0.0",
