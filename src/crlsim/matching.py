@@ -11,7 +11,6 @@ import numpy as np
 
 from .model import SourcePool, TaskQueue, WeightsConfig
 
-_TINY = np.finfo(float).tiny  # the smallest normal float
 _BITS = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))  # bit j of a task's word is column j
 
 
@@ -61,8 +60,10 @@ def build_prefer_matrix(pool: SourcePool, queue: TaskQueue) -> np.ndarray:
     where ``feasible_mask`` sets it, else 0.  An empty pool or queue yields a
     degenerate matrix that matches nothing.
 
-    ``run()`` no longer calls it: it states the preference that
-    ``greedy_match`` maximises, and the tests compare against it.
+    ``run()`` no longer calls it.  For one task a cell ranks the sources as
+    their rates do, ``greedy_match``'s rule, except where sources of
+    different rates round to one quotient; the tests compare against it
+    where no such tie occurs.
     """
     ok = feasible_mask(pool, queue)
     # A masked divide, not a multiply by the mask: an overflowing quotient
@@ -71,20 +72,15 @@ def build_prefer_matrix(pool: SourcePool, queue: TaskQueue) -> np.ndarray:
 
 
 def greedy_match(mask: np.ndarray, pool: SourcePool, queue: TaskQueue) -> MatchResult:
-    """Assign each task, in priority order, its best still-free source.
+    """Assign each task, in priority order, its fastest free feasible source.
 
-    ``pool`` is ranked by rate, descending, equal rates in ascending
-    source_id, and ``mask`` is its n x m ``feasible_mask`` against ``queue``.
-    The best source is the free feasible one of the largest positive
-    ``v = rate / cycles``, ties to the lowest source_id.  ``fl(rate /
-    cycles)`` never falls as the rate grows, so that is the task's lowest
-    free feasible row or a later one of equal ``v`` (near-equal rates tie,
-    as do quotients that overflow or turn subnormal): when the next ranked
-    row gives ``v`` too, the task walks on while ``v`` holds, jumping past
-    each run of equal rates (whose ids ascend), found on the round's first
-    tie.  Each task's row of ``mask`` is one Python int, bit j for column
-    j; past 64 columns, packing 8 to a byte costs a fifth of ORing
-    64-column products.
+    ``mask`` is the n x m ``feasible_mask`` of ``queue`` against a pool
+    ranked by rate, descending, equal rates in ascending source_id, so the
+    fastest free feasible source, equal rates to the lowest source_id, is the
+    task's lowest free set bit.  ``pool`` is that ranked pool; the body does
+    not read it, but perfbench's tracer counts its rows.  Each task's row of
+    ``mask`` is one Python int, bit j for column j; past 64 columns, packing
+    8 to a byte costs a fifth of ORing 64-column products.
     """
     if mask.shape[1] <= len(_BITS):
         words = (mask @ _BITS[:mask.shape[1]]).tolist()
@@ -92,37 +88,15 @@ def greedy_match(mask: np.ndarray, pool: SourcePool, queue: TaskQueue) -> MatchR
         packed = np.packbits(mask, axis=1, bitorder="little")
         data, width = packed.tobytes(), packed.shape[1]
         words = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
-    rates, cycles = pool.rate.tolist() + [0.0], queue.cycles.tolist()  # 0.0 ends the ranking
-    starts = None  # bit j is set where a run of equal rates starts
     taken = 0
     cols, rows = [], []
     for col, word in enumerate(words):
         word &= ~taken
-        if not word:
-            continue
-        bit = word & -word
-        row, c = bit.bit_length() - 1, cycles[col]
-        v = rates[row] / c
-        # Only if the next ranked row gives v too can a later one tie; the
-        # same test catches a v that is not positive, which matches nothing.
-        if not v > rates[row + 1] / c:
-            if not v > 0.0:
-                continue
-            rest = word ^ bit
-            while rest:
-                k = (rest & -rest).bit_length() - 1
-                if rates[k] / c != v:
-                    break
-                if starts is None:
-                    runs = np.packbits(np.append(True, pool.rate[1:] != pool.rate[:-1]), bitorder="little")
-                    starts = int.from_bytes(runs.tobytes(), "little")
-                if pool.ids.item(k) < pool.ids.item(row):
-                    row = k
-                later = starts >> (k + 1) << (k + 1)
-                rest &= -(later & -later)  # drops the rest of k's run, and everything after the last run
-        taken |= 1 << row
-        cols.append(col)
-        rows.append(row)
+        if word:
+            bit = word & -word
+            taken |= bit
+            cols.append(col)
+            rows.append(bit.bit_length() - 1)
     unmatched = queue.ids.tolist()
     for col in reversed(cols):  # ascending, so each deletion leaves the earlier rows in place
         del unmatched[col]
@@ -165,32 +139,22 @@ def contending_sources(pool: SourcePool, ordered: TaskQueue) -> np.ndarray:
     can serve any other task.  With ``k`` live tasks, ``cmax`` their largest
     cycles and ``r_k`` the k-th largest rate among the universal sources
     (those with ``rate * idle >= cmax``), the rows kept are those with
-    ``rate >= r_k * (1 - 2**-40)``.
+    ``rate >= r_k``.
 
     Nothing dropped could win.  Only live tasks lease, so at most ``k - 1``
     leases precede any live task, and one of the ``k`` fastest universal
     sources is still free when it comes up.  That source holds the task's
     cycles, and it meets the task's deadline whenever a slower source does,
-    as ``fl(c / r)`` falls as ``r`` grows; so it is feasible wherever a
-    dropped source is.  Its rate exceeds a dropped one's by a relative gap
-    of more than 2**-40, and any gap above 2**-41 makes ``fl(r / c)``
-    strictly larger while the quotients are normal and finite: a dropped
-    row's quotient is strictly below that kept row's.  In rate rank every
-    feasible dropped row comes after the kept rows (a dead row is feasible
-    nowhere), so the task's lowest free feasible bit is a kept row of a
-    quotient at least as large, and ``greedy_match``'s equal-quotient walk
-    stops before the first dropped row.  The rows tied
-    with that bit are all kept and stay in rank order with ascending ids, so
-    the walk ends on the same lowest source_id.
+    as ``fl(c / r)`` never rises as ``r`` grows.  So the task's fastest free
+    feasible source has a rate of at least ``r_k``, and every row of that
+    rate is kept, its lowest source_id among them.
 
-    All live rows are kept when fewer than ``k`` sources are universal, when
-    ``r_k / cmax`` is below the smallest normal float (subnormal quotients
-    lose the gap) or when ``rate.max() / cycles.min()`` overflows (quotients
-    of ``inf`` tie).  No live task gives no rows.  Dead rows (``idle <= 0``,
-    so ``capacity <= 0 < cycles``) are never kept, universal or the largest
-    capacity.  A dead ``fastest`` can only mark more tasks live, raising ``k``
-    and ``cmax`` (so lowering ``r_k``), or trigger a fallback; both widen the
-    rows kept, and the argument holds for any superset of the live tasks.
+    All live rows are kept when fewer than ``k`` sources are universal.  No
+    live task gives no rows.  Dead rows (``idle <= 0``, so ``capacity <= 0 <
+    cycles``) are never kept, universal or the largest capacity.  A dead
+    ``fastest`` can only mark more tasks live, raising ``k`` and ``cmax``
+    (so lowering ``r_k``); that widens the rows kept, and the argument holds
+    for any superset of the live tasks.
     """
     if not len(pool.ids):
         return np.arange(0)
@@ -204,11 +168,9 @@ def contending_sources(pool: SourcePool, ordered: TaskQueue) -> np.ndarray:
     cmax = np.maximum.reduce(cycles[live])
     universal = rate[capacity >= cmax]  # a fresh gather, so it may be partitioned in place
     bound = -np.inf  # every row, unless the argument above applies
-    if len(universal) >= k and np.isfinite(fastest / np.minimum.reduce(cycles)):
+    if len(universal) >= k:
         universal.partition(-k)
-        r_k = universal[-k]
-        if r_k / cmax >= _TINY:
-            bound = r_k * (1 - 2**-40)
+        bound = universal[-k]
     rows = (rate >= bound).nonzero()[0]
     return rows[pool.idle[rows] > 0.0]
 
@@ -218,11 +180,11 @@ def full_round(queue: TaskQueue, pool: SourcePool, ledger: dict[int, float], wei
 
     The match covers the ``contending_sources`` of the pool, which hold every
     source greedy matching over the whole pool would pick, ranked by rate as
-    ``greedy_match`` takes them.  So the leases are those of an ``argmax``
-    per task over ``build_prefer_matrix(pool, ordered)``, each leased row
-    zeroed.  Returns the priority-ordered queue, whose rows the result's
-    assignments index, and the match result, whose assignments index the
-    whole pool.
+    ``greedy_match`` takes them.  So each task, in priority order, leases
+    its fastest free feasible source in the whole pool, equal rates to the
+    lowest source_id.  Returns the priority-ordered queue, whose rows the
+    result's assignments index, and the match result, whose assignments
+    index the whole pool.
     """
     ordered = sort_tasks_by_priority(queue, ledger, weights)
     rows = contending_sources(pool, ordered)

@@ -3,6 +3,11 @@ matching round and its greedy pass over a preference matrix, the split of
 its losers, one step's arrivals, a run's settlements, the source pool and a
 whole run.
 
+The round's preference for a feasible source is its rate, so each task takes
+its fastest free feasible source, equal rates to the lowest source_id.  The
+paper's preference value, rate / cycles, orders one task's sources the same
+way except where different rates round to one quotient.
+
 Deliberately naive: one record at a time, explicit matrices, bubble sort,
 row zeroing, one scalar formula call per lease, a pool that copies its
 columns on every change.  Kept free of any code from crlsim.matching and
@@ -50,8 +55,9 @@ def oracle_round(tasks, sources, balances, weights):
     """Run one full round the literal way.
 
     tasks/sources are given in ascending id order; ``balances`` maps owner_id
-    to priority balance.  Returns (assignments dict task_id -> source_id,
-    unmatched task_ids in processing order).
+    to priority balance.  A cell of the preference matrix holds the source's
+    rate where it can serve the task, else 0.  Returns (assignments dict
+    task_id -> source_id, unmatched task_ids in processing order).
     """
     # column vectors [D, A, V, P, N, priority]
     cols = []
@@ -74,7 +80,7 @@ def oracle_round(tasks, sources, balances, weights):
         row = []
         for d, a, _, _, _, _ in cols:
             if a <= cal * e and a / cal <= d:
-                row.append(cal / a)
+                row.append(cal)
             else:
                 row.append(0.0)
         prefer.append(row)

@@ -12,7 +12,10 @@ own their objects among ``2**32`` devices, so every step draws its arrivals
 one scalar at a time rather than from a replayed block; ``cloud-step-2.5-x4``
 ages a four-times-larger pool by an inexact 2.5 s a step.  ``crl-equal-rates``
 gives every source one rate, so every preference value of a task ties and
-most shortlists are hundreds of rows wide.  Every float total in the reports
+most shortlists are hundreds of rows wide.  ``crl-near-equal-rates`` draws
+the rates from within four ulps of 50, so sources of different rates often
+give a task one rounded quotient; each task still leases its fastest free
+feasible source, and these digests pin that rule.  Every float total in the reports
 is a left-to-right fold (``np.cumsum`` or a loop), not the builtin ``sum``,
 which CPython 3.12 made compensated.  The digests were taken on CPython 3.11.
 """
@@ -50,6 +53,10 @@ CASES = {
     ),
     "crl-equal-rates": SimConfig(
         rng_seed=1, policy="crl", steps=60, workload=WorkloadConfig(task_arrival_rate=30.0, rate_range=(50.0, 50.0))
+    ),
+    "crl-near-equal-rates": SimConfig(
+        rng_seed=1, policy="crl", steps=60,
+        workload=WorkloadConfig(task_arrival_rate=30.0, rate_range=(50.0, 50.00000000000003)),
     ),
 }
 
@@ -119,6 +126,11 @@ GOLDEN = {
     "crl-equal-rates": (
         "0603aa4670f774a1e6b4c6f9f595ec4b47aacf8c5e680d66b33f8bc31087c365",
         "91e043be486866f10abb66fd130afe54e5b83008b450221e23b3ea24489cb1c3",
+        (1822, 615, 1160, 47),
+    ),
+    "crl-near-equal-rates": (
+        "783b5255c61f4631e10d2cd48911b1718d29f6123ce923351b74b3a53efc9230",
+        "d6b6b1b6628f4aff87eb5ce046cd5c4cb315b66e8731c8ee807f419dcbcb22b4",
         (1822, 615, 1160, 47),
     ),
 }

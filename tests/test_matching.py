@@ -59,8 +59,8 @@ def tied_instance(rng, max_n=40, max_m=200):
     Rates, cycles and values come from short lists, so equal preference values
     and equal priorities recur; about one source in ten has no idle time.
     About half the instances draw rates from a near-tie list: one rate and
-    its float neighbours, whose quotients by one cycles value may or may not
-    round equal.  Source ids ascend with gaps.
+    its float neighbours, whose quotients by one cycles value may round
+    equal though the rates rank apart.  Source ids ascend with gaps.
     """
     n = rng.randint(0, max_n)
     m = rng.randint(0, max_m)
@@ -83,10 +83,10 @@ def tied_instance(rng, max_n=40, max_m=200):
 
 
 def reference_match(p, ordered):
-    """The literal argmax match over the whole pool's ``build_prefer_matrix``:
-    (queue row, pool row) pairs in priority order, and the unmatched ids."""
-    matrix = build_prefer_matrix(p, ordered)
-    pairs, lost = oracle_greedy(matrix.tolist(), matrix.shape[1])
+    """The literal argmax match over the whole pool, each feasible cell
+    holding the source's rate: (queue row, pool row) pairs in priority
+    order, and the unmatched ids."""
+    pairs, lost = oracle_greedy(np.where(feasible_mask(p, ordered), p.rate, 0.0).T.tolist(), len(ordered))
     return pairs, ordered.ids[lost].tolist()
 
 
@@ -384,6 +384,29 @@ class TestGreedyMatch:
                 tied_columns += best > 0 and np.count_nonzero(col == best) > 1
         assert tied_columns > 0
 
+    def test_full_round_equals_prefer_matrix_argmax_where_quotients_rank_as_rates(self):
+        # Rates from a continuous range, half the instances widened so that
+        # equal rates recur: no task has two feasible sources of different
+        # rate and one quotient, so the paper's preference matrix ranks each
+        # task's sources as their rates do, and its argmax match, each
+        # leased row zeroed, is full_round's.
+        rng = random.Random(77)
+        leases = 0
+        for k in range(200):
+            tasks, sources, balances = random_instance(rng, max_n=12, max_m=20)
+            if k % 2:
+                tasks, sources = widened(tasks, sources, copies=3, seed=k)
+            p = pool(*sources)
+            ordered, result = full_round(queue(*tasks), p, dict(balances), W)
+            matrix = build_prefer_matrix(p, ordered)
+            for col, ok in zip(matrix.T, feasible_mask(p, ordered)):
+                assert len(np.unique(col[ok])) == len(np.unique(p.rate[ok]))
+            pairs, lost = oracle_greedy(matrix.tolist(), len(ordered))
+            assert result.assignments.tolist() == [list(pair) for pair in pairs]
+            assert result.unmatched_task_ids == ordered.ids[lost].tolist()
+            leases += len(pairs)
+        assert leases > 100
+
 
 ULP = float(np.nextafter(0.0, 1.0))  # the smallest subnormal float
 NEAR = float(np.nextafter(100.0, 0))  # over 42.63658650225366 cycles, NEAR and 100 give one quotient
@@ -391,28 +414,31 @@ NEAR = float(np.nextafter(100.0, 0))  # over 42.63658650225366 cycles, NEAR and 
 
 class TestWalk:
     """Equal quotients from different rates, which rank apart: each task
-    walks from its fastest free feasible source to the lowest id of equal
-    quotient, jumping past each run of equal rates."""
+    walks the rate-ranked pool to its first free feasible source, the
+    fastest, whatever the slower sources' quotients round to."""
 
     @pytest.mark.parametrize("blocked", [0, 63], ids=["narrow", "across-64"])
     @pytest.mark.parametrize("cycles, sources, expected", [
         pytest.param(42.63658650225366,
                      [source(5, cal=NEAR), source(9, cal=100.0), source(7, cal=100.0), source(3, cal=50.0)],
-                     [(0, 5), (1, 7), (2, 9), (3, 3)], id="near-tie"),
+                     [(0, 7), (1, 9), (2, 5), (3, 3)], id="near-tie"),
         pytest.param(1e-10,
                      [source(4, cal=1e300, idle=1), source(8, cal=1e300, idle=1), source(2, cal=1e299, idle=1),
                       source(6, cal=1.0, idle=1)],
-                     [(0, 2), (1, 4), (2, 8), (3, 6)], id="overflow"),
+                     [(0, 4), (1, 8), (2, 2), (3, 6)], id="overflow"),
         pytest.param(3.0,
                      [source(3, cal=4 * ULP, idle=float("inf")), source(6, cal=4 * ULP, idle=float("inf")),
                       source(1, cal=3 * ULP, idle=float("inf")), source(9, cal=ULP, idle=float("inf"))],
-                     [(0, 1), (1, 3), (2, 6)], id="subnormal"),
+                     [(0, 3), (1, 6), (2, 1), (3, 9)], id="subnormal"),
     ])
     def test_tie_goes_to_the_lowest_id(self, cycles, sources, expected, blocked):
-        # Four equal tasks in id order.  ``blocked`` faster sources that
-        # hold no time rank first, so with 63 of them the tie's first two
-        # ranked columns sit on either side of the 64th.  A subnormal
-        # quotient that rounds to 0 matches nothing.
+        # Four equal tasks in id order, and sources whose quotients tie
+        # (near-equal rates, quotients that overflow or turn subnormal)
+        # while their rates differ: the faster leases first, and equal
+        # rates go to the lower id.  ``blocked`` faster sources that hold
+        # no time rank first, so with 63 of them the first two ranked
+        # feasible columns sit on either side of the 64th.  A quotient that
+        # rounds to 0 leases too.
         tasks = [task(i, cycles=cycles, deadline=float("inf")) for i in range(4)]
         top = max(s.cycles_per_second for s in sources)
         sources = sources + [source(1000 + j, cal=2 * top, idle=0.0) for j in range(blocked)]
@@ -423,20 +449,22 @@ class TestWalk:
             assert shortlisted_leases(tasks, sources) == expected
             assert round_ids(tasks, sources, {}, W)[1:] == oracle_round(tasks, sorted(sources), {}, W)
 
-    def test_zero_quotient_does_not_match(self):
-        # Feasible, with an infinite idle window and deadline, but one ulp
-        # of rate over 10 cycles rounds to 0: no preference, no lease.
+    def test_zero_quotient_matches(self):
+        # Feasible, with an infinite idle window and deadline: one ulp of
+        # rate over 10 cycles rounds to 0, but the source is the task's
+        # fastest feasible one, so it leases.
         tasks, sources = [task(0, cycles=10.0, deadline=float("inf"))], [source(0, cal=ULP, idle=float("inf"))]
         with np.errstate(over="ignore"):
             assert feasible_mask(pool(*sources), queue(*tasks)).all()
-            assert shortlisted_leases(tasks, sources) == []
-            assert round_ids(tasks, sources, {}, W)[1:] == ({}, [0])
+            assert cell(sources[0], tasks[0]) == 0.0
+            assert shortlisted_leases(tasks, sources) == [(0, 0)]
+            assert round_ids(tasks, sources, {}, W)[1:] == ({0: 0}, [])
 
-    def test_equal_rates_read_one_id_per_run(self):
+    def test_equal_rates_read_no_ids(self):
         # Every source has one rate, so every feasible source ties and each
-        # task takes the lowest free feasible id.  The walk reads ids only at
-        # the first row it meets in a run of equal rates, so each task reads
-        # at most two: its own and the next row's.
+        # task takes the lowest free feasible id.  Equal rates rank in
+        # ascending id, so that is the lowest free feasible bit, and the
+        # match reads no id.
         class CountingIds(np.ndarray):
             def item(self, *args):
                 self.reads += 1
@@ -455,7 +483,7 @@ class TestWalk:
         assert result.assignments.tolist() == [list(pair) for pair in pairs]
         assert result.unmatched_task_ids == unmatched
         assert 20 < len(pairs) < len(tasks)
-        assert 0 < ranked.ids.reads <= 2 * len(tasks)
+        assert ranked.ids.reads == 0
         assert shortlisted_leases(tasks, sources) == lease_ids(ordered, result, ranked)
 
 
@@ -466,25 +494,40 @@ class TestContendingSources:
         assert rows.tolist() == [1, 3]
         assert shortlisted_leases([task(0, cycles=10)], sources) == [(0, 1)]
 
-    def test_near_tie_goes_to_lowest_source_id(self):
-        # One ulp apart in rate, equal in quotient: a shortlist without its
-        # relative margin would drop source 0, the first maximum.
+    def test_near_tie_goes_to_the_faster_source(self):
+        # One ulp apart in rate, equal in quotient: source 1 is faster, so
+        # the shortlist keeps it alone and it leases.
         sources = [source(0, cal=float(np.nextafter(100.0, 0)), idle=100), source(1, cal=100.0, idle=100)]
         t = task(0, cycles=42.63658650225366, deadline=100)
-        assert sources[0].cycles_per_second / t.cycles_required == sources[1].cycles_per_second / t.cycles_required
-        assert shortlisted_leases([t], sources) == [(0, 0)]
+        assert cell(sources[0], t) == cell(sources[1], t)
+        assert contending_sources(pool(*sources), queue(t)).tolist() == [1]
+        assert shortlisted_leases([t], sources) == [(0, 1)]
+
+    def test_drops_a_source_one_ulp_slower_than_the_bound(self):
+        # Two live tasks and two universal sources at rate 100, so r_k is
+        # 100: the source one ulp slower is dropped, and source 3, faster
+        # but too short for the larger task, is kept.
+        sources = [source(0, cal=NEAR), source(1, cal=100.0), source(2, cal=100.0), source(3, cal=500.0, idle=0.01)]
+        tasks = [task(0, cycles=10.0), task(1, cycles=20.0)]
+        assert contending_sources(pool(*sources), queue(*tasks)).tolist() == [1, 2, 3]
+        assert shortlisted_leases(tasks, sources) == [(0, 1), (1, 2)]
 
     def test_overflowing_quotients_tie(self):
-        # Both quotients are inf, so source 0 is the first maximum.
+        # Both quotients are inf, but source 1 is faster and leases.
+        t = task(0, cycles=1e-10)
+        sources = [source(0, cal=1e299, idle=1), source(1, cal=1e300, idle=1)]
         with np.errstate(over="ignore"):
-            assert shortlisted_leases([task(0, cycles=1e-10)], [source(0, cal=1e299, idle=1), source(1, cal=1e300, idle=1)]) == [(0, 0)]
+            assert cell(sources[0], t) == cell(sources[1], t) == float("inf")
+            assert shortlisted_leases([t], sources) == [(0, 1)]
 
     def test_subnormal_quotients_tie(self):
-        # 3 and 4 ulps over 3 cycles both round to one subnormal ulp.
-        ulp = float(np.nextafter(0.0, 1.0))
-        sources = [source(0, cal=3 * ulp, idle=float("inf")), source(1, cal=4 * ulp, idle=float("inf"))]
+        # 3 and 4 ulps over 3 cycles both round to one subnormal ulp, but
+        # source 1 is faster and leases.
+        t = task(0, cycles=3.0, deadline=float("inf"))
+        sources = [source(0, cal=3 * ULP, idle=float("inf")), source(1, cal=4 * ULP, idle=float("inf"))]
         with np.errstate(over="ignore"):
-            assert shortlisted_leases([task(0, cycles=3.0, deadline=float("inf"))], sources) == [(0, 0)]
+            assert cell(sources[0], t) == cell(sources[1], t) == ULP
+            assert shortlisted_leases([t], sources) == [(0, 1)]
 
     def test_leaves_its_inputs_alone(self):
         # The k-th largest rate is found by partitioning in place, which must
@@ -510,28 +553,29 @@ class TestContendingSources:
         assert contending_sources(pool(*sources), queue(*tasks)).tolist() == [0, 1, 2]
         assert shortlisted_leases(tasks, sources) == [(2, 1), (1, 2), (0, 0)]
 
-    @pytest.mark.parametrize("tasks, sources", [
+    @pytest.mark.parametrize("tasks, sources, width", [
         pytest.param([task(0, cycles=42.63658650225366, deadline=100)],
-                     [source(0, cal=float(np.nextafter(100.0, 0)), idle=100), source(1, cal=100.0, idle=100)],
+                     [source(0, cal=float(np.nextafter(100.0, 0)), idle=100), source(1, cal=100.0, idle=100)], 8,
                      id="near-tie"),
-        pytest.param([task(0, cycles=1e-10)], [source(0, cal=1e299, idle=1), source(1, cal=1e300, idle=1)],
+        pytest.param([task(0, cycles=1e-10)], [source(0, cal=1e299, idle=1), source(1, cal=1e300, idle=1)], 8,
                      id="overflow"),
         pytest.param([task(0, cycles=3.0, deadline=float("inf"))],
-                     [source(0, cal=3 * float(np.nextafter(0.0, 1.0)), idle=float("inf")),
-                      source(1, cal=4 * float(np.nextafter(0.0, 1.0)), idle=float("inf"))],
+                     [source(0, cal=3 * ULP, idle=float("inf")), source(1, cal=4 * ULP, idle=float("inf"))], 8,
                      id="subnormal"),
         pytest.param([task(0, cycles=500), task(1, cycles=10), task(2, cycles=5)],
-                     [source(0, cal=10, idle=100), source(1, cal=50, idle=1), source(2, cal=20, idle=1)],
+                     [source(0, cal=10, idle=100), source(1, cal=50, idle=1), source(2, cal=20, idle=1)], 24,
                      id="fewer-universal"),
     ])
-    def test_cases_above_at_ranked_width(self, tasks, sources):
-        # Eight copies of every task and source, so the shortlist holds 16
-        # or more rows.  The near-tie, overflowing and subnormal quotients
-        # tie where the rates differ, and the shuffled ids give a slower
-        # source the lower id in some ties, which the walk must find.
+    def test_cases_above_at_ranked_width(self, tasks, sources, width):
+        # Eight copies of every task and source.  The near-tie, overflowing
+        # and subnormal quotients tie where the rates differ, and the
+        # shuffled ids give a slower source the lower id in some of those
+        # ties: the shortlist keeps only the eight copies of the faster
+        # source, which lease in ascending id.  With fewer universal
+        # sources than live tasks it keeps all 24 rows.
         tasks, sources = widened(tasks, sources)
         with np.errstate(over="ignore"):
-            assert len(contending_sources(pool(*sources), queue(*tasks))) >= 16
+            assert len(contending_sources(pool(*sources), queue(*tasks))) == width
             shortlisted_leases(tasks, sources)
 
     def test_no_live_task_keeps_none(self):
