@@ -19,6 +19,7 @@ from crlsim.simulator import POLICIES, SimConfig, WorkloadConfig, run
 from crlsim.cli import main
 from crlsim.metrics import load_report_csv
 
+from audit import report_violations
 from oracles import compute_matching_priority, compute_settlement_amount, oracle_round
 from records import SourceNode, Task, round_ids, table_of
 from scenarios import random_configs
@@ -112,18 +113,16 @@ def test_criterion_2_priority_conservation():
 
 
 def test_criterion_3_feasibility_postcondition():
-    # feasible_mask's exact rule, with no slack, on the default and lease-heavy
-    # runs and on the random scenarios at three step lengths.
+    # Every report invariant, feasible_mask's exact rule among them, with no
+    # slack, on the default and lease-heavy runs and on the random scenarios at
+    # three step lengths.
     dense = WorkloadConfig(task_arrival_rate=30.0, rate_range=(50.0, 400.0))
     configs = [SimConfig(steps=200, rng_seed=1, policy="crl"), SimConfig(steps=200, rng_seed=1, policy="crl", workload=dense),
                *(dataclasses.replace(cfg, step_seconds=t) for cfg in random_configs() for t in (0.3, 1.0, 2.5))]
     leases = 0
     for cfg in configs:
         report = run(cfg)
-        for r in report.assignment_records:
-            assert r.task_cycles_required <= r.source_cycles_per_second * r.source_idle_seconds, (cfg, r)
-            assert r.task_cycles_required / r.source_cycles_per_second <= r.task_deadline_s, (cfg, r)
-            assert r.busy_seconds == r.task_cycles_required / r.source_cycles_per_second, (cfg, r)
+        assert report_violations(report) == [], cfg
         leases += len(report.assignment_records)
     assert leases, "no run produced an assignment"
     _report(3, True, f"({leases} assignments over {len(configs)} runs audited)")
@@ -214,13 +213,7 @@ def test_criterion_6_byte_identical_cli_outputs(tmp_path):
 def test_criterion_7_task_accounting():
     configs = [dataclasses.replace(cfg, policy=policy) for cfg in random_configs() for policy in POLICIES]
     for cfg in configs:
-        report = run(cfg)
-        samples = report.samples
-        assert report.arrived_tasks == report.matched_tasks + report.migrated_tasks + report.pending_tasks, cfg
-        assert (report.matched_tasks == len(report.assignment_records) == len(report.settlement_records)
-                == sum(s.matched for s in samples)), cfg
-        assert report.migrated_tasks == sum(s.migrated for s in samples), cfg
-        assert [s.step for s in samples] == list(range(len(samples))), cfg
+        assert report_violations(run(cfg)) == [], cfg
     _report(7, True, f"({len(configs)} random scenarios over both policies, exact)")
 
 

@@ -34,6 +34,8 @@ from crlsim.metrics import emit_report
 from crlsim.model import WeightsConfig
 from crlsim.simulator import POLICIES, SimConfig, WorkloadConfig, run
 
+from audit import report_violations
+
 CASES = {
     "crl": SimConfig(rng_seed=1, policy="crl"),
     "cloud": SimConfig(rng_seed=1, policy="cloud"),
@@ -147,6 +149,7 @@ def test_reports_match_golden_digests(name):
     report = run(CASES[name])
     csv_sha, json_sha, counts = GOLDEN[name]
     assert (report.arrived_tasks, report.matched_tasks, report.migrated_tasks, report.pending_tasks) == counts
+    assert report_violations(report) == [], name
     assert digest(report, "csv") == csv_sha
     assert digest(report, "json") == json_sha
 

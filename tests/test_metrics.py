@@ -231,7 +231,8 @@ class TestEmit:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_csv_round_trip_exact(self, tmp_path):
-        for report in [run(SimConfig(steps=30, rng_seed=21)), run(EMPTY_POOL), *edge_reports()]:
+        dense = SimConfig(steps=60, rng_seed=1, workload=WorkloadConfig(task_arrival_rate=30.0, rate_range=(50.0, 400.0)))
+        for report in [run(SimConfig(steps=30, rng_seed=21)), run(dense), run(EMPTY_POOL), *edge_reports()]:
             path = tmp_path / "r.csv"
             emit_report(report, "csv", path)
             # repr tells -0.0 from 0.0, which == does not
