@@ -71,15 +71,17 @@ def build_config(scenario: dict, overrides: dict) -> SimConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _add_override_flags(p: argparse.ArgumentParser, with_policy: bool = True):
+def _add_override_flags(p: argparse.ArgumentParser, sets_itself: tuple[str, ...] = ()):
+    """Add a flag for every field except those the subcommand sets itself."""
     p.add_argument("--config", type=Path, help="scenario JSON file")
     p.add_argument("--out", type=Path, default=Path("."), help="output directory")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     for name, (_, f) in FIELDS.items():
+        if name in sets_itself:
+            continue
         flag = FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
         if isinstance(f.default, str):  # the policy
-            if with_policy:
-                p.add_argument(flag, choices=POLICIES, dest=name)
+            p.add_argument(flag, choices=POLICIES, dest=name)
         elif isinstance(f.default, tuple):
             p.add_argument(flag, type=_parse_range, dest=name, metavar="LO,HI")
         else:
@@ -118,10 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_override_flags(p_run)
 
     p_cmp = sub.add_parser("compare", help="run both policies on one seed and summarize deltas")
-    _add_override_flags(p_cmp, with_policy=False)
+    _add_override_flags(p_cmp, sets_itself=("policy",))
 
     p_sweep = sub.add_parser("sweep-w", help="run the leasing policy across several retry limits")
-    _add_override_flags(p_sweep, with_policy=False)
+    _add_override_flags(p_sweep, sets_itself=("policy", "max_rounds_w"))
     p_sweep.add_argument("--w-values", type=_parse_w_values, default=[1, 2, 3, 5], metavar="W1,W2,...")
     return parser
 
@@ -132,7 +134,8 @@ def _prepare(args) -> tuple[SimConfig, str]:
     if args.config is not None:
         scenario = load_scenario(args.config)
         name = args.config.stem
-    # build_config skips None, the value of every flag not given (run alone has --policy).
+    # build_config skips None, the value of every flag not given or not defined
+    # (a subcommand has no flag for a field it sets itself).
     return build_config(scenario, {k: getattr(args, k, None) for k in FIELDS}), name
 
 

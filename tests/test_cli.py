@@ -72,6 +72,15 @@ def test_tau_flag_rejected(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+def test_sweep_w_sets_w_itself(tmp_path, capsys):
+    # --w-values gives every W the sweep runs; a --max-rounds-w would be ignored.
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-w", "--max-rounds-w", "4", "--w-values", "1,2", "--steps", "5", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "--max-rounds-w" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_nested_key_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"workload": {"task_arrival_rate": 1.0, "oops": 2}}))
@@ -179,16 +188,18 @@ def _field_names():
     return names
 
 
+# extra: the flags a subcommand adds to the field flags, flag -> dest, and
+# those it drops (dest None) because it sets their field itself.
 @pytest.mark.parametrize("command, extra", [
     ("run", {"--policy": "policy"}),
     ("compare", {}),
-    ("sweep-w", {"--w-values": "w_values"}),
+    ("sweep-w", {"--w-values": "w_values", "--max-rounds-w": None}),
 ])
 def test_cli_surface_is_pinned(command, extra):
     actions = _subparser(command)._actions
     options = {opt: a.dest for a in actions for opt in a.option_strings}
     common = {"-h": "help", "--help": "help", "--config": "config", "--out": "out", "--format": "format"}
-    assert options == {**common, **FIELD_FLAGS, **extra}
+    assert options == {flag: dest for flag, dest in {**common, **FIELD_FLAGS, **extra}.items() if dest is not None}
     by_dest = {a.dest: a for a in actions}
     assert {d for d, a in by_dest.items() if a.metavar == "LO,HI"} == {d for d in FIELD_FLAGS.values() if d.endswith("_range")}
     if command == "run":

@@ -2,22 +2,31 @@
 
 A fixed seed gives byte-identical reports, so a change that leaves these
 digests alone preserves behaviour.  A change that moves one is a behaviour
-change: re-pin the digest and log old -> new in CHANGES.md.  The ``crl``,
-``cloud`` and ``lease-heavy`` cases are the benchmark's workloads on seed 1,
-and their digests and counts equal its records in ``perfbench/baseline/``
-(checked below, read-only).  ``lease-heavy-x16`` runs lease-heavy for 60
-steps at 16 times the source arrival rate, so its pool grows to about 28k
-rows and every round matches a wide shortlist.  The ``devices-2e32`` cases
-own their objects among ``2**32`` devices, so every step draws its arrivals
-one scalar at a time rather than from a replayed block; ``cloud-step-2.5-x4``
-ages a four-times-larger pool by an inexact 2.5 s a step.  ``crl-equal-rates``
+change: re-pin the digest and log old -> new in CHANGES.md.
+
+The ``crl``, ``cloud`` and ``lease-heavy`` cases are the benchmark's
+workloads on seed 1 (``crl`` is the default, W = 3).  Their digests and
+counts are not written here but read, read-only, from the benchmark's
+seed-1 records in ``perfbench/baseline/``, which also pin the counts of the
+benchmark's per-layer tracer (checked below).  Re-pinning one of them means
+re-recording its two baseline files with ``perfbench/run.py --workload NAME
+--trace 0`` and ``--trace 1``, which write their records to
+``perfbench/out/``.
+
+``lease-heavy-x16`` runs lease-heavy for 60 steps at 16 times the source
+arrival rate, so its pool grows to about 28k rows and every round matches a
+wide shortlist.  The ``devices-2e32`` cases own their objects among
+``2**32`` devices, so every step draws its arrivals one scalar at a time
+rather than from a replayed block; ``cloud-step-2.5-x4`` ages a
+four-times-larger pool by an inexact 2.5 s a step.  ``crl-equal-rates``
 gives every source one rate, so every preference value of a task ties and
 most shortlists are hundreds of rows wide.  ``crl-near-equal-rates`` draws
 the rates from within four ulps of 50, so sources of different rates often
 give a task one rounded quotient; each task still leases its fastest free
-feasible source, and these digests pin that rule.  Every float total in the reports
-is a left-to-right fold (``np.cumsum`` or a loop), not the builtin ``sum``,
-which CPython 3.12 made compensated.  The digests were taken on CPython 3.11.
+feasible source, and these digests pin that rule.  Every float total in the
+reports is a left-to-right fold (``np.cumsum`` or a loop), not the builtin
+``sum``, which CPython 3.12 made compensated.  The digests were taken on
+CPython 3.11.
 """
 
 import hashlib
@@ -42,7 +51,7 @@ CASES = {
     "lease-heavy": SimConfig(
         rng_seed=1, policy="crl", workload=WorkloadConfig(task_arrival_rate=30.0, rate_range=(50.0, 400.0))
     ),
-    **{f"w{w}": SimConfig(rng_seed=1, policy="crl", weights=WeightsConfig(max_rounds_w=w)) for w in (1, 2, 3, 5)},
+    **{f"w{w}": SimConfig(rng_seed=1, policy="crl", weights=WeightsConfig(max_rounds_w=w)) for w in (1, 2, 5)},
     "source-rate-x4": SimConfig(rng_seed=1, policy="crl", workload=WorkloadConfig(source_arrival_rate=120.0)),
     "lease-heavy-x16": SimConfig(
         rng_seed=1, policy="crl", steps=60,
@@ -62,23 +71,8 @@ CASES = {
     ),
 }
 
-# name -> (csv sha256, json sha256, (arrived, matched, migrated, pending))
+# Every other case, name -> (csv sha256, json sha256, (arrived, matched, migrated, pending)).
 GOLDEN = {
-    "crl": (
-        "6d6787803d3a6de5cb3db51bb5f75f8e4c750a8a23fbe5a72c05e2c478d4a6f6",
-        "74158b4282ae62e9f77c3c14153d85f1246cabd4d4851d62f84de5aa610ae1e6",
-        (1968, 494, 1456, 18),
-    ),
-    "cloud": (
-        "d5f7dfb225961640e3b8e719859ab3f1549cfbde9f91b9ca05d30c95dd8c6c68",
-        "379719a7597131115a79abad97eb2bcbfa94539dc319eea6d6754ebc86cc09b6",
-        (1968, 0, 1968, 0),
-    ),
-    "lease-heavy": (
-        "9f2499f3af9b6c0280a335eab1d7677c9a13f4ba9d68dc0f12d4bfb20d49b865",
-        "1faeefa4033df7cde2b6b33bc92c6b1cf59b140f87462eeda1e877bbc28835ae",
-        (6010, 5921, 87, 2),
-    ),
     "w1": (
         "65493a37b7e3ecd88682d8d50861ef2504cdb3c93492e8c1fed913aa235273fd",
         "6f8f3ea70642c5a67017b6e906e5f3aac56e53d200defc9e4430a6a37f732cdc",
@@ -88,12 +82,6 @@ GOLDEN = {
         "7ffa43b8fa0fecaf086e1e3580f425acb0a0d3b7f53006ee74d56262cab18b55",
         "2443dde1b2faa1340322cbfa7385650529551bebe9cfff159c7bd44dda2eac51",
         (1968, 494, 1465, 9),
-    ),
-    # W = 3 is the default, so it reproduces "crl"
-    "w3": (
-        "6d6787803d3a6de5cb3db51bb5f75f8e4c750a8a23fbe5a72c05e2c478d4a6f6",
-        "74158b4282ae62e9f77c3c14153d85f1246cabd4d4851d62f84de5aa610ae1e6",
-        (1968, 494, 1456, 18),
     ),
     "w5": (
         "61a0f6faae1cb1ea38b2243db88b1092bb588359d002b97ae471db470c3c1eed",
@@ -138,6 +126,42 @@ GOLDEN = {
 }
 
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+BENCH_WORKLOADS = {"crl": "default-crl", "cloud": "cloud-baseline", "lease-heavy": "lease-heavy"}
+# The layers whose traced counts the benchmark's seed-1 trace record pins.
+TRACED_COUNTS = {
+    "simulator.arrivals": ("tasks", "sources"),
+    "simulator.aging": ("items", "expired"),
+    "matching.greedy_match": ("leases", "unmatched"),
+    "matching.classify": ("deferred", "escalated"),
+    "settlement.apply": ("records", "floored"),
+}
+
+
+def perfbench_module(name):
+    """Load ``perfbench/<name>.py`` without putting ``perfbench/`` on the path."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def baseline_record(name, trace):
+    path = PERFBENCH / "baseline" / f"BENCH_{BENCH_WORKLOADS[name]}_seed1_trace{trace}.json"
+    return json.loads(path.read_text())
+
+
+def golden(name):
+    """(csv sha256, json sha256, (arrived, matched, migrated, pending)) of a case."""
+    if name not in BENCH_WORKLOADS:
+        return GOLDEN[name]
+    record = baseline_record(name, 0)
+    counts = record["counts"]
+    return (record["digests"]["csv_sha256"], record["digests"]["json_sha256"],
+            (counts["arrived"], counts["matched"], counts["migrated"], counts["pending"]))
+
+
 def digest(report, fmt):
     buffer = io.StringIO()
     emit_report(report, fmt, buffer)
@@ -147,7 +171,7 @@ def digest(report, fmt):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_reports_match_golden_digests(name):
     report = run(CASES[name])
-    csv_sha, json_sha, counts = GOLDEN[name]
+    csv_sha, json_sha, counts = golden(name)
     assert (report.arrived_tasks, report.matched_tasks, report.migrated_tasks, report.pending_tasks) == counts
     assert report_violations(report) == [], name
     assert digest(report, "csv") == csv_sha
@@ -162,24 +186,26 @@ def test_file_emission_matches_buffer(tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest(report, fmt)
 
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-BENCH_WORKLOADS = {"crl": "default-crl", "cloud": "cloud-baseline", "lease-heavy": "lease-heavy"}
-
-
-def bench_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
+@pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS))
+def test_golden_equals_benchmark_baseline(name):
+    workloads = perfbench_module("workloads").WORKLOADS
+    assert build_config(workloads[BENCH_WORKLOADS[name]].scenario, {"rng_seed": 1}) == CASES[name]
 
 
 @pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS))
-def test_golden_equals_benchmark_baseline(name):
-    workload = BENCH_WORKLOADS[name]
-    assert build_config(bench_workloads()[workload].scenario, {"rng_seed": 1}) == CASES[name]
-    record = json.loads((PERFBENCH / "baseline" / f"BENCH_{workload}_seed1_trace0.json").read_text())
-    csv_sha, json_sha, counts = GOLDEN[name]
-    assert record["digests"] == {"csv_sha256": csv_sha, "json_sha256": json_sha}
-    recorded = record["counts"]
-    assert (recorded["arrived"], recorded["matched"], recorded["migrated"], recorded["pending"]) == counts
+def test_traced_counts_equal_benchmark_baseline(name):
+    """The benchmark's tracer finds every layer it wraps in ``src/`` and counts
+    what its seed-1 trace record pins.  It looks the layers up by name, so a
+    renamed, deleted or re-shaped layer fails here."""
+    tracer_module = perfbench_module("tracer")
+    tracer = tracer_module.Tracer()
+    modules = {module: importlib.import_module(f"crlsim.{module}") for module, *_ in tracer_module.LAYERS}
+    with tracer_module.traced_layers(tracer, modules) as absent:
+        report = tracer.wrap(tracer_module.ROOT_SPAN, run)(CASES[name])
+    assert sorted(absent) == []
+    assert sorted(tracer.uncounted & TRACED_COUNTS.keys()) == []
+    keys = [f"{layer}.{count}" for layer, counts in TRACED_COUNTS.items() for count in counts]
+    recorded = baseline_record(name, 1)["metrics"]
+    assert {key: tracer.counts[key] for key in keys} == {key: recorded[key]["value"] for key in keys}
+    assert tracer.counts["matching.greedy_match.leases"] == report.matched_tasks
+    assert tracer.counts["settlement.apply.records"] == len(report.settlement_records)
