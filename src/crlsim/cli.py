@@ -73,6 +73,7 @@ def build_config(scenario: dict, overrides: dict) -> SimConfig:
 
 def _add_override_flags(p: argparse.ArgumentParser, sets_itself: tuple[str, ...] = ()):
     """Add a flag for every field except those the subcommand sets itself."""
+    p.set_defaults(sets_itself=sets_itself)
     p.add_argument("--config", type=Path, help="scenario JSON file")
     p.add_argument("--out", type=Path, default=Path("."), help="output directory")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -211,7 +212,10 @@ def main(argv=None) -> int:
     try:
         config, name = _prepare(args)
         args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "effective_config.json").write_text(json.dumps(dataclasses.asdict(config), indent=2) + "\n")
+        effective = dataclasses.asdict(config)
+        for field in args.sets_itself:  # the runs take the subcommand's value, not the merged one
+            effective.get(FIELDS[field][0], effective).pop(field)
+        (args.out / "effective_config.json").write_text(json.dumps(effective, indent=2) + "\n")
         return handlers[args.command](args, config, name)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,7 +2,10 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -227,6 +230,54 @@ def test_effective_config_round_trips(tmp_path):
     again = tmp_path / "again"
     assert main(["run", "--config", str(effective), "--out", str(again)]) == 0
     assert (again / "effective_config.json").read_bytes() == effective.read_bytes()
+
+
+@pytest.mark.parametrize("command, argv, sets_itself", [
+    ("compare", [], {"policy"}),
+    ("sweep-w", ["--w-values", "1,2"], {"policy", "max_rounds_w"}),
+], ids=["compare", "sweep-w"])
+def test_effective_config_leaves_out_what_the_subcommand_sets(tmp_path, command, argv, sets_itself):
+    cfg = tmp_path / "scen.json"
+    cfg.write_text(json.dumps({"weights": {"max_rounds_w": 4}, "policy": "cloud"}))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--steps", "5", *argv, "--out", str(out)]) == 0
+    effective = json.loads((out / "effective_config.json").read_text())
+    written = {*effective, *effective["weights"]}
+    assert {"policy", "max_rounds_w"} - written == sets_itself
+    assert build_config(effective, {}).steps == 5
+
+
+# Every report the three subcommands write with their defaults and --steps 5.
+CLI_REPORTS = {
+    "effective_config.json", "default_crl_seed1.csv", "default_cloud_seed1.csv", "default_compare_seed1.json",
+    "default_w1_crl_seed1.csv", "default_w2_crl_seed1.csv", "default_w3_crl_seed1.csv", "default_w5_crl_seed1.csv",
+}
+
+
+def _module_cli(*argv):
+    """``python -m crlsim.cli ARGV`` in a fresh interpreter, with warnings as errors."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error"}
+    return subprocess.run([sys.executable, "-m", "crlsim.cli", *argv], env=env, capture_output=True, text=True)
+
+
+def test_every_subcommand_writes_its_reports(tmp_path):
+    done = _module_cli("run", "--steps", "5", "--out", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert {p.name for p in tmp_path.iterdir() if p.stat().st_size} == {"effective_config.json", "default_crl_seed1.csv"}
+    for command in ("compare", "sweep-w"):
+        assert main([command, "--steps", "5", "--out", str(tmp_path)]) == 0
+    assert {p.name for p in tmp_path.iterdir() if p.stat().st_size} == CLI_REPORTS
+
+
+def test_module_entry_point_exits_2_on_a_huge_step_seconds(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"step_seconds": 1' + "0" * 400 + "}")
+    done = _module_cli("run", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert done.returncode == 2
+    assert "step_seconds" in done.stderr
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("flag, value, field, section", [

@@ -33,6 +33,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -209,3 +210,23 @@ def test_traced_counts_equal_benchmark_baseline(name):
     assert {key: tracer.counts[key] for key in keys} == {key: recorded[key]["value"] for key in keys}
     assert tracer.counts["matching.greedy_match.leases"] == report.matched_tasks
     assert tracer.counts["settlement.apply.records"] == len(report.settlement_records)
+
+
+def test_readme_deviation_figures():
+    """README's "Deviations from the paper" quotes figures of the seed-1
+    benchmark runs: the occupancy audit of ``default-crl`` and ``lease-heavy``
+    from their records, and the self-leases of ``default-crl``."""
+    readme = (PERFBENCH.parent / "README.md").read_text()
+    section = re.search(r"^### Deviations from the paper\n(.*?)^#", readme, re.M | re.S).group(1)
+    deviations = " ".join(section.split())
+    quoted = re.findall(r"`([\w-]+)`: (\d+) of (\d+) leases overlap an earlier lease on their source, "
+                        r"and (\d+) would finish after their deadline", deviations)
+    records = {BENCH_WORKLOADS[name]: baseline_record(name, 0) for name in ("crl", "lease-heavy")}
+    assert {workload: tuple(map(int, figures)) for workload, *figures in quoted} == {
+        workload: (record["audit"]["overlapping_leases"], record["counts"]["leases"], record["audit"]["late_if_serial"])
+        for workload, record in records.items()
+    }
+    leases = run(CASES["crl"]).settlement_records
+    self_leases = sum(lease.receiver_device == lease.provider_device for lease in leases)
+    quoted = re.search(r"On `default-crl`, (\d+) of (\d+) leases have receiver == provider", deviations)
+    assert tuple(map(int, quoted.groups())) == (self_leases, len(leases))
