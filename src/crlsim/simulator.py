@@ -276,7 +276,8 @@ def _age_state(state: SimState) -> tuple:
     deferred a task has already aged its deadline.
 
     Returns ``()``: perfbench's tracer counts its length as expired tasks,
-    and CI requires the aging layer to be counted.
+    and Tier-1's ``test_traced_counts_equal_benchmark_baseline`` requires
+    the aging layer to be counted.
     """
     state.pool.age(state.config.step_seconds)
     return ()

@@ -1,9 +1,14 @@
-"""The random scenarios of acceptance criterion 7, for every test that sweeps them."""
+"""Workloads and scenarios that several test modules run: the benchmark's
+lease-heavy workload and the random scenarios of acceptance criterion 7."""
 
 import random
 
 from crlsim.model import WeightsConfig
 from crlsim.simulator import SimConfig, WorkloadConfig
+
+# The benchmark's lease-heavy workload: 3x the task rate and fast sources, so
+# the matrix is dense and about 30 tasks lease a step.
+LEASE_HEAVY = WorkloadConfig(task_arrival_rate=30.0, rate_range=(50.0, 400.0))
 
 
 def random_configs(count=50, seed=4242):

@@ -29,6 +29,7 @@ reports is a left-to-right fold (``np.cumsum`` or a loop), not the builtin
 CPython 3.11.
 """
 
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -45,18 +46,16 @@ from crlsim.model import WeightsConfig
 from crlsim.simulator import POLICIES, SimConfig, WorkloadConfig, run
 
 from audit import report_violations
+from scenarios import LEASE_HEAVY
 
 CASES = {
     "crl": SimConfig(rng_seed=1, policy="crl"),
     "cloud": SimConfig(rng_seed=1, policy="cloud"),
-    "lease-heavy": SimConfig(
-        rng_seed=1, policy="crl", workload=WorkloadConfig(task_arrival_rate=30.0, rate_range=(50.0, 400.0))
-    ),
+    "lease-heavy": SimConfig(rng_seed=1, policy="crl", workload=LEASE_HEAVY),
     **{f"w{w}": SimConfig(rng_seed=1, policy="crl", weights=WeightsConfig(max_rounds_w=w)) for w in (1, 2, 5)},
     "source-rate-x4": SimConfig(rng_seed=1, policy="crl", workload=WorkloadConfig(source_arrival_rate=120.0)),
     "lease-heavy-x16": SimConfig(
-        rng_seed=1, policy="crl", steps=60,
-        workload=WorkloadConfig(task_arrival_rate=30.0, rate_range=(50.0, 400.0), source_arrival_rate=480.0),
+        rng_seed=1, policy="crl", steps=60, workload=dataclasses.replace(LEASE_HEAVY, source_arrival_rate=480.0)
     ),
     **{f"{policy}-devices-2e32": SimConfig(rng_seed=1, policy=policy, steps=60, workload=WorkloadConfig(device_count=2**32))
        for policy in POLICIES},

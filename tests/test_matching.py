@@ -411,6 +411,18 @@ class TestGreedyMatch:
 ULP = float(np.nextafter(0.0, 1.0))  # the smallest subnormal float
 NEAR = float(np.nextafter(100.0, 0))  # over 42.63658650225366 cycles, NEAR and 100 give one quotient
 
+# A task and two sources whose rates differ but whose quotients for the task
+# round equal: one ulp apart in rate, both overflowing to inf, or 3 and 4
+# ulps over 3 cycles both rounding to one ulp.  Source 1 is the faster.
+# name -> (task, sources, the tied quotient where it is pinned)
+TIES = {
+    "near-tie": (task(0, cycles=42.63658650225366, deadline=100),
+                 [source(0, cal=NEAR, idle=100), source(1, cal=100.0, idle=100)], None),
+    "overflow": (task(0, cycles=1e-10), [source(0, cal=1e299, idle=1), source(1, cal=1e300, idle=1)], float("inf")),
+    "subnormal": (task(0, cycles=3.0, deadline=float("inf")),
+                  [source(0, cal=3 * ULP, idle=float("inf")), source(1, cal=4 * ULP, idle=float("inf"))], ULP),
+}
+
 
 class TestWalk:
     """Equal quotients from different rates, which rank apart: each task
@@ -494,14 +506,16 @@ class TestContendingSources:
         assert rows.tolist() == [1, 3]
         assert shortlisted_leases([task(0, cycles=10)], sources) == [(0, 1)]
 
-    def test_near_tie_goes_to_the_faster_source(self):
-        # One ulp apart in rate, equal in quotient: source 1 is faster, so
-        # the shortlist keeps it alone and it leases.
-        sources = [source(0, cal=float(np.nextafter(100.0, 0)), idle=100), source(1, cal=100.0, idle=100)]
-        t = task(0, cycles=42.63658650225366, deadline=100)
-        assert cell(sources[0], t) == cell(sources[1], t)
-        assert contending_sources(pool(*sources), queue(t)).tolist() == [1]
-        assert shortlisted_leases([t], sources) == [(0, 1)]
+    @pytest.mark.parametrize("name", TIES)
+    def test_tied_quotients_go_to_the_faster_source(self, name):
+        # Equal in quotient, apart in rate: the shortlist keeps the faster
+        # source alone and it leases.
+        t, sources, quotient = TIES[name]
+        with np.errstate(over="ignore"):
+            assert cell(sources[0], t) == cell(sources[1], t)
+            assert quotient is None or cell(sources[0], t) == quotient
+            assert contending_sources(pool(*sources), queue(t)).tolist() == [1]
+            assert shortlisted_leases([t], sources) == [(0, 1)]
 
     def test_drops_a_source_one_ulp_slower_than_the_bound(self):
         # Two live tasks and two universal sources at rate 100, so r_k is
@@ -512,32 +526,12 @@ class TestContendingSources:
         assert contending_sources(pool(*sources), queue(*tasks)).tolist() == [1, 2, 3]
         assert shortlisted_leases(tasks, sources) == [(0, 1), (1, 2)]
 
-    def test_overflowing_quotients_tie(self):
-        # Both quotients are inf, but source 1 is faster and leases.
-        t = task(0, cycles=1e-10)
-        sources = [source(0, cal=1e299, idle=1), source(1, cal=1e300, idle=1)]
-        with np.errstate(over="ignore"):
-            assert cell(sources[0], t) == cell(sources[1], t) == float("inf")
-            assert shortlisted_leases([t], sources) == [(0, 1)]
-
-    def test_subnormal_quotients_tie(self):
-        # 3 and 4 ulps over 3 cycles both round to one subnormal ulp, but
-        # source 1 is faster and leases.
-        t = task(0, cycles=3.0, deadline=float("inf"))
-        sources = [source(0, cal=3 * ULP, idle=float("inf")), source(1, cal=4 * ULP, idle=float("inf"))]
-        with np.errstate(over="ignore"):
-            assert cell(sources[0], t) == cell(sources[1], t) == ULP
-            assert shortlisted_leases([t], sources) == [(0, 1)]
-
     def test_leaves_its_inputs_alone(self):
         # The k-th largest rate is found by partitioning in place, which must
         # touch only the shortlist's own gather of the rates.
         rng = random.Random(8)
-        ulp = float(np.nextafter(0.0, 1.0))
         cases = [tied_instance(rng)[:2] for _ in range(100)]
-        cases.append(([task(0, cycles=1e-10)], [source(0, cal=1e299, idle=1), source(1, cal=1e300, idle=1)]))
-        cases.append(([task(0, cycles=3.0, deadline=float("inf"))],
-                      [source(0, cal=3 * ulp, idle=float("inf")), source(1, cal=4 * ulp, idle=float("inf"))]))
+        cases += [([t], sources) for t, sources, _ in TIES.values()]
         for tasks, sources in cases:
             p, q = pool(*rng.sample(sources, len(sources))), queue(*tasks)
             columns = [(table, name, getattr(table, name)) for table in (p, q) for name in table.__dataclass_fields__]
@@ -554,14 +548,7 @@ class TestContendingSources:
         assert shortlisted_leases(tasks, sources) == [(2, 1), (1, 2), (0, 0)]
 
     @pytest.mark.parametrize("tasks, sources, width", [
-        pytest.param([task(0, cycles=42.63658650225366, deadline=100)],
-                     [source(0, cal=float(np.nextafter(100.0, 0)), idle=100), source(1, cal=100.0, idle=100)], 8,
-                     id="near-tie"),
-        pytest.param([task(0, cycles=1e-10)], [source(0, cal=1e299, idle=1), source(1, cal=1e300, idle=1)], 8,
-                     id="overflow"),
-        pytest.param([task(0, cycles=3.0, deadline=float("inf"))],
-                     [source(0, cal=3 * ULP, idle=float("inf")), source(1, cal=4 * ULP, idle=float("inf"))], 8,
-                     id="subnormal"),
+        *(pytest.param([t], sources, 8, id=name) for name, (t, sources, _) in TIES.items()),
         pytest.param([task(0, cycles=500), task(1, cycles=10), task(2, cycles=5)],
                      [source(0, cal=10, idle=100), source(1, cal=50, idle=1), source(2, cal=20, idle=1)], 24,
                      id="fewer-universal"),

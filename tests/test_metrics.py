@@ -26,6 +26,7 @@ from crlsim.settlement import SettlementRecord
 from crlsim.simulator import SimConfig, WorkloadConfig, run
 
 from records import SourceNode, table_of
+from scenarios import LEASE_HEAVY
 
 
 def sample(step, policy="crl", idle=0.0, matched=0, deferred=0, migrated=0, mig_v=0.0, mig_c=0.0):
@@ -37,8 +38,7 @@ def sample(step, policy="crl", idle=0.0, matched=0, deferred=0, migrated=0, mig_
 BIG = 2**53 + 1  # the first int a float cannot hold
 # Values near the float limit pass WorkloadConfig, and within 5 steps the run's
 # settlement amounts and ledger overflow to infinities and NaN.
-OVERFLOW = SimConfig(steps=5, workload=WorkloadConfig(value_range=(1e308, 1e308), task_arrival_rate=30.0,
-                                                      rate_range=(50.0, 400.0)))
+OVERFLOW = SimConfig(steps=5, workload=dataclasses.replace(LEASE_HEAVY, value_range=(1e308, 1e308)))
 # No arrivals, so every step samples an empty pool.
 EMPTY_POOL = SimConfig(steps=3, workload=WorkloadConfig(task_arrival_rate=0.0, source_arrival_rate=0.0))
 
@@ -231,7 +231,7 @@ class TestEmit:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_csv_round_trip_exact(self, tmp_path):
-        dense = SimConfig(steps=60, rng_seed=1, workload=WorkloadConfig(task_arrival_rate=30.0, rate_range=(50.0, 400.0)))
+        dense = SimConfig(steps=60, rng_seed=1, workload=LEASE_HEAVY)
         for report in [run(SimConfig(steps=30, rng_seed=21)), run(dense), run(EMPTY_POOL), *edge_reports()]:
             path = tmp_path / "r.csv"
             emit_report(report, "csv", path)
@@ -260,8 +260,7 @@ class TestEmit:
             assert path.read_text() == json.dumps(asdict_payload(report), indent=2) + "\n"
 
     def test_rows_and_columns_emit_the_same_bytes(self):
-        dense = WorkloadConfig(task_arrival_rate=30.0, rate_range=(50.0, 400.0))
-        simulated = [run(SimConfig(steps=25, rng_seed=4)), run(SimConfig(steps=25, rng_seed=5, workload=dense)), run(OVERFLOW)]
+        simulated = [run(SimConfig(steps=25, rng_seed=4)), run(SimConfig(steps=25, rng_seed=5, workload=LEASE_HEAVY)), run(OVERFLOW)]
         assert len(simulated[1].settlement_records) > REPORT_SLICE
         for report in [*simulated, *edge_reports(), awkward_report(REPORT_SLICE + 1)]:
             expected = json.dumps(asdict_payload(report), indent=2) + "\n"
@@ -334,9 +333,8 @@ class TestEmit:
         def refuse(*args, **kwargs):
             raise AssertionError("a report took a slow writer")
 
-        dense = WorkloadConfig(task_arrival_rate=30.0, rate_range=(50.0, 400.0))
         workloads = [run(SimConfig(rng_seed=1, policy=policy)) for policy in ("crl", "cloud")]
-        workloads.append(run(SimConfig(rng_seed=1, policy="crl", workload=dense)))
+        workloads.append(run(SimConfig(rng_seed=1, policy="crl", workload=LEASE_HEAVY)))
         monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
         monkeypatch.setattr(csv, "writer", refuse)
         for report in workloads:
@@ -417,10 +415,3 @@ class TestCompare:
         b = SimReport(policy="cloud", seed=0, samples=[sample(0), sample(1)])
         with pytest.raises(ValueError):
             compare_reports(a, b)
-
-    def test_crl_vs_cloud_migration_dominance(self):
-        a = run(SimConfig(steps=50, rng_seed=6, policy="crl"))
-        b = run(SimConfig(steps=50, rng_seed=6, policy="cloud"))
-        migrated = deltas(a, b, "migrated_value_cum")
-        assert all(d <= 1e-9 for d in migrated)
-        assert compare_reports(a, b).frac_migrated_a_le_b == share_at_most_zero(migrated)

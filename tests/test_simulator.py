@@ -28,10 +28,9 @@ from crlsim.simulator import (
 from audit import report_violations
 from oracles import oracle_arrivals, oracle_run, oracle_settlements
 from records import SourceNode, Task, nodes_of, rows_of, table_of, tasks_of
-from scenarios import random_configs
+from scenarios import LEASE_HEAVY, random_configs
 
 QUIET = WorkloadConfig(task_arrival_rate=0.0, source_arrival_rate=0.0)
-LEASE_HEAVY = WorkloadConfig(task_arrival_rate=30.0, rate_range=(50.0, 400.0))
 
 
 def as_objects(arrivals):
@@ -62,17 +61,9 @@ class FixedCounts:
 
 
 class TestWorkloadConfig:
-    def test_rejects_negative_rate(self):
-        with pytest.raises(ValueError):
-            WorkloadConfig(task_arrival_rate=-1.0)
-
     def test_rejects_inverted_range(self):
         with pytest.raises(ValueError):
             WorkloadConfig(cycles_range=(10.0, 1.0))
-
-    def test_rejects_nonpositive_cycles(self):
-        with pytest.raises(ValueError):
-            WorkloadConfig(cycles_range=(0.0, 10.0))
 
     @pytest.mark.parametrize("field", ["task_arrival_rate", "source_arrival_rate"])
     def test_rate_limit_is_numpys_poisson_limit(self, field):
@@ -109,10 +100,6 @@ class TestWorkloadConfig:
 
 
 class TestSimConfig:
-    def test_rejects_zero_steps(self):
-        with pytest.raises(ValueError):
-            SimConfig(steps=0)
-
     def test_rejects_bad_policy(self):
         with pytest.raises(ValueError):
             SimConfig(policy="edge")
@@ -219,37 +206,11 @@ def test_declared_bounds_are_enforced(cls, f):
 
 
 class TestGenerateArrivals:
-    def test_zero_rates_yield_nothing(self):
-        stream = ArrivalStream(QUIET, np.random.default_rng(0), 20)
-        for _ in range(20):
-            tasks, sources = as_objects(generate_arrivals(stream))
-            assert tasks == [] and sources == []
-
-    def test_fixed_seed_reproducible(self):
-        wl = WorkloadConfig()
-        a = as_objects(generate_arrivals(ArrivalStream(wl, np.random.default_rng(42))))
-        b = as_objects(generate_arrivals(ArrivalStream(wl, np.random.default_rng(42))))
-        assert a == b
-
     def test_sample_mean_matches_poisson_rate(self):
         wl = WorkloadConfig(task_arrival_rate=3.0, source_arrival_rate=0.0)
         stream = ArrivalStream(wl, np.random.default_rng(7), 10_000)
         total = sum(len(generate_arrivals(stream)[0]) for _ in range(10_000))
         assert 2.9 <= total / 10_000 <= 3.1
-
-    def test_monotone_identifiers(self):
-        wl = WorkloadConfig()
-        stream = ArrivalStream(wl, np.random.default_rng(1), 10)
-        next_t, next_s = 0, 0
-        seen_t, seen_s = [], []
-        for _ in range(10):
-            tasks, sources = as_objects(generate_arrivals(stream, next_t, next_s))
-            seen_t += [t.task_id for t in tasks]
-            seen_s += [s.source_id for s in sources]
-            next_t += len(tasks)
-            next_s += len(sources)
-        assert seen_t == sorted(set(seen_t))
-        assert seen_s == sorted(set(seen_s))
 
     def test_fields_within_ranges(self):
         wl = WorkloadConfig()
@@ -266,7 +227,7 @@ class TestGenerateArrivals:
 # name -> (workload, whether the exact replay may fall back to scalar draws)
 REPLAY_SHAPES = {
     "default": (WorkloadConfig(), False),
-    "lease-heavy": (WorkloadConfig(task_arrival_rate=30.0, rate_range=(50.0, 400.0)), False),
+    "lease-heavy": (LEASE_HEAVY, False),
     "one-device": (WorkloadConfig(source_arrival_rate=10.0, device_count=1), False),
     "low-rates": (WorkloadConfig(task_arrival_rate=0.3, source_arrival_rate=0.6, device_count=7), False),
     "no-tasks": (WorkloadConfig(task_arrival_rate=0.0, source_arrival_rate=2.0, device_count=2), False),
@@ -663,23 +624,6 @@ class TestEscalate:
 
 
 class TestRun:
-    def test_determinism(self):
-        a = run(SimConfig(steps=100, rng_seed=11))
-        b = run(SimConfig(steps=100, rng_seed=11))
-        assert a == b
-
-    def test_crl_migrates_no_more_than_cloud_each_step(self):
-        crl = run(SimConfig(steps=100, rng_seed=2, policy="crl"))
-        cloud = run(SimConfig(steps=100, rng_seed=2, policy="cloud"))
-        for sa, sb in zip(crl.samples, cloud.samples):
-            assert sa.migrated_value_cum <= sb.migrated_value_cum + 1e-9
-
-    def test_crl_idle_capacity_never_above_cloud(self):
-        crl = run(SimConfig(steps=100, rng_seed=3, policy="crl"))
-        cloud = run(SimConfig(steps=100, rng_seed=3, policy="cloud"))
-        for sa, sb in zip(crl.samples, cloud.samples):
-            assert sa.idle_capacity <= sb.idle_capacity + 1e-6
-
     def test_mid_run_report_stays_as_taken(self):
         config = SimConfig(steps=10, rng_seed=1)
         state, stopped = SimState(config), SimState(config)
@@ -754,32 +698,22 @@ class TestRun:
         assert n == len(report.settlement_records) == report.matched_tasks > 0
         assert len(list(report.assignment_records)) == n and built == [AssignmentRecord] * n
 
-    def test_lease_busy_seconds_are_cycles_over_rate(self):
-        report = run(SimConfig(steps=60, rng_seed=6))
-        assert report.assignment_records
-        assert report_violations(report) == []
-
     def test_task_accounting_closed(self):
-        # The default scenario on seeds 0-4 under both policies, then runs it
-        # does not reach: x16 sources whose idle range starts at 0, the dense
-        # matrix, an inexact 2.5 s step and arrivals among 2**32 devices.
+        # The default scenario on seeds 0-4 under both policies, on seed 6 and
+        # on seed 4 at 80 steps, then runs it does not reach: x16 sources whose
+        # idle range starts at 0, the dense matrix, an inexact 2.5 s step and
+        # arrivals among 2**32 devices.  Every crl run leases.
         configs = [SimConfig(steps=60, rng_seed=seed, policy=policy)
                    for seed, policy in itertools.product(range(5), ("crl", "cloud"))]
         configs += [
+            SimConfig(steps=60, rng_seed=6),
+            SimConfig(steps=80, rng_seed=4),
             SimConfig(steps=60, rng_seed=1, workload=WorkloadConfig(source_arrival_rate=480.0, idle_range=(0.0, 80.0))),
             SimConfig(steps=60, rng_seed=1, workload=LEASE_HEAVY),
             SimConfig(steps=60, rng_seed=1, step_seconds=2.5),
             SimConfig(steps=20, rng_seed=1, workload=WorkloadConfig(device_count=2**32)),
         ]
         for config in configs:
-            assert report_violations(run(config)) == [], config
-
-    def test_migration_non_increasing_in_w(self):
-        finals = []
-        for w in (1, 2, 3, 5):
-            cfg = SimConfig(steps=100, rng_seed=1, weights=WeightsConfig(max_rounds_w=w))
-            finals.append(run(cfg).samples[-1].migrated_value_cum)
-        assert all(a >= b - 1e-9 for a, b in zip(finals, finals[1:]))
-
-    def test_cumulative_series_non_decreasing(self):
-        assert report_violations(run(SimConfig(steps=80, rng_seed=4))) == []
+            report = run(config)
+            assert report_violations(report) == [], config
+            assert bool(report.assignment_records) == (config.policy == "crl"), config
