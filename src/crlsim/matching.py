@@ -44,11 +44,11 @@ def feasible_mask(pool: SourcePool, queue: TaskQueue) -> np.ndarray:
 
     Cell (i, j) is set where the pool's j-th source can finish the queue's
     i-th task within both its idle window and the task deadline: ``cycles
-    <= rate * idle`` and ``cycles / rate <= deadline``.
+    <= pool.capacity()`` and ``cycles / rate <= deadline``.
     """
     cycles = queue.cycles[:, None]
     ok = cycles / pool.rate <= queue.deadline[:, None]
-    ok &= cycles <= pool.rate * pool.idle
+    ok &= cycles <= pool.capacity()
     return ok
 
 
@@ -138,8 +138,8 @@ def contending_sources(pool: SourcePool, ordered: TaskQueue) -> np.ndarray:
     capacity holds its cycles; rounded division is monotonic, so no source
     can serve any other task.  With ``k`` live tasks, ``cmax`` their largest
     cycles and ``r_k`` the k-th largest rate among the universal sources
-    (those with ``rate * idle >= cmax``), the rows kept are those with
-    ``rate >= r_k``.
+    (those whose ``capacity()`` is at least ``cmax``), the rows kept are
+    those with ``rate >= r_k``.
 
     Nothing dropped could win.  Only live tasks lease, so at most ``k - 1``
     leases precede any live task, and one of the ``k`` fastest universal
@@ -150,21 +150,16 @@ def contending_sources(pool: SourcePool, ordered: TaskQueue) -> np.ndarray:
     rate is kept, its lowest source_id among them.
 
     All live rows are kept when fewer than ``k`` sources are universal.  No
-    live task gives no rows.  Dead rows (``idle <= 0``, so ``capacity <= 0 <
-    cycles``) are never kept, universal or the largest capacity.  A dead
-    ``fastest`` can only mark more tasks live, raising ``k`` and ``cmax``
-    (so lowering ``r_k``); that widens the rows kept, and the argument holds
-    for any superset of the live tasks.
+    live task, as in an empty pool, gives no rows.  Dead rows are never kept
+    (see ``SourcePool``); a dead ``fastest`` only marks more tasks live, and
+    the argument holds for any superset of the live tasks.
     """
-    if not len(pool.ids):
-        return np.arange(0)
-    rate, cycles = pool.rate, ordered.cycles
-    capacity = rate * pool.idle
-    fastest = np.maximum.reduce(rate)
-    live = ((cycles / fastest <= ordered.deadline) & (cycles <= np.maximum.reduce(capacity))).nonzero()[0]
+    rate, cycles, capacity = pool.rate, ordered.cycles, pool.capacity()
+    fastest = np.maximum.reduce(rate, initial=-np.inf)
+    live = ((cycles / fastest <= ordered.deadline) & (cycles <= np.maximum.reduce(capacity, initial=-np.inf))).nonzero()[0]
     k = len(live)
     if not k:
-        return np.arange(0)
+        return live
     cmax = np.maximum.reduce(cycles[live])
     universal = rate[capacity >= cmax]  # a fresh gather, so it may be partitioned in place
     bound = -np.inf  # every row, unless the argument above applies
@@ -172,7 +167,7 @@ def contending_sources(pool: SourcePool, ordered: TaskQueue) -> np.ndarray:
         universal.partition(-k)
         bound = universal[-k]
     rows = (rate >= bound).nonzero()[0]
-    return rows[pool.idle[rows] > 0.0]
+    return rows[capacity[rows] > 0.0]
 
 
 def full_round(queue: TaskQueue, pool: SourcePool, ledger: dict[int, float], weights: WeightsConfig) -> tuple[TaskQueue, MatchResult]:

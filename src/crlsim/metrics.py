@@ -78,16 +78,16 @@ class ComparisonSummary:
 
 
 def idle_capacity(pool: SourcePool) -> float:
-    """Total deliverable cycles left in the unassigned source pool.
+    """Total deliverable cycles left in the unassigned source pool, the sum of ``pool.capacity()``.
 
-    The products are added left to right in ascending source_id order by
+    The capacities are added left to right in ascending source_id order by
     ``cumsum``, as the builtin ``sum`` of CPython <= 3.11 adds them;
     ``np.sum`` adds pairwise and would change the last bits of the reports.
-    Dead rows (``idle <= 0``) add ``+0.0``, which changes no partial sum; no live row gives 0.0.
+    Dead rows (``idle <= 0``) add ``+0.0``, which changes no partial sum.
     """
     if not len(pool.ids):
         return 0.0
-    return float(np.maximum(pool.rate * pool.idle, 0.0).cumsum()[-1])
+    return float(np.maximum(pool.capacity(), 0.0).cumsum()[-1])
 
 
 REPORT_SLICE = 256  # records per slice, which bounds the temporary token lists

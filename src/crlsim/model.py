@@ -57,7 +57,7 @@ class SourcePool(_Table):
 
     The columns are views of the first rows of buffers the pool owns, grown
     by doubling and written in place; given columns are copied on the first
-    write.  A row with ``idle <= 0`` is dead: ``rate * idle <= 0`` holds no
+    write.  A row with ``idle <= 0`` is dead: its ``capacity()`` holds no
     task's cycles, so it wins no lease.  It stays, in id order, until a
     compaction drops it: ``len(pool.ids)`` counts it, ``len(pool)`` does not.
     """
@@ -72,6 +72,10 @@ class SourcePool(_Table):
     def __len__(self) -> int:
         """The live rows: one pass over the window, for callers off the hot path."""
         return int(np.count_nonzero(self.idle > 0.0))
+
+    def capacity(self) -> np.ndarray:
+        """A new array of the cycles each row can still deliver, ``rate * idle``, ``<= 0`` if dead."""
+        return self.rate * self.idle
 
     def _window(self, rows: int) -> None:
         ids, owners, idle, rate = self._buffers

@@ -113,8 +113,9 @@ def test_sweep_w_writes_the_report_of_each_w(tmp_path):
 
 
 @pytest.mark.parametrize(("w_values", "error"),
-                         [("0", "every W must be >= 1"), ("2,-1", "every W must be >= 1"), ("2,2", "every W must differ")],
-                         ids=["0", "2,-1", "2,2"])
+                         [("0", "every W must be >= 1"), ("2,-1", "every W must be >= 1"), ("2,2", "every W must differ"),
+                          ("x", "bad W list 'x': invalid literal for int()"), (",", "W list is empty")],
+                         ids=["0", "2,-1", "2,2", "x", ","])
 def test_sweep_w_rejects_w_below_one(tmp_path, capsys, w_values, error):
     # A repeated W would run twice and overwrite its own report.
     out = tmp_path / "sweep"
@@ -281,15 +282,32 @@ def test_non_finite_value_rejected(tmp_path, capsys, flag, value, field, section
         cls(**{field: parsed})
 
 
-@pytest.mark.parametrize("body", [{"weights": 5}, {"weights": [1]}, {"workload": "fast"}])
+@pytest.mark.parametrize("body", [{"weights": 5}, {"weights": [1]}, {"workload": "fast"}, [1]])
 def test_section_that_is_not_an_object_rejected(tmp_path, capsys, body):
+    # The last file is not an object itself.
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(body))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    section = next(iter(body))
-    assert f"{section} must hold a JSON object" in capsys.readouterr().err
-    with pytest.raises(ConfigError, match=section):
+    where = f"{path}:{next(iter(body))}" if isinstance(body, dict) else f"config {path}"
+    assert f"{where} must hold a JSON object" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match=re.escape(where)):
         load_scenario(path)
+
+
+def test_range_flag_of_one_number_rejected(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--rate-range", "5", "--steps", "2", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "expected LO,HI, got '5'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_out_below_a_regular_file_exits_1(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["run", "--steps", "2", "--out", str(blocker / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker / "o") in err
 
 
 @pytest.mark.parametrize("body, field", [

@@ -552,6 +552,9 @@ class TestContendingSources:
         pytest.param([task(0, cycles=500), task(1, cycles=10), task(2, cycles=5)],
                      [source(0, cal=10, idle=100), source(1, cal=50, idle=1), source(2, cal=20, idle=1)], 24,
                      id="fewer-universal"),
+        pytest.param([task(0, cycles=500), task(1, cycles=10)],
+                     [source(0, cal=10, idle=100), source(1, cal=0.5, idle=5e-324)], 8,
+                     id="capacity-underflows"),
     ])
     def test_cases_above_at_ranked_width(self, tasks, sources, width):
         # Eight copies of every task and source.  The near-tie, overflowing
@@ -559,7 +562,9 @@ class TestContendingSources:
         # shuffled ids give a slower source the lower id in some of those
         # ties: the shortlist keeps only the eight copies of the faster
         # source, which lease in ascending id.  With fewer universal
-        # sources than live tasks it keeps all 24 rows.
+        # sources than live tasks it keeps all 24 rows, and of those whose
+        # idle time is positive but whose rate * idle underflows to 0 it
+        # keeps none, though their rate passes the bound.
         tasks, sources = widened(tasks, sources)
         with np.errstate(over="ignore"):
             assert len(contending_sources(pool(*sources), queue(*tasks))) == width

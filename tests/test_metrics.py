@@ -223,13 +223,6 @@ class TestEmit:
         emit_report(SimReport(policy="crl", seed=0), "csv", path)
         assert path.read_text() == ",".join(CSV_COLUMNS) + "\n"
 
-    def test_double_emission_byte_identical(self, tmp_path):
-        report = run(SimConfig(steps=20, rng_seed=9))
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_report(report, "csv", p1)
-        emit_report(report, "csv", p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
     def test_csv_round_trip_exact(self, tmp_path):
         dense = SimConfig(steps=60, rng_seed=1, workload=LEASE_HEAVY)
         for report in [run(SimConfig(steps=30, rng_seed=21)), run(dense), run(EMPTY_POOL), *edge_reports()]:
@@ -350,6 +343,12 @@ class TestEmit:
         path = tmp_path / "r.csv"
         path.write_text(",".join(CSV_COLUMNS) + "\n0,crl,0.0,0,0,0,0.0,0.0\n" + row + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path} line 3: ")):
+            load_report_csv(path)
+
+    def test_csv_of_wrong_header_rejected(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("step,policy\n0,crl\n")
+        with pytest.raises(ValueError, match=re.escape(f"unexpected CSV columns in {path}: ['step', 'policy']")):
             load_report_csv(path)
 
     def test_unknown_format_rejected(self, tmp_path):

