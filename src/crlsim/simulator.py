@@ -4,7 +4,6 @@ plus the all-to-cloud baseline policy."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -53,135 +52,57 @@ class SimConfig:
             raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
 
 
-# Words after which a replay block takes no further step: each step's raw words,
-# and _STEP_WORDS for its counts, raw array and column views (about 530 bytes).
-ARRIVAL_WORDS = 12288
-_STEP_WORDS = 64
-# Offsets back from the end of an object's words to its uniforms.
-_TASK_UNIFORMS = np.array([[3], [2], [1]])
-_SOURCE_UNIFORMS = np.array([[2], [1]])
+# Objects after which a block of arrival steps takes no further step: a block
+# takes max(1, ARRIVAL_OBJECTS // (task rate + source rate + 1)) steps.
+ARRIVAL_OBJECTS = 4096
 
 
 class ArrivalStream:
-    """The arrival draws of one run, handed out step by step.
+    """The arrival draws of a run of ``steps`` steps, handed out step by step.
 
-    ``_draw_scalars`` defines the stream.  On a PCG64 generator with
-    ``device_count < 2**32``, ``_replay`` draws a block of steps at once, bit
-    for bit the same, never past ``steps`` steps in all and holding at most
-    ``ARRIVAL_WORDS`` words plus one step's: about 71 steps at the default
-    rates, 10 at 16 times the source rate, 192 with no arrivals.  When no
-    drawn step is left to hand out the generator is where the scalar draws
-    would have left it; in between it is ahead, so the stream must be its
-    only user.  Other bit generators, and owner ranges of ``2**32`` or more,
-    take ``_draw_scalars`` every step.
+    Nine generators spawned from ``seed`` draw one column each: the task
+    count, the source count, the task owner, deadline, cycles and value,
+    and the source owner, idle time and rate.  A block of steps draws each
+    count column with one call, then each field column with one call over
+    the block's objects.  Each column has its own generator, so the draws
+    do not depend on where a block ends.  A block takes at most
+    ``ARRIVAL_OBJECTS`` objects' worth of steps at the mean rates, at least
+    one step, and never a step past ``steps``.
     """
 
-    def __init__(self, workload: WorkloadConfig, rng: np.random.Generator, steps: int = 1):
+    def __init__(self, workload: WorkloadConfig, seed: int, steps: int = 1):
         self.workload = workload
-        self.rng = rng
         self.steps_left = steps
-        self.buffered = []  # drawn steps not yet handed out, the next one last
-        bounds = np.array([workload.deadline_range, workload.cycles_range, workload.value_range,
-                           workload.idle_range, workload.rate_range], dtype=np.float64)
-        lows, widths = bounds[:, :1], bounds[:, 1:] - bounds[:, :1]
-        # Tasks', then sources' (lows, widths, uniform offsets), one row per float column.
-        self.uniforms = ((lows[:3], widths[:3], _TASK_UNIFORMS), (lows[3:], widths[3:], _SOURCE_UNIFORMS))
+        self.rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(9)]
+        self.block = []  # per kind: owners, field rows and each step's end, after a leading 0
+        self.step = self.block_steps = 0
 
     def draw(self):
         """The next step's task owners, the tasks' (deadline, cycles, value)
         rows, source owners and the sources' (idle, rate) rows."""
-        if not self.buffered:
-            bitgen = self.rng.bit_generator
-            if type(bitgen) is np.random.PCG64 and self.workload.device_count < 2**32:
-                self.buffered = self._replay(bitgen, max(self.steps_left, 1))[::-1]
-            else:
-                self.buffered = [_draw_scalars(self.workload, self.rng, *self._counts())]
-            self.steps_left -= len(self.buffered)
-        return self.buffered.pop()
+        if self.step == self.block_steps:
+            self._draw_block()
+        k = self.step
+        self.step += 1
+        drawn = []
+        for owners, rows, ends in self.block:
+            drawn += owners[ends[k]:ends[k + 1]], rows[:, ends[k]:ends[k + 1]]
+        return drawn
 
-    def _counts(self):
-        rng, workload = self.rng, self.workload
-        return int(rng.poisson(workload.task_arrival_rate)), int(rng.poisson(workload.source_arrival_rate))
-
-    def _replay(self, bitgen, limit):
-        """A block of up to ``limit`` steps from raw PCG64 words, as ``_draw_scalars`` would draw them.
-
-        It follows numpy's Generator: ``uniform(lo, hi)`` takes one 64-bit
-        word ``w`` and gives ``lo + (hi - lo) * ((w >> 11) * 2**-53)``, and
-        ``poisson`` takes whole words too.  ``integers(0, n)`` takes one
-        32-bit half: the cached high half of an earlier word if there is one,
-        else the low half of a fresh word whose high half it caches.  Only
-        ``integers`` reads or writes that cache; ``random_raw`` leaves it
-        alone.  So each step draws its two counts, then with ``random_raw``
-        exactly the words its scalar draws would take, the cache's parity
-        carried from step to step, until the block holds ``ARRIVAL_WORDS``
-        words; the owners of the whole block take the halves in one sequence;
-        and the cache is written back once.  None of this depends on where a
-        block ends.  The half ``x`` gives ``(x * n) >> 32``, unless Lemire's
-        test ``(x * n) mod 2**32 < 2**32 mod n`` rejects it and draws again;
-        ``n == 1`` draws nothing.  On a rejection (probability below n / 2**32
-        per owner) the steps before it are drawn again, and that step by
-        ``_draw_scalars``, which ends the block.  ``WorkloadConfig`` keeps
-        every bound finite and every low >= 0, so every width is finite too.
-        """
-        n, raw = self.workload.device_count, bitgen.random_raw
-        saved = bitgen.state
-        # Object k of the block (each step's tasks, then its sources) takes
-        # taken[k] words: its owner's fresh word, if any, then one word per
-        # uniform.  Owners alternate between a fresh word and the half it
-        # cached, so with the cache set at the start objects 1, 3, ... take
-        # fresh words, else objects 0, 2, ...
-        cached = saved["has_uint32"] if n > 1 else 0
-        parity, counts, words, held = cached, [], [], 0
-        while held < ARRIVAL_WORDS and len(words) < limit:
-            n_tasks, n_sources = self._counts()
-            fresh = (n_tasks + n_sources + 1 - parity) >> 1 if n > 1 else 0
-            words.append(raw(3 * n_tasks + 2 * n_sources + fresh))
-            held += len(words[-1]) + _STEP_WORDS
-            parity ^= (n_tasks + n_sources) & 1
-            counts += n_tasks, n_sources
-        words = np.concatenate(words)
-        taken = np.repeat((3, 2) * (len(counts) // 2), counts)
-        is_task = taken == 3
-        if n > 1:
-            taken[cached::2] += 1
-        end = taken.cumsum()
-        if n > 1:
-            # The 32-bit halves in the order next_uint32 hands them out: the cached
-            # one, then low and high half of each fresh word; the cache keeps the last.
-            halves = words[(end - taken)[cached::2]].astype("<u8", copy=False).view("<u4")
-            halves = np.concatenate((np.array([saved["uinteger"]], dtype=np.uint64), halves))
-            state = bitgen.state
-            state["has_uint32"], state["uinteger"] = parity, int(halves[-1])
-            scaled = halves[1 - cached:1 - cached + len(taken)]
-            scaled *= np.uint64(n)
-            rejected = scaled.astype(np.uint32) < np.uint32((2**32 - n) % n)
-            if rejected.any():
-                # Replay the steps before the rejected one again, then draw that one.
-                step = int(np.searchsorted(np.cumsum(counts)[1::2], rejected.argmax(), "right"))
-                bitgen.state = saved
-                steps = self._replay(bitgen, step) if step else []
-                return steps + [_draw_scalars(self.workload, self.rng, *self._counts())]
-            bitgen.state = state
-            scaled >>= np.uint64(32)
-            owners = scaled.view(np.int64)
-        else:
-            owners = np.zeros(len(taken), dtype=np.int64)
-        # The owners are drawn, so the words become uniforms in place.
-        words >>= np.uint64(11)
-        unit = np.multiply(words, 2.0**-53, out=words.view(np.float64))
-        cols = []
-        for rows, (lows, widths, offsets) in zip((is_task, ~is_task), self.uniforms):
-            col = unit[end[rows] - offsets]
-            col *= widths
-            col += lows
-            cols.append(col)
-        # A step's tasks t:t_end and sources s:s_end are objects t + s:t_end + s and t_end + s:t_end + s_end.
-        (task_cols, source_cols), steps, t, s = cols, [], 0, 0
-        for t_end, s_end in zip(accumulate(counts[0::2]), accumulate(counts[1::2])):
-            steps.append((owners[t + s:t_end + s], task_cols[:, t:t_end], owners[t_end + s:t_end + s_end], source_cols[:, s:s_end]))
-            t, s = t_end, s_end
-        return steps
+    def _draw_block(self):
+        workload = self.workload
+        rates = workload.task_arrival_rate, workload.source_arrival_rate
+        steps = min(max(self.steps_left, 1), max(1, int(ARRIVAL_OBJECTS // (sum(rates) + 1))))
+        self.steps_left -= steps
+        self.step, self.block_steps, self.block = 0, steps, []
+        # Per kind, tasks then sources: its field ranges, and its owner and field generators.
+        kinds = (((workload.deadline_range, workload.cycles_range, workload.value_range), self.rngs[2:6]),
+                 ((workload.idle_range, workload.rate_range), self.rngs[6:]))
+        for count_rng, rate, (ranges, (owner_rng, *field_rngs)) in zip(self.rngs[:2], rates, kinds):
+            ends = [0, *np.cumsum(count_rng.poisson(rate, steps)).tolist()]
+            owners = owner_rng.integers(0, workload.device_count, ends[-1])
+            rows = np.array([rng.uniform(low, high, ends[-1]) for rng, (low, high) in zip(field_rngs, ranges)])
+            self.block.append((owners, rows, ends))
 
 
 _SETTLED_STEP = SettlementRecord._fields.index("step")
@@ -192,8 +113,8 @@ _NO_TASKS = TaskQueue._columns(TaskQueue())  # shared, as a TaskQueue never writ
 class SimState:
     """Mutable state threaded through the per-step loop of a single run.
 
-    ``arrivals`` alone draws from a generator seeded with ``config.rng_seed``,
-    at most ``config.steps`` steps ahead.  ``ledger`` maps a device to its
+    ``arrivals`` draws the run's arrivals from ``config.rng_seed``, never a
+    step past ``config.steps``.  ``ledger`` maps a device to its
     priority balance.  ``settlement_log`` and ``lease_log`` hold one tuple of
     numpy columns per lease round, in the field order of ``SettlementRecord``
     and ``AssignmentRecord``; a round's two tuples may share an array, and
@@ -214,7 +135,7 @@ class SimState:
     arrivals: ArrivalStream = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.arrivals = ArrivalStream(self.config.workload, np.random.default_rng(self.config.rng_seed), self.config.steps)
+        self.arrivals = ArrivalStream(self.config.workload, self.config.rng_seed, self.config.steps)
 
     def report(self) -> SimReport:
         """The run so far as a report; later steps leave it as it is."""
@@ -251,24 +172,6 @@ def generate_arrivals(
     sources = SourcePool(np.arange(next_source_id, next_source_id + n_sources, dtype=np.int64), source_owners,
                          source_rows[0], source_rows[1])
     return tasks, sources
-
-
-def _draw_scalars(workload, rng, n_tasks, n_sources):
-    """The arrival stream: one scalar draw per field, task by task, then source by source.
-
-    Each object draws its owner, then one uniform per float field in column
-    order.  Returns the columns of one step of ``ArrivalStream.draw``.
-    """
-    drawn = []
-    for count, ranges in ((n_tasks, (workload.deadline_range, workload.cycles_range, workload.value_range)),
-                          (n_sources, (workload.idle_range, workload.rate_range))):
-        owners, rows = np.empty(count, dtype=np.int64), np.empty((len(ranges), count))
-        for k in range(count):
-            owners[k] = rng.integers(0, workload.device_count)
-            for row, bounds in zip(rows, ranges):
-                row[k] = rng.uniform(*bounds)
-        drawn += owners, rows
-    return drawn
 
 
 def _age_state(state: SimState) -> tuple:

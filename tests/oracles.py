@@ -139,25 +139,33 @@ def oracle_classify(tasks, matched_rows, max_rounds_w, step_seconds):
     return deferred, escalated
 
 
-def oracle_arrivals(workload, rng, next_task_id=0, next_source_id=0):
-    """One step's arrivals drawn the literal way, one scalar call per field.
+def arrival_generators(seed):
+    """The nine generators of a run's arrivals, spawned from ``seed``, one per
+    column: task count, source count, task owner, deadline, cycles and value,
+    source owner, idle time and rate."""
+    return [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(9)]
+
+
+def oracle_arrivals(workload, rngs, next_task_id=0, next_source_id=0):
+    """One step's arrivals drawn the literal way from the nine ``arrival_generators``,
+    one scalar call per field, each on its column's generator.
 
     Returns (task rows, source rows): per task (task_id, owner_id, deadline_s,
     cycles_required, value, rounds_deferred), per source
-    (source_id, owner_id, idle_seconds, cycles_per_second).  Tuple items are
-    evaluated left to right, which is the draw order.
+    (source_id, owner_id, idle_seconds, cycles_per_second).
     """
-    n_tasks = int(rng.poisson(workload.task_arrival_rate))
-    n_sources = int(rng.poisson(workload.source_arrival_rate))
+    task_count, source_count, task_owner, deadline, cycles, value, source_owner, idle, rate = rngs
+    n_tasks = int(task_count.poisson(workload.task_arrival_rate))
+    n_sources = int(source_count.poisson(workload.source_arrival_rate))
     n = workload.device_count
     tasks = [
-        (next_task_id + k, int(rng.integers(0, n)), float(rng.uniform(*workload.deadline_range)),
-         float(rng.uniform(*workload.cycles_range)), float(rng.uniform(*workload.value_range)), 0)
+        (next_task_id + k, int(task_owner.integers(0, n)), float(deadline.uniform(*workload.deadline_range)),
+         float(cycles.uniform(*workload.cycles_range)), float(value.uniform(*workload.value_range)), 0)
         for k in range(n_tasks)
     ]
     sources = [
-        (next_source_id + k, int(rng.integers(0, n)), float(rng.uniform(*workload.idle_range)),
-         float(rng.uniform(*workload.rate_range)))
+        (next_source_id + k, int(source_owner.integers(0, n)), float(idle.uniform(*workload.idle_range)),
+         float(rate.uniform(*workload.rate_range)))
         for k in range(n_sources)
     ]
     return tasks, sources
@@ -174,10 +182,10 @@ def oracle_settlements(config, leases):
     the batch, floored at 0; then each device's debits and credits, summed in
     lease order, are added to its balance.  Returns the rows and the ledger.
     """
-    rng = np.random.default_rng(config.rng_seed)
+    rngs = arrival_generators(config.rng_seed)
     tasks, source_owner = {}, {}
     for _ in range(config.steps):
-        new_tasks, new_sources = oracle_arrivals(config.workload, rng, len(tasks), len(source_owner))
+        new_tasks, new_sources = oracle_arrivals(config.workload, rngs, len(tasks), len(source_owner))
         tasks.update((row[0], Task(*row)) for row in new_tasks)
         source_owner.update((row[0], row[1]) for row in new_sources)
     balances, rows = {}, []
@@ -222,14 +230,14 @@ def oracle_run(config):
     value and cycles to the running totals one task at a time; the step's
     idle capacity adds rate * idle over the pool, left to right.
     """
-    rng = np.random.default_rng(config.rng_seed)
+    rngs = arrival_generators(config.rng_seed)
     weights, seconds = config.weights, config.step_seconds
     pending, pool, balances = [], [], {}
     samples, leases, settlements = [], [], []
     arrived = sources = matched = migrated = 0
     value_cum = cycles_cum = 0.0
     for step in range(config.steps):
-        new_tasks, new_sources = oracle_arrivals(config.workload, rng, arrived, sources)
+        new_tasks, new_sources = oracle_arrivals(config.workload, rngs, arrived, sources)
         arrived, sources = arrived + len(new_tasks), sources + len(new_sources)
         pool = [s._replace(idle_seconds=s.idle_seconds - seconds) for s in pool]
         pool = [s for s in pool if s.idle_seconds > 0.0] + [SourceNode(*row) for row in new_sources]

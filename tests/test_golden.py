@@ -16,8 +16,9 @@ re-records them, so they may be stale.
 ``lease-heavy-x16`` runs lease-heavy for 60 steps at 16 times the source
 arrival rate, so its pool grows to about 28k rows and every round matches a
 wide shortlist.  The ``devices-2e32`` cases own their objects among
-``2**32`` devices, so every step draws its arrivals one scalar at a time
-rather than from a replayed block; ``cloud-step-2.5-x4`` ages a
+``2**32`` devices, so owners past the int32 range, up to ``2**32 - 1``,
+pass through the int64 owner columns, the ledger's keys and the JSON
+report; ``cloud-step-2.5-x4`` ages a
 four-times-larger pool by an inexact 2.5 s a step.  ``crl-equal-rates``
 gives every source one rate, so every preference value of a task ties and
 most shortlists are hundreds of rows wide.  ``crl-near-equal-rates`` draws

@@ -4,12 +4,13 @@ re-pins them.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from crlsim.simulator import ArrivalStream, SimConfig, WorkloadConfig, generate_arrivals, run
+from crlsim.simulator import ArrivalStream, SimConfig, SimState, WorkloadConfig, generate_arrivals, run, step_cloud
 
 from scenarios import LEASE_HEAVY, random_configs
 
@@ -88,10 +89,81 @@ def test_share_of_big_tasks_is_the_closed_form():
     assert p == 0.75
     big = n = 0
     for seed in range(1, 11):
-        stream = ArrivalStream(workload, np.random.default_rng(seed), SimConfig().steps)
+        stream = ArrivalStream(workload, seed, SimConfig().steps)
         for _ in range(SimConfig().steps):
             tasks, _ = generate_arrivals(stream)
             big += int(np.count_nonzero(tasks.cycles > rate_hi * tasks.deadline))
             n += len(tasks)
     sd = math.sqrt(p * (1 - p) / n)
     assert abs(big / n - p) <= 4 * sd, (big, n, sd)
+
+
+# The cloud closed forms pool the steady-state means of these seeds' default
+# cloud runs, and accept a pooled mean within T_29 standard errors of the form.
+CLOUD_SEEDS = range(1, 31)
+T_29 = 4.51
+
+
+@functools.cache
+def cloud_steady_means(seed):
+    """The means over steps 100-199 of seed ``seed``'s default cloud run of
+    its live pool (the sources left with idle time after the step) and of
+    its idle capacity sample."""
+    state = SimState(SimConfig(rng_seed=seed, policy="cloud"))
+    live = []
+    for _ in range(state.config.steps):
+        step_cloud(state)
+        live.append(len(state.pool))
+    return float(np.mean(live[100:])), float(np.mean([sample.idle_capacity for sample in state.samples[100:]]))
+
+
+def assert_pooled_mean(means, expected):
+    """Tolerance, set before either cloud test was first run: the per-seed
+    means m_1..m_30 are independent (each seed draws its own stream) and
+    identically distributed around the closed form.  Each is a mean over
+    100 steps of a sum over about 1800 sources, so nearly normal, and
+    (mean(m) - form) / (sd(m) / sqrt(30)) follows Student's t with 29
+    degrees of freedom.  Its two-sided 1e-4 quantile is 4.51, so a correct
+    stream lands outside T_29 standard errors with chance below 1e-4.  The
+    spread is the seeds' own, so the check needs no variance formula: the
+    runs' autocorrelation (a source lives about 60 steps) is in it.
+    """
+    se = float(np.std(means, ddof=1)) / math.sqrt(len(means))
+    assert abs(float(np.mean(means)) - expected) <= T_29 * se, (float(np.mean(means)), expected, se)
+
+
+def test_cloud_live_pool_is_littles_law():
+    """Under cloud no source is leased, so a source arriving with idle I
+    stays ceil(I / step_seconds) steps: aging runs before the step's
+    arrivals join, and drops a source once its idle time reaches 0.  By
+    Little's law the live pool holds lambda_s * E[ceil(I)] sources once
+    every source that can still be live arrived inside the run (from step
+    79).  At the defaults I ~ U(40, 80), so ceil(I) is uniform on 41..80:
+
+        lambda_s * E[ceil(I)] = 30 * 60.5 = 1815.
+    """
+    workload, config = WorkloadConfig(), SimConfig()
+    (lo, hi), dt = workload.idle_range, config.step_seconds
+    assert dt == 1.0 and lo == int(lo) and hi == int(hi)
+    form = workload.source_arrival_rate * float(np.mean(np.arange(lo + 1, hi + 1)))
+    assert form == 1815.0
+    assert_pooled_mean([cloud_steady_means(seed)[0] for seed in CLOUD_SEEDS], form)
+
+
+def test_cloud_idle_capacity_is_the_closed_form():
+    """A live source j steps after arriving holds rate * (I - j) cycles, for
+    j = 0 .. ceil(I) - 1, and its rate is independent of I.  So the steady
+    idle capacity is lambda_s * E[r] * E[ceil(I) * I - ceil(I) (ceil(I) - 1) / 2].
+    Given ceil(I) = k, I is uniform on (k - 1, k] with mean k - 1/2, so the
+    last expectation is E[k (k - 1/2) - k (k - 1) / 2] = E[k^2] / 2 over
+    k uniform on 41..80:
+
+        30 * 22.5 * 3793.5 / 2 = 1280306.25.
+    """
+    workload, config = WorkloadConfig(), SimConfig()
+    (lo, hi), dt = workload.idle_range, config.step_seconds
+    assert dt == 1.0 and lo == int(lo) and hi == int(hi)
+    k = np.arange(lo + 1, hi + 1)
+    form = workload.source_arrival_rate * float(np.mean(workload.rate_range)) * float(np.mean(k * k)) / 2
+    assert form == 1280306.25
+    assert_pooled_mean([cloud_steady_means(seed)[1] for seed in CLOUD_SEEDS], form)

@@ -12,9 +12,7 @@ from crlsim.metrics import AssignmentRecord, StepSample, emit_report
 from crlsim.model import ColumnLog, SourcePool, TaskQueue, WeightsConfig
 from crlsim.settlement import SettlementRecord
 from crlsim.simulator import (
-    ARRIVAL_WORDS,
     POISSON_LAM_MAX,
-    _STEP_WORDS,
     ArrivalStream,
     SimConfig,
     WorkloadConfig,
@@ -26,38 +24,17 @@ from crlsim.simulator import (
 )
 
 from audit import report_violations
-from oracles import oracle_arrivals, oracle_run, oracle_settlements
-from records import SourceNode, Task, nodes_of, rows_of, table_of, tasks_of
+from oracles import arrival_generators, oracle_arrivals, oracle_run, oracle_settlements
+from records import SourceNode, Task, rows_of, table_of
 from scenarios import LEASE_HEAVY, random_configs
 
 QUIET = WorkloadConfig(task_arrival_rate=0.0, source_arrival_rate=0.0)
-
-
-def as_objects(arrivals):
-    """The Task and SourceNode records that generate_arrivals' columns hold."""
-    tasks, sources = arrivals
-    return tasks_of(tasks), nodes_of(sources)
 
 
 def as_rows(arrivals):
     """generate_arrivals' columns as the rows oracle_arrivals returns."""
     tasks, sources = arrivals
     return rows_of(tasks), rows_of(sources)
-
-
-class FixedCounts:
-    """A Generator whose Poisson draws return fixed counts in turn, over and
-    over, and take no words."""
-
-    def __init__(self, generator, *counts):
-        self.generator = generator
-        self.counts = itertools.cycle(counts)
-
-    def poisson(self, lam):
-        return next(self.counts)
-
-    def __getattr__(self, name):
-        return getattr(self.generator, name)
 
 
 class TestWorkloadConfig:
@@ -208,265 +185,141 @@ def test_declared_bounds_are_enforced(cls, f):
 class TestGenerateArrivals:
     def test_sample_mean_matches_poisson_rate(self):
         wl = WorkloadConfig(task_arrival_rate=3.0, source_arrival_rate=0.0)
-        stream = ArrivalStream(wl, np.random.default_rng(7), 10_000)
+        stream = ArrivalStream(wl, 7, 10_000)
         total = sum(len(generate_arrivals(stream)[0]) for _ in range(10_000))
         assert 2.9 <= total / 10_000 <= 3.1
 
     def test_fields_within_ranges(self):
-        wl = WorkloadConfig()
-        tasks, sources = as_objects(generate_arrivals(ArrivalStream(wl, np.random.default_rng(3))))
-        for t in tasks:
-            assert wl.cycles_range[0] <= t.cycles_required <= wl.cycles_range[1]
-            assert wl.deadline_range[0] <= t.deadline_s <= wl.deadline_range[1]
-            assert 0 <= t.owner_id < wl.device_count
-        for s in sources:
-            assert wl.idle_range[0] <= s.idle_seconds <= wl.idle_range[1]
-            assert wl.rate_range[0] <= s.cycles_per_second <= wl.rate_range[1]
+        # Every drawn field lies in its closed [low, high] range and every owner in [0, device_count).
+        drawn = 0
+        for config in random_configs():
+            wl = config.workload
+            stream = ArrivalStream(wl, config.rng_seed, 200)
+            for _ in range(200):
+                tasks, sources = generate_arrivals(stream)
+                for column, (low, high) in ((tasks.deadline, wl.deadline_range), (tasks.cycles, wl.cycles_range),
+                                            (tasks.value, wl.value_range), (sources.idle, wl.idle_range),
+                                            (sources.rate, wl.rate_range)):
+                    assert ((low <= column) & (column <= high)).all(), (config, column.tolist(), low, high)
+                for owners in (tasks.owners, sources.owners):
+                    assert ((0 <= owners) & (owners < wl.device_count)).all(), (config, owners.tolist())
+                drawn += len(tasks) + len(sources)
+        assert drawn > 100_000
 
 
-# name -> (workload, whether the exact replay may fall back to scalar draws)
-REPLAY_SHAPES = {
-    "default": (WorkloadConfig(), False),
-    "lease-heavy": (LEASE_HEAVY, False),
-    "one-device": (WorkloadConfig(source_arrival_rate=10.0, device_count=1), False),
-    "low-rates": (WorkloadConfig(task_arrival_rate=0.3, source_arrival_rate=0.6, device_count=7), False),
-    "no-tasks": (WorkloadConfig(task_arrival_rate=0.0, source_arrival_rate=2.0, device_count=2), False),
-    # each block is ARRIVAL_WORDS // _STEP_WORDS empty steps
-    "no-arrivals": (WorkloadConfig(task_arrival_rate=0.0, source_arrival_rate=0.0), False),
-    # 2**32 mod n = 2**30: a quarter of the owner draws is rejected
-    "rejections": (WorkloadConfig(task_arrival_rate=1.0, source_arrival_rate=1.0, device_count=3 * 2**30), True),
+# name -> workload
+STREAM_SHAPES = {
+    "default": WorkloadConfig(),
+    "lease-heavy": LEASE_HEAVY,
+    "one-device": WorkloadConfig(source_arrival_rate=10.0, device_count=1),
+    "low-rates": WorkloadConfig(task_arrival_rate=0.3, source_arrival_rate=0.6, device_count=7),
+    "no-tasks": WorkloadConfig(task_arrival_rate=0.0, source_arrival_rate=2.0, device_count=2),
+    "no-arrivals": WorkloadConfig(task_arrival_rate=0.0, source_arrival_rate=0.0),
+    # 2**32 mod n = 2**30: Lemire's test rejects a quarter of the 32-bit owner draws
+    "rejections": WorkloadConfig(task_arrival_rate=1.0, source_arrival_rate=1.0, device_count=3 * 2**30),
+    # owners beyond 32 bits take 64-bit draws
+    "devices-2e32": WorkloadConfig(device_count=2**32 + 5),
 }
 
 
-def state_of(rng):
-    """The bit generator's state with its arrays as lists, so that states compare."""
-    return json.loads(json.dumps(rng.bit_generator.state, default=lambda value: value.tolist()))
+def states_of(rngs):
+    """The generators' bit generator states, which compare with ``==``."""
+    return [rng.bit_generator.state for rng in rngs]
 
 
-def check_stream(wl, fast, slow, steps):
-    """Draw ``steps`` steps of ``ArrivalStream(wl, fast, steps)`` and compare
-    each with the scalar oracle's on ``slow``, and the generator states at
-    every block end, where the stream has no drawn step left to hand out.
-
-    Returns each step's rows and the indices of the steps that end a block.
-    """
-    stream = ArrivalStream(wl, fast, steps)
-    next_t, next_s, rows, ends = 0, 0, [], []
-    for step in range(steps):
-        tasks, sources = as_rows(generate_arrivals(stream, next_t, next_s))
-        assert (tasks, sources) == oracle_arrivals(wl, slow, next_t, next_s)
-        if not stream.buffered:
-            assert state_of(fast) == state_of(slow)
-            ends.append(step)
-        rows.append((tasks, sources))
+def draw_steps(stream, steps, ids=(0, 0)):
+    """The next ``steps`` steps of ``stream`` as the rows oracle_arrivals
+    returns, ids numbered on from ``ids``; checks each column's length and
+    dtype on the way."""
+    drawn, (next_t, next_s) = [], ids
+    for _ in range(steps):
+        tasks, sources = generate_arrivals(stream, next_t, next_s)
+        for table, ints in ((tasks, ("ids", "owners", "deferred")), (sources, ("ids", "owners"))):
+            for name in table.__dataclass_fields__:
+                column = getattr(table, name)
+                assert column.shape == (len(table.ids),), name
+                assert column.dtype == (np.int64 if name in ints else np.float64), name
+        assert not tasks.deferred.any()
+        drawn.append(as_rows((tasks, sources)))
         next_t += len(tasks)
         next_s += len(sources)
-    assert ends[-1] == steps - 1
-    return rows, ends
+    return drawn
 
 
-def count_fallbacks(monkeypatch):
-    """Record the (n_tasks, n_sources) of every ``_draw_scalars`` call."""
-    fallbacks = []
-    scalar = simulator._draw_scalars
-    monkeypatch.setattr(simulator, "_draw_scalars", lambda *a: fallbacks.append(a[2:]) or scalar(*a))
-    return fallbacks
-
-
-def step_words(counts, devices=30, cached=0):
-    """The raw words each step of ``counts`` (n_tasks, n_sources) takes: three
-    uniforms per task and two per source, and its owners' fresh words.  Owners
-    take the 32-bit halves of fresh words two by two, so the first m objects
-    of the stream take (m + 1 - cached) // 2 of them, where ``cached`` is 1 if
-    the generator's cache held a half at the start; one device takes none."""
-    words, objects, fresh = [], 0, 0
-    for n_tasks, n_sources in counts:
-        objects += n_tasks + n_sources
-        fresh_by_now = (objects + 1 - cached) // 2 if devices > 1 else 0
-        words.append(3 * n_tasks + 2 * n_sources + fresh_by_now - fresh)
-        fresh = fresh_by_now
-    return words
-
-
-def block_ends(words, budget):
-    """The steps that end a block when each block takes steps until it holds
-    ``budget`` words or more, a step counting its raw ``words`` and
-    ``_STEP_WORDS``; the last step ends the last block."""
-    ends, held = [], 0
-    for step, taken in enumerate(words):
-        held += taken + _STEP_WORDS
-        if held >= budget or step == len(words) - 1:
-            ends.append(step)
-            held = 0
-    return ends
-
-
-def counts_of(rows):
-    return [(len(tasks), len(sources)) for tasks, sources in rows]
-
-
-# The first word of PCG64(1) advanced this far has a low half that Lemire's
-# test rejects for integers(0, 30).
-REJECTED_WORD_AT = 133644978
+def oracle_steps(workload, rngs, steps, ids=(0, 0)):
+    """The next ``steps`` steps of ``oracle_arrivals`` on ``rngs``, ids numbered on from ``ids``."""
+    drawn, (next_t, next_s) = [], ids
+    for _ in range(steps):
+        tasks, sources = oracle_arrivals(workload, rngs, next_t, next_s)
+        drawn.append((tasks, sources))
+        next_t += len(tasks)
+        next_s += len(sources)
+    return drawn
 
 
 class TestArrivalReplay:
-    @pytest.mark.parametrize("shape", sorted(REPLAY_SHAPES))
+    """The stream, drawn in blocks, replays the scalar reference
+    ``oracle_arrivals``: one draw per field on its column's generator."""
+
+    @pytest.mark.parametrize("shape", sorted(STREAM_SHAPES))
     def test_equals_scalar_draws_and_state(self, shape, monkeypatch):
-        wl, may_fall_back = REPLAY_SHAPES[shape]
-        fallbacks = count_fallbacks(monkeypatch)
-        # The run's budget, and one that ends a block every few steps in every shape.
-        for budget, seeds in ((ARRIVAL_WORDS, 20), (512, 5)):
-            monkeypatch.setattr(simulator, "ARRIVAL_WORDS", budget)
-            blocks = 0
-            for seed in range(seeds):
-                fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-                seen = len(fallbacks)
-                rows, ends = check_stream(wl, fast, slow, 200)
-                words = step_words(counts_of(rows), wl.device_count)
-                # A block ends at the first step that brings it to the budget,
-                # or earlier at a step drawn by _draw_scalars.
-                cut_short = 0
-                for start, end in zip([0] + [e + 1 for e in ends], ends):
-                    rule = start + block_ends(words[start:], budget)[0]
-                    assert end <= rule
-                    cut_short += end < rule
-                assert cut_short <= len(fallbacks) - seen
-                blocks += len(ends)
-            assert blocks >= seeds * (200 // 8 if budget == 512 else 2)
-        if may_fall_back:
-            assert 0 < len(fallbacks) < 25 * 200
-        else:
-            assert fallbacks == []
+        # Blocks of one step, of a few steps, of the default size and of the whole run.
+        wl, steps = STREAM_SHAPES[shape], 120
+        for seed in (0, 1):
+            rngs = arrival_generators(seed)
+            expected = oracle_steps(wl, rngs, steps, ids=(10, 20))
+            assert any(tasks or sources for tasks, sources in expected) == (shape != "no-arrivals")
+            for objects in (1, 7, 100, simulator.ARRIVAL_OBJECTS, 10**9):
+                monkeypatch.setattr(simulator, "ARRIVAL_OBJECTS", objects)
+                stream = ArrivalStream(wl, seed, steps)
+                assert draw_steps(stream, steps, ids=(10, 20)) == expected, objects
+                # The stream drew its steps and no more.
+                assert states_of(stream.rngs) == states_of(rngs), objects
 
     @pytest.mark.parametrize("steps", [1, 15, 16, 17, 33])
     def test_run_draws_its_steps_and_no_more(self, steps, monkeypatch):
-        drawn, streams, ends = [], [], []
-        draw = simulator.generate_arrivals
+        # A block is 16 steps at the default rates, so the run ends inside a
+        # block, at its end or one step into the next.  It draws the first
+        # ``steps`` steps of a longer run's stream, and no step past them.
+        monkeypatch.setattr(simulator, "ARRIVAL_OBJECTS", 16 * (10 + 30 + 1))
+        workload = WorkloadConfig()
+        longer = draw_steps(ArrivalStream(workload, 8, 40), 40)
+        drawn, streams, draw = [], [], simulator.generate_arrivals
 
         def record(stream, *ids):
             arrivals = draw(stream, *ids)
-            if not stream.buffered:
-                ends.append(len(drawn))
             drawn.append(as_rows(arrivals))
             streams.append(stream)
             return arrivals
 
         monkeypatch.setattr(simulator, "generate_arrivals", record)
-        config = SimConfig(steps=steps, rng_seed=8, policy="cloud")
-        oracle = np.random.default_rng(8)
-        words = step_words([tuple(map(len, oracle_arrivals(config.workload, oracle))) for _ in range(max(steps, 16))])
-        # A budget the first 16 steps just reach, so that a block ends at step 15.
-        budget = sum(words[:16]) + 16 * _STEP_WORDS
-        monkeypatch.setattr(simulator, "ARRIVAL_WORDS", budget)
-        report = run(config)
-        slow = np.random.default_rng(8)
-        next_t = next_s = 0
-        for tasks, sources in drawn:
-            assert (tasks, sources) == oracle_arrivals(config.workload, slow, next_t, next_s)
-            next_t += len(tasks)
-            next_s += len(sources)
-        assert len(drawn) == steps and report.arrived_tasks == next_t
-        assert ends == block_ends(words[:steps], budget)
-        assert (15 in ends) == (steps >= 16) and len(ends) >= steps // 16
-        # The run drew nothing past its last step.
-        assert streams[-1].rng.bit_generator.state == slow.bit_generator.state
-
-    def test_block_starting_with_the_cache_set(self, monkeypatch):
-        fast, slow = np.random.default_rng(5), np.random.default_rng(5)
-        fast.integers(0, 30)
-        slow.integers(0, 30)
-        assert fast.bit_generator.state["has_uint32"] == 1
-        monkeypatch.setattr(simulator, "ARRIVAL_WORDS", 1000)
-        rows, ends = check_stream(WorkloadConfig(), fast, slow, 33)
-        assert ends == block_ends(step_words(counts_of(rows), cached=1), 1000)
-        assert len(ends) >= 3
-
-    def test_pinned_rejection_falls_back_to_scalar_draws(self):
-        word = int(np.random.PCG64(1).advance(REJECTED_WORD_AT).random_raw())
-        low, high = word & 0xFFFFFFFF, word >> 32
-        # Lemire's test rejects the low half, so integers(0, 30) takes the
-        # high half and returns 18; a replay without the test would give 9.
-        assert (low * 30) & 0xFFFFFFFF == 6 < (2**32 - 30) % 30 == 16
-        assert ((low * 30) >> 32, (high * 30) >> 32) == (9, 18)
-        assert int(np.random.Generator(np.random.PCG64(1).advance(REJECTED_WORD_AT)).integers(0, 30)) == 18
-
-        wl = WorkloadConfig(device_count=30)
-        fast = np.random.Generator(np.random.PCG64(1).advance(REJECTED_WORD_AT))
-        slow = np.random.Generator(np.random.PCG64(1).advance(REJECTED_WORD_AT))
-        tasks, sources = generate_arrivals(ArrivalStream(wl, FixedCounts(fast, 1, 2)))
-        assert tasks.owners.tolist()[0] == 18
-        assert as_rows((tasks, sources)) == oracle_arrivals(wl, FixedCounts(slow, 1, 2))
-        assert fast.bit_generator.state == slow.bit_generator.state
-
-    def test_rejection_mid_block_falls_back_for_that_step_only(self, monkeypatch):
-        # One task and two sources a step: each pair of steps takes 9 + 8
-        # words (the three owners take two fresh words, then one, as the
-        # cache alternates) and leaves the cache unset.  So step 6 starts at
-        # the pinned word, and its task's owner draw is rejected.
-        wl = WorkloadConfig(device_count=30)
-        fallbacks = count_fallbacks(monkeypatch)
-        fast, slow = (FixedCounts(np.random.Generator(np.random.PCG64(1).advance(REJECTED_WORD_AT - 3 * 17)), 1, 2)
-                      for _ in range(2))
-        # After step 6, two blocks of steps of 8.5 words on average, and a short one.
-        steps = 7 + 2 * ARRIVAL_WORDS // (8 + _STEP_WORDS)
-        rows, ends = check_stream(wl, fast, slow, steps)
-        assert fallbacks == [(1, 2)]
-        assert rows[6][0][0][1] == 18
-        # Step 6 ends its block; step 7 starts the next with the cache set,
-        # as the scalar draws of step 6's three owners left it.
-        assert ends == [6] + [7 + end for end in block_ends(step_words([(1, 2)] * (steps - 7), cached=1), ARRIVAL_WORDS)]
-        assert len(ends) == 4
+        report = run(SimConfig(steps=steps, rng_seed=8, policy="cloud", workload=workload))
+        assert drawn == longer[:steps]
+        assert report.arrived_tasks == sum(len(tasks) for tasks, _ in drawn)
+        rngs = arrival_generators(8)
+        assert oracle_steps(workload, rngs, steps) == drawn
+        assert states_of(streams[-1].rngs) == states_of(rngs)
 
     def test_high_rate_run_holds_a_few_steps_of_words(self):
-        # One step at these rates draws 6e4 + 4e4 uniform words and 2e4 owner
-        # words, more than ARRIVAL_WORDS, so each replay block is one step.
-        # The run then holds a few arrays of a step's length: the block's
-        # words and columns, about three steps of sources in the pool (idle
-        # below 3 s) and one step of escalated values.
-        rate = 2e4
-        step_bytes = 8 * (3 * rate + 2 * rate + (rate + rate) / 2)
+        # One step at these rates draws more than ARRIVAL_OBJECTS objects, so
+        # each block is one step.  The run then holds a few arrays of a
+        # step's length: the block's columns, about three steps of sources in
+        # the pool (idle below 3 s) and one step of escalated tasks.  A block
+        # of the whole run would hold twelve steps of columns.
+        rate = 5e3
+        step_bytes = 8 * (4 * rate + 3 * rate)  # owners and fields of a step's tasks and sources
         workload = WorkloadConfig(task_arrival_rate=rate, source_arrival_rate=rate, idle_range=(1.0, 3.0))
+        assert simulator.ARRIVAL_OBJECTS // (2 * rate + 1) == 0
+        run(SimConfig(steps=1, policy="cloud", workload=workload))  # allocations made once per process
         tracemalloc.start()
         tracemalloc.reset_peak()
         try:
-            report = run(SimConfig(steps=20, policy="cloud", workload=workload))
+            report = run(SimConfig(steps=12, policy="cloud", workload=workload))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.arrived_tasks > 19 * rate
+        assert report.arrived_tasks > 11 * rate
         assert peak < 10 * step_bytes
-
-    @pytest.mark.parametrize("make_rng", [
-        lambda: np.random.Generator(np.random.MT19937(3)),
-        lambda: np.random.Generator(np.random.Philox(3)),
-    ], ids=["mt19937", "philox"])
-    def test_other_bit_generators_get_scalar_draws(self, make_rng, monkeypatch):
-        fallbacks = count_fallbacks(monkeypatch)
-        fast, slow = make_rng(), make_rng()
-        _, ends = check_stream(WorkloadConfig(), fast, slow, 50)
-        assert ends == list(range(50)) and len(fallbacks) == 50
-        assert fast.bit_generator.random_raw(4).tolist() == slow.bit_generator.random_raw(4).tolist()
-
-    @pytest.mark.parametrize("n_tasks, n_sources", [(0, 3), (4, 0), (0, 0), (4, 3)])
-    def test_scalar_draws_give_the_replay_columns(self, n_tasks, n_sources):
-        rng = FixedCounts(np.random.Generator(np.random.Philox(5)), n_tasks, n_sources)
-        tasks, sources = generate_arrivals(ArrivalStream(WorkloadConfig(), rng), 10, 20)
-        for table, n, ints in ((tasks, n_tasks, ("ids", "owners", "deferred")), (sources, n_sources, ("ids", "owners"))):
-            for name in table.__dataclass_fields__:
-                column = getattr(table, name)
-                assert column.shape == (n,), name
-                assert column.dtype == (np.int64 if name in ints else np.float64), name
-        assert tasks.ids.tolist() == list(range(10, 10 + n_tasks))
-        assert sources.ids.tolist() == list(range(20, 20 + n_sources))
-        assert not tasks.deferred.any()
-
-    def test_device_count_beyond_32_bits_gets_scalar_draws(self, monkeypatch):
-        fallbacks = count_fallbacks(monkeypatch)
-        wl = WorkloadConfig(device_count=2**32 + 5)
-        fast, slow = np.random.default_rng(4), np.random.default_rng(4)
-        check_stream(wl, fast, slow, 20)
-        assert len(fallbacks) == 20
 
 
 class TestStepCrl:
@@ -646,9 +499,9 @@ class TestRun:
         # step_seconds for each step it waited, taken off one step at a time.
         leases = 0
         for config in random_configs():
-            rng, arrived = np.random.default_rng(config.rng_seed), {}
+            rngs, arrived = arrival_generators(config.rng_seed), {}
             for step in range(config.steps):
-                tasks, _ = oracle_arrivals(config.workload, rng, len(arrived))
+                tasks, _ = oracle_arrivals(config.workload, rngs, len(arrived))
                 arrived.update((row[0], (step, row[2])) for row in tasks)
             for step_seconds in (0.1, 0.3, 0.7, 1.0, 2.5):
                 report = run(dataclasses.replace(config, step_seconds=step_seconds))
