@@ -300,6 +300,34 @@ class TestArrivalReplay:
         assert oracle_steps(workload, rngs, steps) == drawn
         assert states_of(streams[-1].rngs) == states_of(rngs)
 
+    @pytest.mark.parametrize("n_tasks, n_sources", [(0, 3), (4, 0), (0, 0), (4, 3)])
+    def test_scalar_draws_give_the_replay_columns(self, n_tasks, n_sources):
+        # Count generators that always draw the given counts: every step has
+        # no tasks, no sources, both or neither, and the stream's columns
+        # still equal the scalar oracle's rows.
+        class FixedCounts:
+            def __init__(self, n):
+                self.n = n
+
+            def poisson(self, lam, size=None):
+                return self.n if size is None else np.full(size, self.n, dtype=np.int64)
+
+        wl, steps = WorkloadConfig(), 5
+        stream, rngs = ArrivalStream(wl, 5, steps), arrival_generators(5)
+        stream.rngs[:2] = rngs[:2] = FixedCounts(n_tasks), FixedCounts(n_sources)
+        tasks, sources = generate_arrivals(stream, 10, 20)
+        for table, n, ints in ((tasks, n_tasks, ("ids", "owners", "deferred")), (sources, n_sources, ("ids", "owners"))):
+            for name in table.__dataclass_fields__:
+                column = getattr(table, name)
+                assert column.shape == (n,), name
+                assert column.dtype == (np.int64 if name in ints else np.float64), name
+        assert tasks.ids.tolist() == list(range(10, 10 + n_tasks))
+        assert sources.ids.tolist() == list(range(20, 20 + n_sources))
+        assert not tasks.deferred.any()
+        drawn = [as_rows((tasks, sources))] + draw_steps(stream, steps - 1, ids=(10 + n_tasks, 20 + n_sources))
+        assert drawn == oracle_steps(wl, rngs, steps, ids=(10, 20))
+        assert states_of(stream.rngs[2:]) == states_of(rngs[2:])
+
     def test_high_rate_run_holds_a_few_steps_of_words(self):
         # One step at these rates draws more than ARRIVAL_OBJECTS objects, so
         # each block is one step.  The run then holds a few arrays of a
