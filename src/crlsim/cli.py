@@ -41,7 +41,7 @@ def _check_keys(section: dict, cls, where: str):
 def load_scenario(path: Path) -> dict:
     """Load and structurally validate a scenario JSON file."""
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:  # a JSONDecodeError, or an integer of more digits than int() converts
@@ -176,7 +176,8 @@ def cmd_compare(args, config: SimConfig, name: str) -> int:
             },
             indent=2,
         )
-        + "\n"
+        + "\n",
+        encoding="utf-8",
     )
     print(f"compare seed={config.rng_seed} steps={config.steps}")
     print(f"  mean idle capacity: crl={summary.mean_idle_capacity_a:.1f} cloud={summary.mean_idle_capacity_b:.1f}")
@@ -215,7 +216,7 @@ def main(argv=None) -> int:
         effective = dataclasses.asdict(config)
         for field in args.sets_itself:  # the runs take the subcommand's value, not the merged one
             effective.get(FIELDS[field][0], effective).pop(field)
-        (args.out / "effective_config.json").write_text(json.dumps(effective, indent=2) + "\n")
+        (args.out / "effective_config.json").write_text(json.dumps(effective, indent=2) + "\n", encoding="utf-8")
         return handlers[args.command](args, config, name)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

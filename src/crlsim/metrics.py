@@ -10,7 +10,7 @@ from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
-from .model import ColumnLog, SourcePool
+from .model import ColumnLog, SourcePool, _listed
 from .settlement import SettlementRecord
 
 class StepSample(NamedTuple):
@@ -90,52 +90,21 @@ def idle_capacity(pool: SourcePool) -> float:
     return float(np.maximum(pool.capacity(), 0.0).cumsum()[-1])
 
 
-REPORT_SLICE = 256  # records per slice, which bounds the temporary token lists
-_BOOL_TOKENS = ("false", "true")
+# The record fields of a report and the row type of each: whatever holds the
+# rows, the JSON writes a record field as an object of that type's columns.
+_RECORD_ROWS = {"samples": StepSample, "settlement_records": SettlementRecord, "assignment_records": AssignmentRecord}
 
 
-def _tokens(values) -> list[str]:
-    """The JSON tokens of a slice of a column, as ``json.dumps`` writes its items.
-
-    A numpy column of bool, int or all-finite float dtype takes its Python
-    values' ``repr`` (``true``/``false`` for a bool), the text the json
-    module's C encoder writes for them.  Any other column or slice, NaN and
-    infinities among them, goes through that encoder.
-    """
-    if isinstance(values, np.ndarray):
-        kind = values.dtype.kind
-        if kind == "b":
-            return list(map(_BOOL_TOKENS.__getitem__, values.tolist()))
-        if kind in "iu" or kind == "f" and np.isfinite(values).all():
-            return list(map(repr, values.tolist()))
-        values = values.tolist()
-    # Without indent, json takes its C encoder; no JSON token holds a raw newline, so "\n" splits them exactly.
-    return json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
-
-
-def _write_records(fh, log: ColumnLog) -> None:
-    """Write a log as ``json.dump(..., indent=2)`` writes its rows' ``_asdict()`` one level
-    deep.  Per ``REPORT_SLICE`` rows, ``_tokens`` gives each column's tokens, and slice
-    assignment interleaves them with the fixed text between them."""
-    if not len(log):
-        fh.write("[]")
-        return
-    width = 2 * len(log.columns)
-    keys = [f"      {json.dumps(name)}: " for name in log.row._fields]
-    # Part 2k of a row is the text before field k, part 2k + 1 its value; a row's
-    # first label closes the row before it.
-    labels = ["\n    },\n    {\n" + keys[0], *(",\n" + key for key in keys[1:])]
-    frame = [None] * (width * min(REPORT_SLICE, len(log)))
-    for k, label in enumerate(labels):
-        frame[2 * k :: width] = [label] * (len(frame) // width)
-    for start in range(0, len(log), REPORT_SLICE):
-        parts = frame[: width * min(REPORT_SLICE, len(log) - start)]
-        for k, column in enumerate(log.columns):
-            parts[2 * k + 1 :: width] = _tokens(column[start : start + REPORT_SLICE])
-        if not start:
-            parts[0] = "[\n    {\n" + keys[0]
-        fh.write("".join(parts))
-    fh.write("\n    }\n  ]")
+def _write_columns(fh, row, records) -> None:
+    """Write ``records``, a ``ColumnLog`` or a list of ``row``s, as a JSON object of
+    ``row``'s columns: ``{"field": [...], ...}``, one ``json.dumps`` call per column,
+    which keeps each call's temporaries to one column."""
+    columns = records.columns if isinstance(records, ColumnLog) else list(zip(*records)) or [()] * len(row._fields)
+    separator = "{"
+    for name, column in zip(row._fields, columns, strict=True):
+        fh.write(f'{separator}"{name}": {json.dumps(_listed(column))}')
+        separator = ", "
+    fh.write("}")
 
 
 def _csv_field(text: str) -> str:
@@ -153,16 +122,17 @@ def emit_report(report: SimReport, format: str, destination) -> None:
 
     ``destination`` is a path or an open text file.  Emission is deterministic.
     The CSV has one row per step and ``StepSample``'s fields as columns,
-    byte-identical to ``csv.writer(..., lineterminator="\\n")``'s rows; the
-    JSON is byte-identical to ``json.dump(..., indent=2)`` of the report's
-    fields with each row as its ``_asdict()``; ``_write_records`` writes each
-    log, and each non-empty row list, from its columns.
+    byte-identical to ``csv.writer(..., lineterminator="\\n")``'s rows.  The
+    JSON object holds the report's fields in order, one per line: the ledger
+    as ``"ledger"``, keyed by id strings in ascending id order, and each
+    record field as an object of columns (``_write_columns``).  Every value
+    is ``json.dumps``'s text, so ``json.loads`` gives back each value and row.
     """
     if format not in ("csv", "json"):
         raise ValueError(f"unknown report format: {format!r}")
     if not hasattr(destination, "write"):
         try:
-            with open(destination, "w", newline="") as fh:
+            with open(destination, "w", encoding="utf-8", newline="") as fh:
                 return emit_report(report, format, fh)
         except OSError as exc:
             raise OSError(f"cannot write report to {destination}: {exc}") from exc
@@ -173,20 +143,14 @@ def emit_report(report: SimReport, format: str, destination) -> None:
             rows = [s._replace(policy=quoted.get(s.policy, s.policy)) for s in rows]
         destination.write(_CSV_HEADER + "".join(map(_CSV_ROW.__mod__, rows)))
         return
-    # The JSON object holds SimReport's fields in order; the ledger, keyed by sorted id strings, as "ledger".
-    # Only a non-empty record list or ledger spans lines, so every other value is json's C encoder's text.
     separator = "{"
     for f in fields(report):
         key, value = f.name, getattr(report, f.name)
         if key == "ledger_snapshot":
             key, value = "ledger", {str(k): v for k, v in sorted(value.items())}
         destination.write(f'{separator}\n  "{key}": ')
-        if isinstance(value, list) and value:
-            value = ColumnLog(type(value[0]), zip(*value))
-        if isinstance(value, ColumnLog):
-            _write_records(destination, value)
-        elif key == "ledger" and value:  # one item a line, one level deeper than its braces
-            destination.write("{\n    " + json.dumps(value, separators=(",\n    ", ": "))[1:-1] + "\n  }")
+        if key in _RECORD_ROWS:
+            _write_columns(destination, _RECORD_ROWS[key], value)
         else:
             destination.write(json.dumps(value))
         separator = ","
@@ -196,7 +160,7 @@ def emit_report(report: SimReport, format: str, destination) -> None:
 def load_report_csv(path) -> list[StepSample]:
     """Parse a CSV report back into step samples (round-trip inverse of emit)."""
     parsers = get_type_hints(StepSample).values()
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         if (header := next(reader, None)) != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV columns in {path}: {header}")

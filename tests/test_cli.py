@@ -16,6 +16,8 @@ from crlsim.metrics import emit_report
 from crlsim.model import WeightsConfig
 from crlsim.simulator import SimConfig, WorkloadConfig, run
 
+from records import check_json_report
+
 
 def scenario_file(tmp_path, name="scen", **extra):
     body = {
@@ -129,8 +131,8 @@ def test_sweep_w_rejects_w_below_one(tmp_path, capsys, w_values, error):
 def test_json_format_output(tmp_path):
     out = tmp_path / "o"
     assert main(["run", "--steps", "5", "--seed", "2", "--format", "json", "--out", str(out)]) == 0
-    data = json.loads((out / "default_crl_seed2.json").read_text())
-    assert data["seed"] == 2 and len(data["samples"]) == 5
+    text = (out / "default_crl_seed2.json").read_text(encoding="utf-8")
+    check_json_report(text, run(SimConfig(steps=5, rng_seed=2)))
 
 
 # The override flags as they are spelled today, flag -> dest.  Pinned so that
@@ -237,10 +239,11 @@ CLI_REPORTS = {
 
 
 def _module_cli(*argv):
-    """``python -m crlsim.cli ARGV`` in a fresh interpreter, with warnings as errors."""
+    """``python -m crlsim.cli ARGV`` in a fresh interpreter, with warnings as errors,
+    among them each text file opened without an explicit encoding."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error"}
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error", "PYTHONWARNDEFAULTENCODING": "1"}
     return subprocess.run([sys.executable, "-m", "crlsim.cli", *argv], env=env, capture_output=True, text=True)
 
 

@@ -47,6 +47,7 @@ from crlsim.model import WeightsConfig
 from crlsim.simulator import POLICIES, SimConfig, WorkloadConfig, run
 
 from audit import report_violations
+from records import as_read_back, read_back
 from scenarios import LEASE_HEAVY
 
 CASES = {
@@ -94,10 +95,14 @@ def perfbench_module(name):
     return module
 
 
-def digest(report, fmt):
+def emitted(report, fmt):
     buffer = io.StringIO()
     emit_report(report, fmt, buffer)
-    return hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+    return buffer.getvalue()
+
+
+def digest(report, fmt):
+    return hashlib.sha256(emitted(report, fmt).encode()).hexdigest()
 
 
 def traced_run(name):
@@ -123,12 +128,15 @@ def observe(name):
     """The pins of case ``name``: its report digests and counts and, for a
     benchmark workload, its traced counts.  The digests of a traced run are
     its report's, as tracing leaves the report alone.  Fails on a run the
-    report checker or the tracer contract faults, so none is ever pinned."""
+    report checker or the tracer contract faults, or whose JSON report does
+    not read back to its every sample, log row and ledger entry, so none is
+    ever pinned."""
     if name in BENCH_WORKLOADS:
         report, traced = traced_run(name)
     else:
         report, traced = run(CASES[name]), {}
     assert report_violations(report) == [], name
+    assert repr(read_back(emitted(report, "json"))) == repr(as_read_back(report)), name
     return {"csv_sha256": digest(report, "csv"), "json_sha256": digest(report, "json"),
             "arrived": report.arrived_tasks, "matched": report.matched_tasks,
             "migrated": report.migrated_tasks, "pending": report.pending_tasks, **traced}
